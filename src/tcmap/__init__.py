@@ -12,6 +12,7 @@ from .rational_map import (
     PoleError,
     apply_map,
     apply_map_grid,
+    attractive_cycle_batch,
     classify_basin_point,
     classify_multiplier,
     critical_points,
@@ -22,6 +23,7 @@ from .rational_map import (
     iterate_map,
     julia_backward_sample,
     map_derivative,
+    quadratic_step,
     two_cycle,
 )
 from .tavis_cummings import (

@@ -1,7 +1,7 @@
 """Command-line front end: every experiment as a deterministic file emitter.
 
 Angles accept raw radians or multiples of pi with a "pi" suffix (0.2375pi).
-All randomness is seeded; the default seed is the fixed constant 12345 and
+All randomness is seeded; the default seed is experiments.DEFAULT_SEED and
 can be overridden with --seed or the TCMAP_SEED environment variable, so a
 re-run with the same flags writes byte-identical CSV/PPM files.
 """
@@ -24,7 +24,6 @@ from . import rational_map as rm
 from .sphere import INFINITY, is_infinite
 from .tavis_cummings import CoherentFieldSpec, HomodyneSpec, f_state_lo_phases, homodyne_density
 
-DEFAULT_SEED = 12345
 SEED_ENV_VAR = "TCMAP_SEED"
 
 SUBCOMMANDS = (
@@ -59,7 +58,7 @@ class RunConfig:
     sigma: float = 0.03
     samples: int = 10_000
     steps: int = 7
-    seed: int = DEFAULT_SEED
+    seed: int = ex.DEFAULT_SEED
     map_kind: str = "ideal"
     z: Optional[complex] = None
     z1: complex = -0.2 + 0j
@@ -120,7 +119,7 @@ def _default_seed() -> int:
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         return int(env)
-    return DEFAULT_SEED
+    return ex.DEFAULT_SEED
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -289,6 +288,8 @@ def parse_config(argv) -> RunConfig:
             parser.error("--points: must be >= 0")
         cfg.points = ns.points
     if getattr(ns, "burn", None) is not None:
+        if ns.burn < 0:
+            parser.error("--burn: must be >= 0")
         cfg.burn = ns.burn
     if getattr(ns, "max_period", None) is not None:
         cfg.max_period = ns.max_period

@@ -15,27 +15,26 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import rational_map as rm
-from .protocol import ExactStepOperator, _gate_diag4, _require_gate
-from .sphere import SpherePoint, as_point, is_infinite
+from .protocol import NULL_OUTCOME_EPS, ExactStepOperator, _require_gate
+from .sphere import homogeneous, is_infinite
 
 DEFAULT_SEED = 12345
 
 
-def overlap(z1: SpherePoint, z2: SpherePoint) -> float:
+def overlap(z1, z2):
     """|<psi(z1)|psi(z2)>| for the states |0> + z|1> (normalized).
 
-    Equals |1 + conj(z1) z2| / sqrt((1+|z1|^2)(1+|z2|^2)); the point at
-    infinity is handled projectively, overlap(inf, z) = |z|/sqrt(1+|z|^2).
+    Equals |1 + conj(z1) z2| / sqrt((1+|z1|^2)(1+|z2|^2)), evaluated on the
+    homogeneous coordinates [z:1] and [1:0] (the point at infinity), so
+    overlap(inf, z) = |z|/sqrt(1+|z|^2).  Sphere points give a float, complex
+    arrays (with any non-finite entry read as infinity) an array.
     """
-    z1, z2 = as_point(z1), as_point(z2)
-    i1, i2 = is_infinite(z1), is_infinite(z2)
-    if i1 and i2:
-        return 1.0
-    if i1 or i2:
-        z = z2 if i1 else z1
-        return abs(z) / math.sqrt(1.0 + abs(z) ** 2)
-    num = abs(1.0 + z1.conjugate() * z2)
-    return num / math.sqrt((1.0 + abs(z1) ** 2) * (1.0 + abs(z2) ** 2))
+    (u1, v1), (u2, v2) = homogeneous(z1), homogeneous(z2)
+    # conj(u1) u2 + v1 v2 in real parts, so that swapping z1 and z2 only flips the sign of im
+    re = u1.real * u2.real + u1.imag * u2.imag + v1 * v2
+    im = u1.real * u2.imag - u1.imag * u2.real
+    out = np.hypot(re, im) / np.sqrt((np.abs(u1) ** 2 + v1 * v1) * (np.abs(u2) ** 2 + v2 * v2))
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -61,22 +60,14 @@ def phi_sweep(
     max_period: int = 64,
     tol: float = 1e-8,
 ) -> list[StabilityRow]:
-    """Stability diagram rows, in grid order; degenerate angles are rejected."""
-    rows = []
-    for v in varphis:
-        params = rm.MapParams(v)
-        l0, lp, lm = fixed_point_multiplier_moduli(v)
-        cycles = rm.find_attractive_cycles(params, burn=burn, max_period=max_period, tol=tol)
-        rows.append(
-            StabilityRow(
-                varphi=float(v),
-                abs_lambda_zero=l0,
-                abs_lambda_plus_one=lp,
-                abs_lambda_minus_one=lm,
-                cycles=tuple(cycles),
-            )
-        )
-    return rows
+    """Stability diagram rows, in grid order; degenerate angles are rejected.
+
+    The critical orbits of all angles are searched as one batch.
+    """
+    varphis = [float(v) for v in varphis]
+    params = [rm.MapParams(v) for v in varphis]
+    found = rm.attractive_cycle_batch(params, burn=burn, max_period=max_period, tol=tol)
+    return [StabilityRow(v, *fixed_point_multiplier_moduli(v), tuple(c)) for v, c in zip(varphis, found)]
 
 
 @dataclass(frozen=True)
@@ -92,72 +83,6 @@ class DiscriminationReport:
     samples: int
     steps: int
     seed: int
-
-
-def _ideal_trajectories(z0: np.ndarray, varphi: float, steps: int) -> list[np.ndarray]:
-    params = rm.MapParams(varphi)
-    traj = [z0]
-    for _ in range(steps):
-        traj.append(rm.apply_map_grid(rm.escape_guard_grid(traj[-1]), params))
-    return traj
-
-
-def _exact_map_grid(z: np.ndarray, varphi: float, op: ExactStepOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized exact step; returns (z', p_success), with inf markers.
-
-    Samples whose postselection probability collapses below the null
-    threshold get p_success = 0 and must be retired by the caller.
-    """
-    z = np.asarray(z, dtype=np.complex128)
-    finite = np.isfinite(z.real) & np.isfinite(z.imag)
-    with np.errstate(all="ignore"):
-        big = finite & (np.abs(z) > 1.0)
-    small = finite & ~big
-    v = np.zeros((4, z.size), dtype=np.complex128)
-    zs = z[small]
-    v[0, small] = zs * zs
-    v[1, small] = zs
-    v[2, small] = zs
-    v[3, small] = 1.0
-    v[:, small] /= 1.0 + np.abs(zs) ** 2
-    w = np.zeros(z.shape, dtype=np.complex128)
-    w[big] = 1.0 / z[big]
-    wb = w[big]
-    v[0, big] = 1.0
-    v[1, big] = wb
-    v[2, big] = wb
-    v[3, big] = wb * wb
-    v[:, big] /= 1.0 + np.abs(wb) ** 2
-    v[0, ~finite] = 1.0  # the state |1,1>
-
-    u = op.matrix @ (_gate_diag4(varphi)[:, None] * v)
-    amp1, amp0 = u[1], u[3]
-    p = np.abs(amp1) ** 2 + np.abs(amp0) ** 2
-    with np.errstate(all="ignore"):
-        znew = amp1 / amp0
-    # same relative pole rule as the scalar protocol_step_exact
-    inf_mask = np.abs(amp0) <= 1e-14 * np.abs(amp1)
-    znew[inf_mask] = rm.INF_COMPLEX
-    bad = ~(np.isfinite(znew.real) & np.isfinite(znew.imag))
-    znew[bad] = rm.INF_COMPLEX
-    nulls = p < 1e-14
-    p[nulls] = 0.0
-    znew[nulls] = rm.INF_COMPLEX  # placeholder, caller retires these samples
-    return znew, p
-
-
-def _overlap_grid(z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
-    f1 = np.isfinite(z1.real) & np.isfinite(z1.imag)
-    f2 = np.isfinite(z2.real) & np.isfinite(z2.imag)
-    a = np.where(f1, z1, 0.0)
-    b = np.where(f2, z2, 0.0)
-    out = np.abs(1.0 + np.conj(a) * b) / np.sqrt((1.0 + np.abs(a) ** 2) * (1.0 + np.abs(b) ** 2))
-    only1 = ~f1 & f2
-    only2 = f1 & ~f2
-    out[only1] = np.abs(b[only1]) / np.sqrt(1.0 + np.abs(b[only1]) ** 2)
-    out[only2] = np.abs(a[only2]) / np.sqrt(1.0 + np.abs(a[only2]) ** 2)
-    out[~f1 & ~f2] = 1.0
-    return out
 
 
 def discrimination_run(
@@ -194,10 +119,11 @@ def discrimination_run(
     counts = np.zeros(steps + 1, dtype=np.int64)
     alive = np.ones(samples, dtype=bool)
     failures = 0
-    params = rm.MapParams(varphi) if exact_op is None else None
+    params = rm.MapParams(varphi)
+    coeffs = None if exact_op is None else exact_op.coefficients(varphi)
 
     for k in range(steps + 1):
-        ov = _overlap_grid(za, zb)[alive]
+        ov = overlap(za, zb)[alive]
         counts[k] = ov.size
         if ov.size:
             mean[k] = float(np.mean(ov))
@@ -205,12 +131,12 @@ def discrimination_run(
         if k == steps:
             break
         if exact_op is None:
-            za = rm.apply_map_grid(rm.escape_guard_grid(za), params)
-            zb = rm.apply_map_grid(rm.escape_guard_grid(zb), params)
+            za = rm.apply_map_grid(za, params)
+            zb = rm.apply_map_grid(zb, params)
         else:
-            za, pa = _exact_map_grid(za, varphi, exact_op)
-            zb, pb = _exact_map_grid(zb, varphi, exact_op)
-            died = alive & ((pa == 0.0) | (pb == 0.0))
+            za, pa = rm.quadratic_step(za, coeffs, with_p=True)
+            zb, pb = rm.quadratic_step(zb, coeffs, with_p=True)
+            died = alive & ((pa < NULL_OUTCOME_EPS) | (pb < NULL_OUTCOME_EPS))
             failures += int(np.count_nonzero(died))
             alive &= ~died
     kind = "ideal" if exact_op is None else f"exact(nbar={exact_op.nbar:g})"
@@ -312,26 +238,21 @@ def basin_grid(
     iters = np.full(z.size, max_iter, dtype=np.int64)
     open_mask = np.ones(z.size, dtype=bool)
 
+    coeffs = None if exact_op is None else exact_op.coefficients(varphi)
     for k in range(max_iter):
         if not open_mask.any():
             break
         for idx, cyc in enumerate(cycle_points):
-            dist = np.full(z.size, np.inf)
-            finite = np.isfinite(z.real) & np.isfinite(z.imag)
-            for p in cyc:
-                with np.errstate(all="ignore"):
-                    d = np.abs(z - p)
-                dist[finite] = np.minimum(dist[finite], d[finite])
-            hit = open_mask & (dist < tol)
+            hit = open_mask & np.any([np.abs(z - p) < tol for p in cyc], axis=0)
             ids[hit] = idx
             iters[hit] = k
             open_mask &= ~hit
         if exact_op is None:
-            z = rm.apply_map_grid(rm.escape_guard_grid(z), params)
+            z = rm.apply_map_grid(z, params)
         else:
-            z, p_succ = _exact_map_grid(z, varphi, exact_op)
+            z, p_succ = rm.quadratic_step(z, coeffs, with_p=True)
             # a nulled postselection cannot continue; leave the cell unresolved
-            open_mask &= ~(p_succ == 0.0)
+            open_mask &= p_succ >= NULL_OUTCOME_EPS
     return BasinGrid(
         region=tuple(float(v) for v in region),
         width=width,

@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .rational_map import DegenerateParameterError, DEGENERACY_EPS
+from .rational_map import DegenerateParameterError, DEGENERACY_EPS, step_point
 from .sphere import INFINITY, SpherePoint, as_point, is_infinite
 from .tavis_cummings import (
     AtomPairState,
@@ -47,13 +47,6 @@ def gate_unitary(varphi: float) -> np.ndarray:
         [[cmath.exp(1j * varphi), 0.0], [0.0, -cmath.exp(-1j * varphi)]],
         dtype=np.complex128,
     )
-
-
-def _gate_diag4(varphi: float) -> np.ndarray:
-    # gate on atom B in the product basis (|1,1>, |1,0>, |0,1>, |0,0>)
-    gp = cmath.exp(1j * varphi)
-    gm = -cmath.exp(-1j * varphi)
-    return np.array([gp, gm, gp, gm], dtype=np.complex128)
 
 
 def product_state_vector(z: SpherePoint) -> np.ndarray:
@@ -130,6 +123,16 @@ class ExactStepOperator:
         swapped = self.matrix[np.ix_(perm, perm)]
         return float(np.max(np.abs(self.matrix - swapped)))
 
+    def coefficients(self, varphi: float) -> tuple:
+        """quadratic_step coefficients (a, b, c, d, e, f) of the step at gate angle varphi.
+
+        The two-copy state of z is (z^2, z, z, 1) up to normalization, so the
+        |1,0> and |0,0> rows of A = M diag(gate) give (a, b, c) and (d, e, f),
+        with the two uv columns summed.
+        """
+        a = self.matrix * np.tile(np.diag(gate_unitary(varphi)), 2)  # the gate on atom B
+        return tuple(np.array(k) for r in (1, 3) for k in (a[r, 0], a[r, 1] + a[r, 2], a[r, 3]))
+
 
 _BELL_INPUTS = (
     AtomPairState(c0=0j, cminus=0j, cplus=0j, c1=1.0 + 0j),                        # |1,1>
@@ -169,22 +172,16 @@ def protocol_step_exact(
 ) -> tuple[SpherePoint, float]:
     """One numerically exact step through the compressed operator.
 
-    Builds the two-atom product state for z (field phase fixed to 0),
-    applies the gate to atom B, applies the operator, projects atom B on
-    |0>, renormalizes.  Raises NullOutcomeError when the surviving norm is
-    below NULL_OUTCOME_EPS.
+    The two-atom product state of z (field phase fixed to 0) goes through
+    the gate on atom B and the operator, and atom B is projected on |0>; the
+    step kernel does this with the coefficients of op.  Raises
+    NullOutcomeError when the surviving norm is below NULL_OUTCOME_EPS.
     """
     _require_gate(varphi)
-    v = product_state_vector(z)
-    u = op.matrix @ (_gate_diag4(varphi) * v)
-    amp1 = u[1]  # |1,0> = |1>_A |0>_B
-    amp0 = u[3]  # |0,0>
-    p_success = float(abs(amp1) ** 2 + abs(amp0) ** 2)
+    znew, p_success = step_point(z, op.coefficients(varphi))
     if p_success < NULL_OUTCOME_EPS:
         raise NullOutcomeError(f"postselection outcome has probability {p_success:.3e}")
-    if abs(amp0) <= 1e-14 * abs(amp1):
-        return INFINITY, p_success
-    return complex(amp1 / amp0), p_success
+    return znew, p_success
 
 
 def write_step_operator(op: Union[ExactStepOperator, np.ndarray], path) -> None:
@@ -206,7 +203,11 @@ def write_step_operator(op: Union[ExactStepOperator, np.ndarray], path) -> None:
 
 
 def read_step_operator(path, nbar: float = math.nan, gt: float = math.nan) -> ExactStepOperator:
-    """Load a serialized step operator; nbar/gt metadata are caller-supplied."""
+    """Load a serialized step operator; nbar/gt metadata are caller-supplied.
+
+    Rejects non-finite entries and a spectral norm above 1 + 1e-9: a step
+    operator is a compression of a unitary.
+    """
     rows = []
     with open(path, "r", encoding="ascii") as fh:
         for line in fh:
@@ -219,4 +220,10 @@ def read_step_operator(path, nbar: float = math.nan, gt: float = math.nan) -> Ex
             rows.append([complex(vals[2 * j], vals[2 * j + 1]) for j in range(4)])
     if len(rows) != 4:
         raise ValueError(f"expected 4 lines, got {len(rows)}")
-    return ExactStepOperator(matrix=np.array(rows, dtype=np.complex128), nbar=nbar, gt=gt)
+    m = np.array(rows, dtype=np.complex128)
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{path}: step operator has non-finite entries")
+    norm = np.linalg.norm(m, 2)
+    if not norm <= 1.0 + 1e-9:
+        raise ValueError(f"{path}: step operator norm {norm:.6g} exceeds 1, so it is no compression of a unitary")
+    return ExactStepOperator(matrix=m, nbar=nbar, gt=gt)

@@ -28,8 +28,8 @@ from .sphere import INFINITY, SpherePoint, as_point, chordal_distance, is_infini
 DEGENERACY_EPS = 1e-12
 # Pole test: |denominator| < POLE_EPS * max(1, |z|^2).
 POLE_EPS = 1e-14
-# Orbits whose modulus exceeds this are snapped to the exact point at infinity
-# before the next step.
+# The single escape rule of every forward step: a point with modulus above this
+# is the point at infinity.
 ESCAPE_RADIUS = 1e12
 
 SUPERATTRACTIVE_EPS = 1e-9
@@ -37,6 +37,44 @@ NEUTRAL_EPS = 1e-9
 
 # Marker used for the point at infinity inside complex ndarrays.
 INF_COMPLEX = complex(np.inf, 0.0)
+
+
+def quadratic_step(z: np.ndarray, coeffs: tuple, with_p: bool = False):
+    """One forward step z -> (a z^2 + b z + c) / (d z^2 + e z + f) on an array.
+
+    This is the homogeneous lift [u:v] -> [a u^2 + b uv + c v^2 : d u^2 + e uv + f v^2]
+    read in the chart z = u/v.  `coeffs` holds the six complex arrays
+    (a, b, c, d, e, f), each 0-d or of the shape of z.  The escape rule: an
+    input with |z| > ESCAPE_RADIUS is the point at infinity, whose image is
+    a/d, and a non-finite result is the point at infinity, returned as inf+0j.
+
+    With with_p, also returns p = (|num|^2 + |den|^2) / (1 + |z|^2)^2, the
+    squared norm of the image of the normalized two-copy state (|a|^2 + |d|^2
+    at infinity): the success probability of an exact protocol step.
+    """
+    a, b, c, d, e, f = coeffs
+    z = np.asarray(z, dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        r = np.abs(z)
+        far = r > ESCAPE_RADIUS
+        zz = z * z
+        num = a * zz + b * z + c
+        den = d * zz + e * z + f
+        if with_p:
+            p = (np.abs(num) ** 2 + np.abs(den) ** 2) / (1.0 + r * r) ** 2
+            np.copyto(p, np.abs(a) ** 2 + np.abs(d) ** 2, where=far)
+        np.divide(num, den, out=num)
+        np.copyto(num, a / d, where=far)
+    num[~np.isfinite(num)] = INF_COMPLEX
+    return (num, p) if with_p else num
+
+
+def step_point(z: SpherePoint, coeffs: tuple) -> tuple[SpherePoint, float]:
+    """quadratic_step on one sphere point: the image, read as INFINITY beyond ESCAPE_RADIUS, and p."""
+    z = as_point(z)
+    w, p = quadratic_step(np.array([INF_COMPLEX if is_infinite(z) else z]), coeffs, with_p=True)
+    w = complex(w[0])
+    return (w if abs(w) <= ESCAPE_RADIUS else INFINITY), float(p[0])
 
 
 class DegenerateParameterError(ValueError):
@@ -60,6 +98,8 @@ class MapParams:
     e_neg: complex = field(init=False)          # e^{-i varphi}
     e_pos: complex = field(init=False)          # e^{+i varphi}
     degenerate: bool = field(init=False)
+    # quadratic_step coefficients (0, 2 cos varphi, 0, e^{i varphi}, 0, e^{-i varphi})
+    coefficients: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = float(self.varphi) % (2.0 * math.pi)
@@ -68,6 +108,8 @@ class MapParams:
         object.__setattr__(self, "e_neg", cmath.exp(-1j * v))
         object.__setattr__(self, "e_pos", cmath.exp(1j * v))
         object.__setattr__(self, "degenerate", abs(math.cos(v)) < DEGENERACY_EPS)
+        coeffs = (0.0, 2.0 * self.cos_varphi, 0.0, self.e_pos, 0.0, self.e_neg)
+        object.__setattr__(self, "coefficients", tuple(np.array(k, dtype=np.complex128) for k in coeffs))
 
 
 def _require_regular(params: MapParams) -> None:
@@ -78,52 +120,22 @@ def _require_regular(params: MapParams) -> None:
 
 
 def apply_map(z: SpherePoint, params: MapParams) -> SpherePoint:
-    """One application of the map with exact sphere semantics.
-
-    Large |z| is evaluated through the reciprocal coordinate so that no
-    intermediate overflows to NaN; a pole returns the exact INFINITY point.
-    """
+    """One application of the map with exact sphere semantics (f(INFINITY) = 0, poles go to INFINITY)."""
     _require_regular(params)
-    z = as_point(z)
-    if is_infinite(z):
-        return 0j
-    c, em, ep = params.cos_varphi, params.e_neg, params.e_pos
-    if abs(z) <= 1.0:
-        den = em + z * z * ep
-        if abs(den) < POLE_EPS * max(1.0, abs(z) ** 2):
-            return INFINITY
-        return 2.0 * z * c / den
-    w = 1.0 / z
-    den = em * w * w + ep
-    if abs(den) < POLE_EPS:
-        return INFINITY
-    return 2.0 * c * w / den
+    return step_point(z, params.coefficients)[0]
 
 
 def map_derivative(z: SpherePoint, params: MapParams) -> complex:
     """f'(z) = 2 cos(varphi) (e^{-i varphi} - z^2 e^{i varphi}) / (e^{-i varphi} + z^2 e^{i varphi})^2."""
     _require_regular(params)
     z = as_point(z)
-    if is_infinite(z):
+    if is_infinite(z) or abs(z) > ESCAPE_RADIUS:
         raise ValueError("derivative in plane coordinates needs a finite point")
     c, em, ep = params.cos_varphi, params.e_neg, params.e_pos
-    if abs(z) <= 1.0:
-        den = em + z * z * ep
-        if abs(den) < POLE_EPS * max(1.0, abs(z) ** 2):
-            raise PoleError(f"derivative requested at a pole, z={z!r}")
-        return 2.0 * c * (em - z * z * ep) / (den * den)
-    w = 1.0 / z
-    den = em * w * w + ep
-    if abs(den) < POLE_EPS:
+    den = em + z * z * ep
+    if abs(den) < POLE_EPS * max(1.0, abs(z) ** 2):
         raise PoleError(f"derivative requested at a pole, z={z!r}")
-    return 2.0 * c * (em * w * w - ep) * (w * w) / (den * den)
-
-
-def _guarded_step(z: SpherePoint, params: MapParams) -> SpherePoint:
-    """apply_map with the escape guard applied to the input."""
-    if not is_infinite(z) and abs(z) > ESCAPE_RADIUS:
-        z = INFINITY
-    return apply_map(z, params)
+    return 2.0 * c * (em - z * z * ep) / (den * den)
 
 
 def iterate_map(z0: SpherePoint, params: MapParams, n: int) -> list[SpherePoint]:
@@ -133,7 +145,7 @@ def iterate_map(z0: SpherePoint, params: MapParams, n: int) -> list[SpherePoint]
     _require_regular(params)
     orbit = [as_point(z0)]
     for _ in range(n):
-        orbit.append(_guarded_step(orbit[-1], params))
+        orbit.append(apply_map(orbit[-1], params))
     return orbit
 
 
@@ -207,62 +219,56 @@ def cycle_multiplier(points: Sequence[SpherePoint], params: MapParams, tol: floa
     return CycleReport(tuple(pts), len(pts), lam, classify_multiplier(lam))
 
 
-def _burn_orbit(z: complex, params: MapParams, burn: int) -> SpherePoint:
-    # inlined loop: this is the hot path of cycle searches and phi sweeps
-    c, em, ep = params.cos_varphi, params.e_neg, params.e_pos
-    inf = False
-    for _ in range(burn):
-        if inf:
-            z, inf = 0j, False
-            continue
-        if abs(z) <= 1.0:
-            den = em + z * z * ep
-            if abs(den) < POLE_EPS * max(1.0, abs(z) ** 2):
-                inf = True
-                continue
-            z = 2.0 * z * c / den
-        else:
-            w = 1.0 / z
-            den = em * w * w + ep
-            if abs(den) < POLE_EPS:
-                inf = True
-                continue
-            z = 2.0 * c * w / den
-        if abs(z) > ESCAPE_RADIUS:
-            inf = True
-    return INFINITY if inf else z
-
-
-def _detect_cycle(start: SpherePoint, params: MapParams, max_period: int, tol: float) -> Optional[CycleReport]:
-    """Smallest near-return period of the orbit of `start`, if any."""
-    ref = start
-    w = ref
-    period = None
-    for k in range(1, max_period + 1):
-        w = _guarded_step(w, params)
-        if chordal_distance(w, ref) < tol:
-            period = k
-            break
-    if period is None:
-        return None
-    pts = [ref]
-    for _ in range(period - 1):
-        pts.append(_guarded_step(pts[-1], params))
-    if any(is_infinite(p) for p in pts):
-        return None
-    lam = 1.0 + 0j
-    for p in pts:
-        try:
-            lam *= map_derivative(p, params)
-        except PoleError:
-            return None
-    return CycleReport(tuple(pts), period, lam, classify_multiplier(lam))
-
-
 def _same_cycle(a: CycleReport, b: CycleReport, match_tol: float = 1e-6) -> bool:
     if a.period != b.period:
         return False
     return all(min(chordal_distance(p, q) for q in b.points) < match_tol for p in a.points)
+
+
+def attractive_cycle_batch(
+    params_list: Sequence[MapParams],
+    burn: int = 10_000,
+    max_period: int = 64,
+    tol: float = 1e-8,
+) -> list[list[CycleReport]]:
+    """find_attractive_cycles for many gate angles at once, one list per angle.
+
+    Both critical orbits of every angle advance together as one array: `burn`
+    steps, then `max_period` more, and an orbit's period is its first
+    near-return (chordal distance below tol) to the point the burn ended on.
+    """
+    if burn < 0:
+        raise ValueError("burn must be >= 0")
+    if max_period < 1:
+        raise ValueError("max_period must be >= 1")
+    for params in params_list:
+        _require_regular(params)
+    n = len(params_list)
+    if n == 0:
+        return []
+    coeffs = tuple(np.array(k * 2) for k in zip(*(p.coefficients for p in params_list)))
+    crit = np.array([critical_points(p)[0] for p in params_list])
+    z = np.concatenate([crit, -crit])  # the + critical point of every angle, then the - one
+    for _ in range(burn):
+        z = quadratic_step(z, coeffs)
+    orbit = [z]
+    for _ in range(max_period):
+        orbit.append(quadratic_step(orbit[-1], coeffs))
+    orbit = np.array(orbit)
+    close = chordal_distance(orbit[1:], orbit[0]) < tol
+    periods = np.where(close.any(axis=0), close.argmax(axis=0) + 1, 0)
+
+    found: list[list[CycleReport]] = [[] for _ in range(n)]
+    for j in np.flatnonzero(periods):
+        try:
+            report = cycle_multiplier(orbit[: periods[j], j], params_list[j % n], tol)
+        except ValueError:  # through infinity, at a pole, or not closing
+            continue
+        if report.stability not in ("attractive", "superattractive"):
+            continue
+        if not any(_same_cycle(report, other) for other in found[j % n]):
+            found[j % n].append(report)
+    return found
 
 
 def find_attractive_cycles(
@@ -279,18 +285,7 @@ def find_attractive_cycles(
     them.  Orbits that never settle (neutral or chaotic parameter values)
     simply contribute nothing.
     """
-    if max_period < 1:
-        raise ValueError("max_period must be >= 1")
-    _require_regular(params)
-    found: list[CycleReport] = []
-    for zc in critical_points(params):
-        settled = _burn_orbit(zc, params, burn)
-        report = _detect_cycle(settled, params, max_period, tol)
-        if report is None or report.stability not in ("attractive", "superattractive"):
-            continue
-        if not any(_same_cycle(report, other) for other in found):
-            found.append(report)
-    return found
+    return attractive_cycle_batch([params], burn=burn, max_period=max_period, tol=tol)[0]
 
 
 def inverse_branches(w: SpherePoint, params: MapParams) -> tuple[SpherePoint, SpherePoint]:
@@ -391,50 +386,16 @@ def classify_basin_point(
         for idx, pts in enumerate(cycles):
             if any(plane_distance(z, p) < tol for p in pts):
                 return BasinCell(idx, k)
-        z = _guarded_step(z, params)
+        z = apply_map(z, params)
     return BasinCell(None, max_iter)
 
 
 def apply_map_grid(z: np.ndarray, params: MapParams) -> np.ndarray:
-    """Vectorized apply_map on a complex array.
-
-    The point at infinity is encoded as any non-finite entry and produced
-    as inf+0j; semantics match the scalar apply_map to rounding.
-    """
+    """Vectorized apply_map on a complex array; the point at infinity is inf+0j."""
     _require_regular(params)
-    z = np.asarray(z, dtype=np.complex128)
-    c, em, ep = params.cos_varphi, params.e_neg, params.e_pos
-    out = np.empty_like(z)
-    finite = np.isfinite(z.real) & np.isfinite(z.imag)
-    big = finite & (np.abs(z) > 1.0)
-    small = finite & ~big
-
-    zs = z[small]
-    with np.errstate(all="ignore"):
-        den = em + zs * zs * ep
-        val = 2.0 * c * zs / den
-    pole = np.abs(den) < POLE_EPS * np.maximum(1.0, np.abs(zs) ** 2)
-    val[pole] = INF_COMPLEX
-    bad = ~(np.isfinite(val.real) & np.isfinite(val.imag))
-    val[bad] = INF_COMPLEX
-    out[small] = val
-
-    w = 1.0 / z[big]
-    with np.errstate(all="ignore"):
-        den = em * w * w + ep
-        val = 2.0 * c * w / den
-    pole = np.abs(den) < POLE_EPS
-    val[pole] = INF_COMPLEX
-    bad = ~(np.isfinite(val.real) & np.isfinite(val.imag))
-    val[bad] = INF_COMPLEX
-    out[big] = val
-
-    out[~finite] = 0j
-    return out
+    return quadratic_step(z, params.coefficients)
 
 
 def escape_guard_grid(z: np.ndarray) -> np.ndarray:
-    """Vectorized escape guard: snap |z| > ESCAPE_RADIUS to the inf marker."""
-    with np.errstate(all="ignore"):
-        mask = np.abs(z) > ESCAPE_RADIUS
-    return np.where(mask, INF_COMPLEX, z)
+    """The escape rule on an array, as quadratic_step applies it: snap |z| > ESCAPE_RADIUS to inf+0j."""
+    return np.where(np.abs(z) > ESCAPE_RADIUS, INF_COMPLEX, z)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Union
 
+import numpy as np
+
 
 class _PointAtInfinity:
     """Singleton marker for the point at infinity (no signed infinities)."""
@@ -63,16 +65,26 @@ def plane_distance(z: SpherePoint, w: SpherePoint) -> float:
     return abs(z - w)
 
 
-def chordal_distance(z: SpherePoint, w: SpherePoint) -> float:
+def homogeneous(z) -> tuple[np.ndarray, np.ndarray]:
+    """Homogeneous coordinates [u:v] of sphere points: [z:1] when finite, [1:0] at infinity.
+
+    Takes a sphere point or a complex array, in which any non-finite entry
+    is the point at infinity.
+    """
+    z = np.asarray(complex(math.inf, 0.0) if z is INFINITY else z, dtype=np.complex128)
+    inf = ~np.isfinite(z)
+    return np.where(inf, 1.0, z), np.where(inf, 0.0, 1.0)
+
+
+def chordal_distance(z, w):
     """Chordal metric on the unit sphere, 2|z-w|/sqrt((1+|z|^2)(1+|w|^2)).
 
     Bounded by 2 and continuous across infinity, so it is safe for
-    near-return tests on orbits that may pass close to a pole.
+    near-return tests on orbits that may pass close to a pole.  Evaluated
+    as 2|u1 v2 - u2 v1| / (|[u1:v1]| |[u2:v2]|); sphere points give a float,
+    arrays (with inf+0j for infinity) an array.
     """
-    zi, wi = z is INFINITY, w is INFINITY
-    if zi and wi:
-        return 0.0
-    if zi or wi:
-        f = w if zi else z
-        return 2.0 / math.sqrt(1.0 + abs(f) ** 2)
-    return 2.0 * abs(z - w) / math.sqrt((1.0 + abs(z) ** 2) * (1.0 + abs(w) ** 2))
+    (u1, v1), (u2, v2) = homogeneous(z), homogeneous(w)
+    norms = (np.abs(u1) ** 2 + v1 * v1) * (np.abs(u2) ** 2 + v2 * v2)
+    out = 2.0 * np.abs(u1 * v2 - u2 * v1) / np.sqrt(norms)
+    return out if out.ndim else float(out)

@@ -87,16 +87,22 @@ class CoherentFieldSpec:
 
 
 def coherent_state_coefficients(alpha: complex, nmax: int) -> np.ndarray:
-    """Fock coefficients alpha^n sqrt(e^{-|alpha|^2} / n!) for n = 0..nmax."""
-    p = np.zeros(nmax + 1, dtype=np.complex128)
-    p[0] = math.exp(-abs(alpha) ** 2 / 2.0)
-    for n in range(1, nmax + 1):
-        p[n] = p[n - 1] * alpha / math.sqrt(n)
-    return p
+    """Fock coefficients alpha^n sqrt(e^{-|alpha|^2} / n!) for n = 0..nmax.
+
+    Each one is evaluated whole in log space,
+    exp(-|alpha|^2/2 + n log|alpha| - lgamma(n+1)/2 + i n arg(alpha)), so no
+    factor underflows at large |alpha|.
+    """
+    if alpha == 0:
+        return np.eye(1, nmax + 1, dtype=np.complex128)[0]
+    n = np.arange(nmax + 1)
+    log_factorial = np.fromiter(map(math.lgamma, range(1, nmax + 2)), dtype=float, count=nmax + 1)
+    log_mag = -abs(alpha) ** 2 / 2.0 + n * math.log(abs(alpha)) - log_factorial / 2.0
+    return np.exp(log_mag + 1j * cmath.phase(alpha) * n)
 
 
 def poisson_amplitudes(spec: CoherentFieldSpec) -> np.ndarray:
-    """Coefficients of the truncated coherent state, by the stable recurrence."""
+    """Coefficients of the truncated coherent state."""
     return coherent_state_coefficients(spec.alpha, spec.nmax)
 
 

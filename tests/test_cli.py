@@ -218,3 +218,40 @@ def test_runner_reports_io_errors(tmp_path, capsys):
     code = main(["map", "--varphi", "0", "--z", "0.2", "--out", str(tmp_path / "x" / "y.csv")])
     assert code == 1
     assert "map" in capsys.readouterr().err
+
+
+def test_negative_burn_is_a_usage_error(tmp_path, capsys):
+    for sub in (["cycles", "--varphi", "0.2375pi"], ["sweep", "--grid", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(sub + ["--burn", "-5", "--out", str(tmp_path / "x.csv")])
+        assert exc.value.code == 2
+        assert "--burn" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ["nan,0,0,0,0,0,0,0", "0,0,inf,0,0,0,0,0", "1e300,0,0,0,0,0,0,0", "0,0,0,0,0,0,0,0"],
+        # twice the ideal postselection projector at phi = 0: norm 2
+        ["1,0,0,0,0,0,-1,0", "0,0,1,0,-1,0,0,0", "0,0,-1,0,1,0,0,0", "-1,0,0,0,0,0,1,0"],
+    ],
+)
+def test_op_file_that_is_no_step_operator_exits_1(tmp_path, capsys, rows):
+    op_path = tmp_path / "bad-op.csv"
+    op_path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "d.csv"
+    code = main(["discriminate", "--map-kind", "exact", "--op-file", str(op_path), "--out", str(out)])
+    assert code == 1
+    assert "bad-op.csv" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exact_discrimination_survives_large_photon_numbers(tmp_path):
+    out = tmp_path / "d.csv"
+    assert main(
+        ["discriminate", "--map-kind", "exact", "--nbar", "2000", "--samples", "1000", "--out", str(out)]
+    ) == 0
+    _, rows = read_csv(out)
+    assert all(r[3] == 0 for r in rows)
+    assert rows[-1][1] < rows[0][1]

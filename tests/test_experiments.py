@@ -13,8 +13,21 @@ from tcmap.experiments import (
     phi_sweep,
     resource_estimate,
 )
-from tcmap.protocol import exact_step_operator, protocol_step_exact
-from tcmap.rational_map import MapParams, apply_map, classify_basin_point, find_attractive_cycles
+from tcmap.protocol import (
+    NULL_OUTCOME_EPS,
+    ExactStepOperator,
+    exact_step_operator,
+    gate_unitary,
+    product_state_vector,
+    protocol_step_exact,
+)
+from tcmap.rational_map import (
+    MapParams,
+    apply_map,
+    classify_basin_point,
+    find_attractive_cycles,
+    quadratic_step,
+)
 from tcmap.sphere import INFINITY
 from tcmap.tavis_cummings import CoherentFieldSpec
 
@@ -96,6 +109,19 @@ def test_sweep_finds_a_four_cycle_between_the_neutral_angles():
     assert any(c.period == 4 for c in rows[0].cycles)
 
 
+def test_batched_sweep_matches_one_angle_at_a_time():
+    varphis = [(k + 0.5) * 2.0 * math.pi / 64 for k in range(64)]
+    rows = phi_sweep(varphis, burn=1000)
+    detected = 0
+    for v, row in zip(varphis, rows):
+        alone = find_attractive_cycles(MapParams(v), burn=1000)
+        assert [c.period for c in row.cycles] == [c.period for c in alone]
+        for c, d in zip(row.cycles, alone):
+            assert abs(abs(c.multiplier) - abs(d.multiplier)) < 1e-9
+        detected += bool(alone)
+    assert detected >= 32
+
+
 # --------------------------------------------------------- discrimination MC
 
 def test_noiseless_run_reproduces_direct_iteration():
@@ -156,9 +182,10 @@ def test_exact_map_matches_scalar_steps():
 
 
 def test_vectorized_exact_step_equals_the_scalar_one():
-    from tcmap.experiments import _exact_map_grid
-
+    # the kernel with exact coefficients against the explicit matrix product, point by point
     op = exact_step_operator(CoherentFieldSpec(nbar=8.0))
+    varphi = 0.4
+    gate_b = np.kron(np.ones(2), np.diag(gate_unitary(varphi)))  # identity on A, gate on B
     rng = np.random.default_rng(9)
     z = np.concatenate(
         [
@@ -167,17 +194,22 @@ def test_vectorized_exact_step_equals_the_scalar_one():
             np.array([complex(np.inf, 0.0)]),
         ]
     )
-    got, p = _exact_map_grid(z, 0.4, op)
-    from tcmap.sphere import INFINITY, is_infinite
-
+    got, p = quadratic_step(z, op.coefficients(varphi), with_p=True)
     for zi, gi, pi in zip(z, got, p):
-        zs = INFINITY if not np.isfinite(zi) else complex(zi)
-        want_z, want_p = protocol_step_exact(zs, 0.4, op)
-        if is_infinite(want_z):
-            assert not np.isfinite(gi)
-        else:
-            assert abs(gi - want_z) < 1e-12 * max(1.0, abs(want_z))
-        assert abs(pi - want_p) < 1e-13
+        u = op.matrix @ (gate_b * product_state_vector(complex(zi) if np.isfinite(zi) else INFINITY))
+        amp1, amp0 = u[1], u[3]  # |1,0> and |0,0>: atom B found in |0>
+        want_z = amp1 / amp0
+        assert abs(gi - want_z) < 1e-12 * max(1.0, abs(want_z))
+        assert abs(pi - (abs(amp1) ** 2 + abs(amp0) ** 2)) < 1e-13
+
+    # the null rule: only the dark state survives, so z = 0 has p = 0 and
+    # every image is the point at infinity (its |0,0> amplitude vanishes)
+    s = 1.0 / math.sqrt(2.0)
+    psi_minus = np.array([0.0, -s, s, 0.0], dtype=complex)
+    dark = ExactStepOperator(matrix=np.outer(psi_minus, psi_minus.conj()), nbar=math.nan, gt=0.0)
+    got, p = quadratic_step(np.array([0j, 0.3 + 0.1j]), dark.coefficients(0.0), with_p=True)
+    assert p[0] < NULL_OUTCOME_EPS < p[1]
+    assert not np.any(np.isfinite(got))
 
 
 def test_invalid_arguments():

@@ -212,6 +212,15 @@ def test_exact_operator_converges_to_the_projector():
     assert d100 < d10
 
 
+def test_exact_operator_keeps_converging_beyond_nbar_1400():
+    # from nbar ~ 1490 the coherent amplitudes used to underflow to an all-zero operator
+    ideal = ideal_postselection_operator(0.0)
+    d1400 = np.linalg.norm(exact_step_operator(CoherentFieldSpec(nbar=1400.0)).matrix - ideal, 2)
+    m = exact_step_operator(CoherentFieldSpec(nbar=1e4)).matrix
+    assert np.linalg.norm(m, 2) > 0.99
+    assert np.linalg.norm(m - ideal, 2) < d1400
+
+
 def test_default_interaction_time():
     assert abs(default_interaction_time(10.0) - math.pi * math.sqrt(10.0) / 2.0) < 1e-15
 
@@ -264,6 +273,20 @@ def test_operator_csv_round_trip_is_exact(tmp_path):
     back = read_step_operator(path, nbar=op.nbar, gt=op.gt)
     assert np.array_equal(back.matrix, op.matrix)
     assert back.nbar == op.nbar and back.gt == op.gt
+
+
+def test_operator_file_is_validated_where_it_enters(tmp_path):
+    path = tmp_path / "op.csv"
+    bad = np.zeros((4, 4), dtype=complex)
+    bad[1, 2] = math.nan
+    write_step_operator(bad, path)
+    with pytest.raises(ValueError, match="op.csv"):
+        read_step_operator(path)
+    write_step_operator(2.0 * ideal_postselection_operator(0.0), path)
+    with pytest.raises(ValueError, match="norm"):
+        read_step_operator(path)
+    write_step_operator(ideal_postselection_operator(0.0), path)
+    assert np.array_equal(read_step_operator(path).matrix, ideal_postselection_operator(0.0))
 
 
 def test_operator_csv_layout(tmp_path):

@@ -259,6 +259,11 @@ def test_four_cycles_between_the_neutral_angles():
     assert d > 1e-3  # genuinely different orbits (they are mirror images)
 
 
+def test_cycle_search_rejects_a_negative_burn():
+    with pytest.raises(ValueError):
+        find_attractive_cycles(MapParams(0.3), burn=-1)
+
+
 def test_never_more_than_two_attractive_cycles():
     rng = np.random.default_rng(17)
     for v in random_angles(rng, 15):

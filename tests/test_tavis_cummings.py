@@ -108,6 +108,14 @@ def test_alpha_reconstruction():
     assert abs(spec.alpha - 3.0 * np.exp(0.5j)) < 1e-15
 
 
+def test_coherent_amplitudes_stay_normalized_at_large_nbar():
+    for nbar in (10.0, 1400.0, 1e4, 1e5):
+        nmax = int(nbar + 12.0 * math.sqrt(nbar) + 20.0)
+        p = coherent_state_coefficients(math.sqrt(nbar) * np.exp(0.3j), nmax)
+        assert abs(np.linalg.norm(p) - 1.0) <= 1e-10
+        assert abs(abs(p[int(nbar)]) - (2.0 * math.pi * nbar) ** -0.25) < 1e-2 * (2.0 * math.pi * nbar) ** -0.25
+
+
 # ------------------------------------------------------------------- blocks
 
 def test_block_eigenvalues():
