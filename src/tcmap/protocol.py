@@ -205,8 +205,9 @@ def write_step_operator(op: Union[ExactStepOperator, np.ndarray], path) -> None:
 def read_step_operator(path, nbar: float = math.nan, gt: float = math.nan) -> ExactStepOperator:
     """Load a serialized step operator; nbar/gt metadata are caller-supplied.
 
-    Rejects non-finite entries and a spectral norm above 1 + 1e-9: a step
-    operator is a compression of a unitary.
+    Rejects non-finite entries, a spectral norm above 1 + 1e-9 (a step
+    operator is a compression of a unitary) and an exchange-symmetry defect
+    above 1e-12 (the two atoms couple to the field alike).
     """
     rows = []
     with open(path, "r", encoding="ascii") as fh:
@@ -226,4 +227,8 @@ def read_step_operator(path, nbar: float = math.nan, gt: float = math.nan) -> Ex
     norm = np.linalg.norm(m, 2)
     if not norm <= 1.0 + 1e-9:
         raise ValueError(f"{path}: step operator norm {norm:.6g} exceeds 1, so it is no compression of a unitary")
-    return ExactStepOperator(matrix=m, nbar=nbar, gt=gt)
+    op = ExactStepOperator(matrix=m, nbar=nbar, gt=gt)
+    defect = op.exchange_symmetric_defect()
+    if defect > 1e-12:
+        raise ValueError(f"{path}: step operator breaks the exchange symmetry of the atoms (defect {defect:.6g})")
+    return op

@@ -35,8 +35,7 @@ def test_parse_config_round_trip():
     assert cfg.subcommand == "basin"
     assert cfg.varphi == 0.2375 * math.pi
     assert cfg.region == (-2.0, 2.0, -2.0, 2.0)
-    assert (cfg.width, cfg.height) == (800, 800)
-    assert cfg.seed == 12345
+    assert cfg.res == (800, 800)
 
 
 def test_missing_varphi_is_a_usage_error(capsys):
@@ -149,11 +148,14 @@ def test_exact_op_dump_and_reuse(tmp_path):
 
     direct = tmp_path / "direct.ppm"
     cached = tmp_path / "cached.ppm"
-    args = ["exact-basin", "--varphi", "0", "--nbar", "10", "--region", "-1.5,1.5,-1.5,1.5",
+    file_only = tmp_path / "file-only.ppm"
+    args = ["exact-basin", "--varphi", "0", "--region", "-1.5,1.5,-1.5,1.5",
             "--res", "8x8", "--max-iter", "25"]
-    assert main(args + ["--out", str(direct)]) == 0
-    assert main(args + ["--op-file", str(op_path), "--out", str(cached)]) == 0
-    assert direct.read_bytes() == cached.read_bytes()
+    assert main(args + ["--nbar", "10", "--out", str(direct)]) == 0
+    assert main(args + ["--nbar", "10", "--op-file", str(op_path), "--out", str(cached)]) == 0
+    # the file is the operator: --nbar is not needed with it
+    assert main(args + ["--op-file", str(op_path), "--out", str(file_only)]) == 0
+    assert direct.read_bytes() == cached.read_bytes() == file_only.read_bytes()
 
 
 def test_discriminate_outputs(tmp_path):
@@ -171,6 +173,9 @@ def test_discriminate_outputs(tmp_path):
 def test_discriminate_exact_requires_nbar(capsys):
     with pytest.raises(SystemExit):
         parse_config(["discriminate", "--map-kind", "exact", "--out", "d.csv"])
+    assert "--nbar" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        parse_config(["exact-basin", "--varphi", "0", "--out", "e.ppm"])
     assert "--nbar" in capsys.readouterr().err
 
 
@@ -218,6 +223,33 @@ def test_runner_reports_io_errors(tmp_path, capsys):
     code = main(["map", "--varphi", "0", "--z", "0.2", "--out", str(tmp_path / "x" / "y.csv")])
     assert code == 1
     assert "map" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, seed_env",
+    [
+        (["basin", "--varphi", "0.2375pi", "--res", "8x8", "--tol", "nan"], "--tol", None),
+        (["basin", "--varphi", "0.2375pi", "--res", "8x8", "--region", "-inf,2,-2,2"], "--region", None),
+        (["exact-op", "--nbar", "10", "--gt", "nan"], "--gt", None),
+        (["exact-op", "--nbar", "inf"], "--nbar", None),
+        (["discriminate", "--samples", "10", "--sigma", "nan"], "--sigma", None),
+        (["discriminate", "--samples", "10", "--z1", "nan"], "--z1", None),
+        (["discriminate", "--samples", "10"], "--seed", "abc"),
+        (["cycles", "--varphi", "0.2375pi", "--cycle-tol", "-1"], "--cycle-tol", None),
+        (["cycles", "--varphi", "0.2375pi", "--max-period", "0"], "--max-period", None),
+        (["sweep", "--grid", "4", "--phi-min", "abc"], "--phi-min", None),
+        (["homodyne", "--nbar", "4", "--q-range", "-8,8,x"], "--q-range", None),
+    ],
+)
+def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, flag, seed_env):
+    if seed_env is not None:
+        monkeypatch.setenv("TCMAP_SEED", seed_env)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_negative_burn_is_a_usage_error(tmp_path, capsys):

@@ -285,6 +285,11 @@ def test_operator_file_is_validated_where_it_enters(tmp_path):
     write_step_operator(2.0 * ideal_postselection_operator(0.0), path)
     with pytest.raises(ValueError, match="norm"):
         read_step_operator(path)
+    asymmetric = np.zeros((4, 4), dtype=complex)
+    asymmetric[1, 3] = 0.5  # |0,0> -> |1,0> without |0,0> -> |0,1>: atoms A and B differ
+    write_step_operator(asymmetric, path)
+    with pytest.raises(ValueError, match="exchange"):
+        read_step_operator(path)
     write_step_operator(ideal_postselection_operator(0.0), path)
     assert np.array_equal(read_step_operator(path).matrix, ideal_postselection_operator(0.0))
 
