@@ -213,8 +213,12 @@ def parse_config(argv) -> argparse.Namespace:
     """Parse argv into the namespace its runner `run` reads (usage errors exit 2)."""
     parser = _build_parser()
     args = parser.parse_args(_merge_negative_values(list(argv)))
-    if hasattr(args, "op_file") and getattr(args, "map_kind", "exact") == "exact":
-        if args.nbar is None and args.op_file is None:
+    if hasattr(args, "op_file"):
+        if getattr(args, "map_kind", "exact") == "ideal":
+            for dest in ("nbar", "gt", "op_file"):
+                if getattr(args, dest) is not None:
+                    parser.error(f"{args.subcommand}: --{dest.replace('_', '-')} needs --map-kind exact")
+        elif args.nbar is None and args.op_file is None:
             parser.error(f"{args.subcommand}: the exact step needs --nbar (or --op-file)")
     return args
 
@@ -307,12 +311,8 @@ def run_basin(args: argparse.Namespace) -> None:
 
 
 def run_exact_basin(args: argparse.Namespace) -> None:
-    op = _resolve_operator(args)
-    attractors = rm.find_attractive_cycles(rm.MapParams(args.varphi))
-    grid = ex.basin_grid(
-        args.region, *args.res, args.varphi, tol=args.tol, max_iter=args.max_iter,
-        attractors=attractors or None, exact_op=op,
-    )
+    grid = ex.basin_grid(args.region, *args.res, args.varphi, tol=args.tol, max_iter=args.max_iter,
+                         exact_op=_resolve_operator(args))
     _emit_basin(args, grid)
 
 

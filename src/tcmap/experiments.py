@@ -167,7 +167,11 @@ def resource_estimate(n: int, varphi: float) -> ResourceEstimate:
         raise ValueError("iteration count must be >= 0")
     _require_gate(varphi)
     base = 8.0 / math.cos(varphi) ** 2
-    return ResourceEstimate(iterations=n, varphi=varphi, pairs=math.ceil(base**n))
+    try:
+        pairs = math.ceil(base**n)
+    except OverflowError:
+        raise ValueError(f"pair count (8/cos^2 varphi)^n overflows a float at n={n}, varphi={varphi!r}") from None
+    return ResourceEstimate(iterations=n, varphi=varphi, pairs=pairs)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,6 @@ with the same configuration reproduces output files byte for byte.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -15,17 +14,10 @@ import numpy as np
 
 def format_value(value) -> str:
     """CSV cell formatting: floats with 17 significant digits (round-trip exact)."""
-    if isinstance(value, bool):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        v = float(value)
-        if math.isnan(v):
-            return "nan"
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
-        return f"{v:.17g}"
+        return f"{float(value):.17g}"
     return str(value)
 
 

@@ -2,9 +2,9 @@
 
 The interaction Hamiltonian H = g sum_i (sigma_i^+ a + sigma_i^- a^dagger)
 is block diagonal over excitation number, with 1x1, 2x2 and 3x3 blocks whose
-eigensystems are known in closed form.  That makes the full time evolution
+propagators are known in closed form.  That makes the full time evolution
 of (product state) x (coherent field) available as an O(n_max) assembly of
-per-block phases: no dense matrix exponential is ever formed.
+per-block 3x3 propagators: no dense matrix exponential is ever formed.
 
 Conventions used throughout:
   * times enter as the dimensionless product gt;
@@ -19,14 +19,18 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 POISSON_TAIL_BOUND = 1e-12
 
-PRODUCT_BASIS = ("|1,1>", "|1,0>", "|0,1>", "|0,0>")
+_S = 1.0 / math.sqrt(2.0)
+# columns |1,1>, |Psi+>, |0,0>, |Psi-> in the product basis (|1,1>, |1,0>, |0,1>, |0,0>)
+BELL_TO_PRODUCT = np.array(
+    [[1.0, 0.0, 0.0, 0.0], [0.0, _S, 0.0, -_S], [0.0, _S, 0.0, _S], [0.0, 0.0, 1.0, 0.0]]
+)
 
 
 class TruncationError(ValueError):
@@ -37,29 +41,35 @@ class ApproximationValidityWarning(UserWarning):
     """Emitted when the coherent-state approximation is used outside 1 << gt << nbar."""
 
 
-def poisson_tail_mass(nbar: float, nmax: int) -> float:
-    """Sum of e^{-nbar} nbar^n / n! for n > nmax, in log space termwise."""
+def _log_factorials(n: np.ndarray) -> np.ndarray:
+    """log(n!) for an integer array n."""
+    return np.fromiter(map(math.lgamma, (n + 1).tolist()), dtype=float, count=n.size)
+
+
+def _poisson_tails(nbar: float, first: int) -> np.ndarray:
+    """Poisson tails T[j] = sum_{k >= first+j} e^{-nbar} nbar^k / k!, one table.
+
+    The terms run in log space up to k = end = int(nbar + 15 sqrt(nbar) + 80),
+    where by Bennett's inequality the mass left above is below 1e-48 for every
+    nbar from 1e-12 to 1e12, so the table ends with a 0 for k > end.  Each
+    tail is summed smallest term first.  For nbar = 0 the table is [0].
+    """
     if nbar == 0.0:
-        return 0.0
-    total = 0.0
-    n = nmax + 1
-    while True:
-        term = math.exp(-nbar + n * math.log(nbar) - math.lgamma(n + 1))
-        total += term
-        # terms decay at least geometrically once n > nbar
-        if n > nbar and term < 1e-30:
-            return total
-        n += 1
+        return np.zeros(1)
+    k = np.arange(first, int(nbar + 15.0 * math.sqrt(nbar) + 80.0) + 1)
+    log_terms = -nbar + k * math.log(nbar) - _log_factorials(k)
+    return np.append(np.cumsum(np.exp(log_terms)[::-1])[::-1], 0.0)
+
+
+def poisson_tail_mass(nbar: float, nmax: int) -> float:
+    """Sum of e^{-nbar} nbar^n / n! for n > nmax."""
+    return float(_poisson_tails(nbar, nmax + 1)[0])
 
 
 def default_truncation(nbar: float) -> int:
     """Smallest cutoff with Poisson tail below POISSON_TAIL_BOUND."""
-    if nbar == 0.0:
-        return 0
-    n = max(0, int(nbar))
-    while poisson_tail_mass(nbar, n) >= POISSON_TAIL_BOUND:
-        n += 1
-    return n
+    n = int(nbar)
+    return n + int(np.argmax(_poisson_tails(nbar, n + 1) < POISSON_TAIL_BOUND))
 
 
 @dataclass(frozen=True)
@@ -96,8 +106,7 @@ def coherent_state_coefficients(alpha: complex, nmax: int) -> np.ndarray:
     if alpha == 0:
         return np.eye(1, nmax + 1, dtype=np.complex128)[0]
     n = np.arange(nmax + 1)
-    log_factorial = np.fromiter(map(math.lgamma, range(1, nmax + 2)), dtype=float, count=nmax + 1)
-    log_mag = -abs(alpha) ** 2 / 2.0 + n * math.log(abs(alpha)) - log_factorial / 2.0
+    log_mag = -abs(alpha) ** 2 / 2.0 + n * math.log(abs(alpha)) - _log_factorials(n) / 2.0
     return np.exp(log_mag + 1j * cmath.phase(alpha) * n)
 
 
@@ -145,27 +154,9 @@ class AtomPairState:
     def norm(self) -> float:
         return math.sqrt(abs(self.c0) ** 2 + abs(self.cminus) ** 2 + abs(self.cplus) ** 2 + abs(self.c1) ** 2)
 
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.norm() - 1.0) <= tol
-
     def to_product_basis(self) -> np.ndarray:
         """Vector in the product basis (|1,1>, |1,0>, |0,1>, |0,0>)."""
-        s = 1.0 / math.sqrt(2.0)
-        return np.array(
-            [
-                self.c1,
-                s * (self.cplus - self.cminus),
-                s * (self.cplus + self.cminus),
-                self.c0,
-            ],
-            dtype=np.complex128,
-        )
-
-    @classmethod
-    def from_product_basis(cls, vec) -> "AtomPairState":
-        v = np.asarray(vec, dtype=np.complex128)
-        s = 1.0 / math.sqrt(2.0)
-        return cls(c0=v[3], cminus=s * (v[2] - v[1]), cplus=s * (v[2] + v[1]), c1=v[0])
+        return BELL_TO_PRODUCT @ np.array([self.c1, self.cplus, self.c0, self.cminus], dtype=np.complex128)
 
 
 @dataclass
@@ -207,48 +198,54 @@ class JointState:
         )
 
 
+def block_propagators(nblocks: int, gt: float) -> np.ndarray:
+    """exp(-i gt H_n) of the excitation blocks n = 1..nblocks, shape (nblocks, 3, 3).
+
+    Block n couples (|1,1>|n-2>, |Psi+>|n-1>, |0,0>|n>) through
+    H_n = [[0, a, 0], [a, 0, b], [0, b, 0]] with a = sqrt(2n-2), b = sqrt(2n).
+    Since H_n^3 = w^2 H_n with w = sqrt(4n-2),
+    exp(-i gt H_n) = 1 - i sin(w gt)/w H_n + (cos(w gt) - 1)/w^2 H_n^2.
+    Block 1 is the same formula with a = 0 (its |1,1> state does not exist).
+    """
+    n = np.arange(1, nblocks + 1, dtype=float)
+    a, b, w = np.sqrt(2.0 * n - 2.0), np.sqrt(2.0 * n), np.sqrt(4.0 * n - 2.0)
+    s, c = -1j * np.sin(w * gt) / w, (np.cos(w * gt) - 1.0) / w**2
+    # filled entry by entry, with H_n^2 = [[a^2, 0, ab], [0, w^2, 0], [ab, 0, b^2]], so that
+    # no (nblocks, 3, 3) temporaries are made: the table itself takes 144 bytes per block
+    u = np.empty((nblocks, 3, 3), dtype=np.complex128)
+    u[:, 0, 0], u[:, 1, 1], u[:, 2, 2] = 1.0 + c * a * a, 1.0 + c * w * w, 1.0 + c * b * b
+    u[:, 0, 1] = u[:, 1, 0] = s * a
+    u[:, 1, 2] = u[:, 2, 1] = s * b
+    u[:, 0, 2] = u[:, 2, 0] = c * a * b
+    return u
+
+
+def block_inputs(p: np.ndarray) -> np.ndarray:
+    """Rows (p_{n-2}, p_{n-1}, p_n) for the blocks n = 1..len(p)+1, zero outside 0..len(p)-1.
+
+    These are the field amplitudes that an atomic input |1,1>, |Psi+>, |0,0>
+    times sum_n p_n |n> places in each block; blocks past len(p)+1 stay empty.
+    """
+    pad = np.concatenate(([0.0], p, [0.0, 0.0]))
+    return np.stack((pad[:-2], pad[1:-1], pad[2:]), axis=1)
+
+
 def evolve_exact(atom: AtomPairState, field: CoherentFieldSpec, gt: float) -> JointState:
     """Exact evolution of atom x coherent field for a dimensionless time gt.
 
-    Assembled from the closed-form block eigensystem.  With N = field.nmax,
-    blocks up to N+2 receive population from the truncated initial state, so
-    all channel arrays have length N+3 and the evolution is exactly unitary
+    Each excitation block evolves by block_propagators.  Blocks up to
+    N+2 = field.nmax+2 receive population from the truncated initial state,
+    so all channel arrays have length N+3 and the evolution is exactly unitary
     on the truncated input (total norm equals the input norm to rounding).
     """
-    nmax = field.nmax
     p = poisson_amplitudes(field)
-    pad = np.zeros(nmax + 3, dtype=np.complex128)
-    pad[: nmax + 1] = p
-    c0, cm, cp, c1 = atom.c0, atom.cminus, atom.cplus, atom.c1
-
-    n = np.arange(1, nmax + 3)
-    p_n = pad[n]
-    p_nm1 = pad[n - 1]
-    p_nm2 = np.concatenate(([0.0], pad[: nmax + 1]))  # p_{n-2} with p_{-1} = 0
-    s2n1 = np.sqrt(2.0 * n - 1.0)
-    omega = np.sqrt(4.0 * n - 2.0)
-
-    # per-block eigenprojections: S_n mixes c0, c1 into the +-omega sector
-    s_mix = (np.sqrt(n) * c0 * p_n + np.sqrt(n - 1.0) * c1 * p_nm2) / s2n1
-    xi_plus = np.exp(1j * omega * gt) / 2.0 * (cp * p_nm1 - s_mix)
-    xi_minus = np.exp(-1j * omega * gt) / 2.0 * (cp * p_nm1 + s_mix)
-    xi_zero = (np.sqrt(n - 1.0) * c0 * p_n - np.sqrt(n) * c1 * p_nm2) / s2n1
-
-    chan_00 = np.zeros(nmax + 3, dtype=np.complex128)
-    chan_00[0] = c0 * pad[0]
-    chan_00[1:] = (np.sqrt(n) * (xi_minus - xi_plus) + np.sqrt(n - 1.0) * xi_zero) / s2n1
-
-    chan_pp = np.zeros(nmax + 3, dtype=np.complex128)
-    chan_pp[: nmax + 2] = xi_minus + xi_plus
-
-    chan_11 = np.zeros(nmax + 3, dtype=np.complex128)
-    chan_11[: nmax + 1] = ((np.sqrt(n - 1.0) * (xi_minus - xi_plus) - np.sqrt(n) * xi_zero) / s2n1)[1:]
-
+    x = block_inputs(p) * np.array([atom.c1, atom.cplus, atom.c0])
+    y = np.einsum("nij,nj->ni", block_propagators(field.nmax + 2, gt), x)
     return JointState(
-        channel_00=chan_00,
-        channel_psi_plus=chan_pp,
-        channel_11=chan_11,
-        channel_psi_minus=cm * pad,
+        channel_00=np.concatenate(([atom.c0 * p[0]], y[:, 2])),
+        channel_psi_plus=np.append(y[:, 1], 0.0),
+        channel_11=np.concatenate((y[1:, 0], [0.0, 0.0])),
+        channel_psi_minus=atom.cminus * np.append(p, [0.0, 0.0]),
         nbar=field.nbar,
         phi=field.phi,
         gt=gt,
@@ -279,17 +276,12 @@ class ApproxChannels:
         return vec
 
 
-def f_state_rotation(nbar: float, gt: float) -> float:
-    """Rotation angle 2gt/sqrt(4 nbar + 2) of the displaced coherent components."""
-    return 2.0 * gt / math.sqrt(4.0 * nbar + 2.0)
-
-
 def coherent_approx_fields(atom: AtomPairState, field: CoherentFieldSpec, gt: float) -> ApproxChannels:
     """High-photon-number approximation of the evolved field channels.
 
     Linearizing the block frequencies around nbar+1 turns each channel into
     a superposition of at most three coherent states: two counter-rotated by
-    f_state_rotation carrying phase factors exp(+-2i gt (nbar+1+k)/sqrt(4 nbar+2)),
+    2gt/sqrt(4 nbar + 2) carrying phase factors exp(+-2i gt (nbar+1+k)/sqrt(4 nbar+2)),
     plus the undisplaced |alpha> term on the k = +-1 channels.
     """
     nbar, phi = field.nbar, field.phi

@@ -179,11 +179,17 @@ def test_discriminate_exact_requires_nbar(capsys):
     assert "--nbar" in capsys.readouterr().err
 
 
-def test_resources_table(tmp_path):
+def test_resources_table(tmp_path, capsys):
     out = tmp_path / "res.csv"
     assert main(["resources", "--varphi", "0", "--n", "3", "--out", str(out)]) == 0
     _, rows = read_csv(out)
     assert [int(r[2]) for r in rows] == [1, 8, 64, 512]
+    # pair counts past the float range are a runtime error, not a traceback
+    for varphi in ("0", "0.49pi"):
+        big = tmp_path / f"res-{varphi}.csv"
+        assert main(["resources", "--varphi", varphi, "--n", "400", "--out", str(big)]) == 1
+        assert "tcmap resources: " in capsys.readouterr().err
+        assert not big.exists()
 
 
 def test_homodyne_table(tmp_path):
@@ -239,6 +245,7 @@ def test_runner_reports_io_errors(tmp_path, capsys):
         (["cycles", "--varphi", "0.2375pi", "--max-period", "0"], "--max-period", None),
         (["sweep", "--grid", "4", "--phi-min", "abc"], "--phi-min", None),
         (["homodyne", "--nbar", "4", "--q-range", "-8,8,x"], "--q-range", None),
+        (["discriminate", "--samples", "10", "--nbar", "10"], "--nbar", None),
     ],
 )
 def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, flag, seed_env):

@@ -225,6 +225,9 @@ def test_resource_formula_values():
     assert resource_estimate(3, 0.0).pairs == 512
     assert resource_estimate(0, 1.23).pairs == 1
     assert resource_estimate(2, math.pi / 4.0).pairs == 256
+    for varphi in (0.0, 0.49 * math.pi):
+        with pytest.raises(ValueError, match=r"n=400, varphi="):
+            resource_estimate(400, varphi)
 
 
 def test_resource_powers_of_eight_are_exact():

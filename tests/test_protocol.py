@@ -219,6 +219,10 @@ def test_exact_operator_keeps_converging_beyond_nbar_1400():
     m = exact_step_operator(CoherentFieldSpec(nbar=1e4)).matrix
     assert np.linalg.norm(m, 2) > 0.99
     assert np.linalg.norm(m - ideal, 2) < d1400
+    # the exact-to-ideal convergence table: ||M - P_ideal||_2 ~ 1/(2 sqrt(2) nbar)
+    for nbar in (1e3, 1e4, 1e5):
+        m = exact_step_operator(CoherentFieldSpec(nbar=nbar)).matrix
+        assert abs(nbar * np.linalg.norm(m - ideal, 2) * 2.0 * math.sqrt(2.0) - 1.0) < 1e-2
 
 
 def test_default_interaction_time():

@@ -11,6 +11,7 @@ from tcmap.tavis_cummings import (
     HomodyneSpec,
     TruncationError,
     block_eigensystem,
+    block_propagators,
     coherent_approx_fields,
     coherent_state_coefficients,
     default_truncation,
@@ -92,10 +93,12 @@ def test_poisson_mass_is_normalized_up_to_the_tail():
 
 
 def test_truncation_tail_bound():
-    for nbar in (1.0, 10.0, 80.0):
+    for nbar in (1e-6, 1.0, 10.0, 80.0, 1e6):
         nmax = default_truncation(nbar)
         assert poisson_tail_mass(nbar, nmax) < 1e-12
         assert poisson_tail_mass(nbar, nmax - 1) >= 1e-12
+    assert default_truncation(1e-6) == 1
+    assert default_truncation(1e6) == 1007043
 
 
 def test_rejects_undersized_truncation():
@@ -138,10 +141,14 @@ def test_block_transform_diagonalizes_the_hamiltonian():
 
 def test_block_propagators_are_unitary():
     gt = 1.37
+    table = block_propagators(23, gt)
     for n in (1, 2, 7, 23):
         vals, o = block_eigensystem(n)
         u = o @ np.diag(np.exp(-1j * vals * gt)) @ o.T
         assert np.max(np.abs(u @ u.conj().T - np.eye(len(vals)))) < 1e-12
+        # the closed-form table; block 1 lacks the |1,1> state, its 2x2 block is the last two rows
+        want = expm(-1j * gt * block_hamiltonian(n))
+        assert np.max(np.abs(table[n - 1][-len(vals):, -len(vals):] - want)) < 1e-12
 
 
 # -------------------------------------------------------------- evolve_exact
