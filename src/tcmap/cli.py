@@ -299,10 +299,8 @@ def _emit_basin(args: argparse.Namespace, grid: ex.BasinGrid) -> None:
     img = output.render_basin_image(grid.attractor_ids, grid.iterations, grid.max_iter)
     output.write_ppm(img, args.out)
     if args.csv is not None:
-        pts = ex.grid_points(grid.region, grid.width, grid.height).ravel()
-        rows = zip(pts.real.tolist(), pts.imag.tolist(),
-                   grid.attractor_ids.ravel().tolist(), grid.iterations.ravel().tolist())
-        output.write_csv(rows, ("x", "y", "attractor_id", "iterations"), args.csv)
+        pts = ex.grid_points(grid.region, grid.width, grid.height)  # rows share x, columns share y
+        output.write_basin_csv(pts[0].real, pts[:, 0].imag, grid.attractor_ids, grid.iterations, args.csv)
 
 
 def run_basin(args: argparse.Namespace) -> None:

@@ -218,7 +218,8 @@ def basin_grid(
     Attractors default to the critical-orbit search at this angle (their
     order fixes the id, hence the render color).  The iteration is the
     ideal map or, with exact_op, the compressed quantum step; the checks
-    replicate classify_basin_point cell by cell.
+    replicate classify_basin_point cell by cell, and only the open cells
+    (no attractor hit, no null postselection yet) are stepped.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -240,23 +241,26 @@ def basin_grid(
     z = grid_points(region, width, height).ravel()
     ids = np.full(z.size, -1, dtype=np.int64)
     iters = np.full(z.size, max_iter, dtype=np.int64)
-    open_mask = np.ones(z.size, dtype=bool)
+    cells = np.arange(z.size)  # the grid indices of the open cells, whose labels z holds
 
     coeffs = None if exact_op is None else exact_op.coefficients(varphi)
     for k in range(max_iter):
-        if not open_mask.any():
+        if not cells.size:
             break
+        keep = np.ones(cells.size, dtype=bool)
         for idx, cyc in enumerate(cycle_points):
-            hit = open_mask & np.any([np.abs(z - p) < tol for p in cyc], axis=0)
-            ids[hit] = idx
-            iters[hit] = k
-            open_mask &= ~hit
+            hit = keep & np.any([np.abs(z - p) < tol for p in cyc], axis=0)
+            ids[cells[hit]] = idx
+            iters[cells[hit]] = k
+            keep &= ~hit
+        z, cells = z[keep], cells[keep]
         if exact_op is None:
             z = rm.apply_map_grid(z, params)
         else:
             z, p_succ = rm.quadratic_step(z, coeffs, with_p=True)
             # a nulled postselection cannot continue; leave the cell unresolved
-            open_mask &= p_succ >= NULL_OUTCOME_EPS
+            alive = p_succ >= NULL_OUTCOME_EPS
+            z, cells = z[alive], cells[alive]
     return BasinGrid(
         region=tuple(float(v) for v in region),
         width=width,

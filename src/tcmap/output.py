@@ -32,6 +32,27 @@ def write_csv(rows: Iterable[Sequence], header: Sequence[str], path) -> None:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
+def write_basin_csv(xs, ys, attractor_ids, iterations, path) -> None:
+    """write_csv's bytes for the basin rows (xs[j], ys[i], id, k), row-major.
+
+    Each x, y and distinct (id, k) pair is formatted once; each image row is one write.
+    """
+    id_vals, id_code = np.unique(np.ravel(attractor_ids), return_inverse=True)
+    k_vals, k_code = np.unique(np.ravel(iterations), return_inverse=True)
+    pairs, pair_code = np.unique(id_code * k_vals.size + k_code, return_inverse=True)
+    tails = np.array([f",{format_value(id_vals[c // k_vals.size])},{format_value(k_vals[c % k_vals.size])}\n"
+                      for c in pairs.tolist()], dtype=object)[pair_code].reshape(len(ys), len(xs))
+    xcol = [format_value(x) + "," for x in np.asarray(xs).tolist()]
+    try:
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write("x,y,attractor_id,iterations\n")
+            for y, row in zip(np.asarray(ys).tolist(), tails.tolist()):
+                y = format_value(y)
+                fh.write("".join([x + y + tail for x, tail in zip(xcol, row)]))
+    except OSError as exc:
+        raise OSError(f"cannot write CSV to {path}: {exc}") from exc
+
+
 def read_csv(path) -> tuple[list[str], list[list]]:
     """Parse back a CSV written by write_csv (used by tests and tools)."""
 
@@ -92,17 +113,12 @@ def render_basin_image(attractor_ids: np.ndarray, iterations: np.ndarray, max_it
     if ids.shape != its.shape or ids.ndim != 2:
         raise ValueError("attractor_ids and iterations must be equal-shape 2D arrays")
     height, width = ids.shape
-    buf = bytearray()
-    cache: dict[tuple[int, int], tuple[int, int, int]] = {}
-    for i in range(height):
-        for j in range(width):
-            key = (int(ids[i, j]), int(its[i, j]))
-            rgb = cache.get(key)
-            if rgb is None:
-                rgb = _cell_rgb(key[0], key[1], max_iter)
-                cache[key] = rgb
-            buf.extend(rgb)
-    return ImageBuffer(width=width, height=height, pixels=bytes(buf))
+    # _cell_rgb tabulated by id (-1 for all unresolved, 0, 1, one per extra hue) and clipped k
+    row = np.where(ids < 2, np.maximum(ids, -1), 2 + (ids - 2) % len(EXTRA_HUES)) + 1
+    k = np.where(ids < 0, 0, np.clip(its, 0, max_iter))
+    table = np.array([[_cell_rgb(i, j, max_iter) for j in range(int(k.max(initial=0)) + 1)]
+                      for i in range(-1, 2 + len(EXTRA_HUES))], dtype=np.uint8)
+    return ImageBuffer(width=width, height=height, pixels=table[row, k].tobytes())
 
 
 def point_cloud_image(

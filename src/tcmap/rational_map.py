@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -236,6 +237,10 @@ def attractive_cycle_batch(
     Both critical orbits of every angle advance together as one array: `burn`
     steps, then `max_period` more, and an orbit's period is its first
     near-return (chordal distance below tol) to the point the burn ended on.
+
+    The burn stops once every orbit repeats one of its last `max_period` states
+    bit for bit (checked at 2, 4, 8, ... times max_period steps): the step is
+    elementwise, so the state after `burn` steps is read off each loop, exactly.
     """
     if burn < 0:
         raise ValueError("burn must be >= 0")
@@ -249,8 +254,20 @@ def attractive_cycle_batch(
     coeffs = tuple(np.array(k * 2) for k in zip(*(p.coefficients for p in params_list)))
     crit = np.array([critical_points(p)[0] for p in params_list])
     z = np.concatenate([crit, -crit])  # the + critical point of every angle, then the - one
-    for _ in range(burn):
+    history = deque([z], maxlen=max_period + 1)
+    check = 2 * max_period
+    for step in range(1, burn + 1):
         z = quadratic_step(z, coeffs)
+        history.append(z)
+        if step == check:
+            check *= 2
+            states = np.array(history)
+            bits = states.view(np.int64)
+            same = (bits[:-1] == bits[-1]).reshape(max_period, z.size, 2).all(axis=2)
+            if same.any(axis=0).all():
+                last = max_period - 1 - same[::-1].argmax(axis=0)  # the latest earlier copy of z
+                z = states[last + (burn - step) % (max_period - last), np.arange(z.size)]
+                break
     orbit = [z]
     for _ in range(max_period):
         orbit.append(quadratic_step(orbit[-1], coeffs))

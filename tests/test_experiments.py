@@ -304,6 +304,49 @@ def test_exact_basin_approaches_the_ideal_with_photon_number():
     assert agree[100.0] > 0.8
 
 
+def _dark_state_only():
+    # only |Psi-> passes, so p = |b z|^2 / (1 + |z|^2)^2: null at 0 at once, elsewhere one step later
+    s = 1.0 / math.sqrt(2.0)
+    psi_minus = np.array([0.0, -s, s, 0.0], dtype=complex)
+    return np.outer(psi_minus, psi_minus.conj())
+
+
+def _null_at_zero_then_one(varphi):
+    # z -> (z^2 + z) / z^2: null at 0, whose image 0/0 is infinity, and infinity maps to a/d = 1,
+    # so a cell that went on after its null would reach the attractor +1
+    g = np.tile(np.diag(gate_unitary(varphi)), 2)
+    m = np.zeros((4, 4), dtype=complex)
+    m[1, :2] = 1.0 / g[:2]
+    m[3, 0] = 1.0 / g[0]
+    return m
+
+
+@pytest.mark.parametrize("operator", ["dark", "shared-root"])
+def test_compacted_basin_loop_keeps_the_null_rule(operator):
+    varphi, region, attractors, max_iter = 0.2375 * math.pi, (-1.25, 1.25, -1.25, 1.25), [[1.0], [-1.0]], 97
+    matrix = _dark_state_only() if operator == "dark" else _null_at_zero_then_one(varphi)
+    op = ExactStepOperator(matrix=matrix, nbar=math.nan, gt=0.0)
+    grid = basin_grid(region, 5, 5, varphi, attractors=attractors, exact_op=op, max_iter=max_iter)
+    pts = grid_points(region, 5, 5)
+    assert pts[2, 2] == 0j
+    assert (grid.attractor_ids[2, 2], grid.iterations[2, 2]) == (-1, max_iter)
+    assert (grid.attractor_ids[2, 0], grid.attractor_ids[2, 4]) == (1, 0)
+
+    coeffs = op.coefficients(varphi)
+    for (i, j), z in np.ndenumerate(pts):
+        want = (-1, max_iter)
+        for k in range(max_iter):
+            hit = [idx for idx, (p,) in enumerate(attractors) if abs(z - p) < 0.1]
+            if hit:
+                want = (hit[0], k)
+                break
+            w, p_succ = quadratic_step(np.array([z]), coeffs, with_p=True)
+            if p_succ[0] < NULL_OUTCOME_EPS:
+                break
+            z = complex(w[0])
+        assert (grid.attractor_ids[i, j], grid.iterations[i, j]) == want
+
+
 def test_basin_needs_attractors_for_chaotic_angles():
     with pytest.raises(ValueError):
         basin_grid((-1, 1, -1, 1), 3, 3, varphi=1.15 * math.pi / 4.0)

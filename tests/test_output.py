@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from tcmap.experiments import grid_points
 from tcmap.output import (
     ImageBuffer,
     UNRESOLVED_RGB,
+    _cell_rgb,
     format_value,
     point_cloud_image,
     read_csv,
     read_ppm,
     render_basin_image,
+    write_basin_csv,
     write_csv,
     write_ppm,
 )
@@ -48,6 +51,34 @@ def test_empty_rows_give_header_only(tmp_path):
 def test_csv_write_failure_carries_the_path():
     with pytest.raises(OSError, match="no/such/dir"):
         write_csv([], ("x",), "no/such/dir/file.csv")
+
+
+BASIN_HEADER = ("x", "y", "attractor_id", "iterations")
+
+
+@pytest.mark.parametrize("region, width, height", [
+    ((-1.5, 1.5, -1.5, 1.5), 3, 3),    # the centre midpoint is an exact 0
+    ((-2.0, -0.5, -1.0, -0.3), 7, 5),  # negative x and y only
+    ((-2.0, 2.0, -2.0, 2.0), 1, 1),
+])
+def test_basin_csv_matches_write_csv_over_the_cells(tmp_path, region, width, height):
+    rng = np.random.default_rng(width)
+    ids = rng.integers(-1, 3, size=(height, width))
+    its = rng.integers(0, 98, size=(height, width))
+    pts = grid_points(region, width, height)
+    cells = pts.ravel()
+    rows = zip(cells.real.tolist(), cells.imag.tolist(), ids.ravel().tolist(), its.ravel().tolist())
+    write_csv(rows, BASIN_HEADER, tmp_path / "cells.csv")
+    write_basin_csv(pts[0].real, pts[:, 0].imag, ids, its, tmp_path / "basin.csv")
+    assert (tmp_path / "basin.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+    if width == 3:
+        assert b"\n0,0," in (tmp_path / "basin.csv").read_bytes()
+
+
+def test_basin_csv_write_failure_carries_the_path():
+    with pytest.raises(OSError, match="no/such/dir"):
+        write_basin_csv(np.zeros(1), np.zeros(1), np.zeros((1, 1), int), np.zeros((1, 1), int),
+                        "no/such/dir/file.csv")
 
 
 # ---------------------------------------------------------------------- PPM
@@ -121,6 +152,20 @@ def test_render_is_deterministic():
     a = render_basin_image(ids, its, max_iter=97)
     b = render_basin_image(ids, its, max_iter=97)
     assert a.pixels == b.pixels
+
+
+@pytest.mark.parametrize("max_iter", [1, 97])
+def test_render_table_matches_cell_rgb(max_iter):
+    id_values = [-3, -1, *range(8), 10**6]
+    it_values = [-5, 0, max_iter // 2, max_iter, max_iter + 10]
+    every_pair = np.meshgrid(id_values, it_values, indexing="ij")
+    rng = np.random.default_rng(max_iter)
+    random_cells = (rng.choice(id_values, size=(13, 17)), rng.integers(-5, max_iter + 11, size=(13, 17)))
+    for ids, its in (every_pair, random_cells):
+        img = render_basin_image(ids, its, max_iter)
+        px = np.frombuffer(img.pixels, dtype=np.uint8).reshape(*ids.shape, 3)
+        for i, j in np.ndindex(ids.shape):
+            assert tuple(px[i, j]) == _cell_rgb(int(ids[i, j]), int(its[i, j]), max_iter)
 
 
 # -------------------------------------------------------------- point clouds

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tcmap import rational_map
 from tcmap.rational_map import (
     BasinCell,
     DegenerateParameterError,
@@ -12,6 +13,7 @@ from tcmap.rational_map import (
     PoleError,
     apply_map,
     apply_map_grid,
+    attractive_cycle_batch,
     classify_basin_point,
     classify_multiplier,
     critical_points,
@@ -23,6 +25,7 @@ from tcmap.rational_map import (
     iterate_map,
     julia_backward_sample,
     map_derivative,
+    quadratic_step,
     two_cycle,
 )
 from tcmap.sphere import INFINITY, chordal_distance, is_infinite
@@ -262,6 +265,59 @@ def test_four_cycles_between_the_neutral_angles():
 def test_cycle_search_rejects_a_negative_burn():
     with pytest.raises(ValueError):
         find_attractive_cycles(MapParams(0.3), burn=-1)
+
+
+def full_burn_cycles(params, burn, max_period=64, tol=1e-8):
+    """The critical-orbit search with every one of the `burn` steps taken."""
+    c = critical_points(params)[0]
+    z = np.array([c, -c])
+    coeffs = tuple(np.array([k, k]) for k in params.coefficients)  # one coefficient per orbit, as in a batch
+    for _ in range(burn):
+        z = quadratic_step(z, coeffs)
+    orbit = [z]
+    for _ in range(max_period):
+        orbit.append(quadratic_step(orbit[-1], coeffs))
+    orbit = np.array(orbit)
+    found = []
+    for j in range(2):
+        close = chordal_distance(orbit[1:, j], orbit[0, j]) < tol
+        if not close.any():
+            continue
+        try:
+            rep = cycle_multiplier(orbit[: close.argmax() + 1, j], params, tol)
+        except ValueError:
+            continue
+        new = all(rep.period != f.period or min(chordal_distance(rep.points[0], q) for q in f.points) >= 1e-6
+                  for f in found)
+        if rep.stability in ("attractive", "superattractive") and new:
+            found.append(rep)
+    return found
+
+
+@pytest.mark.parametrize("varphi, settles", [
+    (0.2375 * math.pi, True), (1.01 * math.pi / 4.0, True), (0.45 * math.pi, True),
+    (0.1 * math.pi, False),  # the orbit drifts by ulps and never repeats exactly
+    (0.3 * math.pi, False),  # chaotic
+])
+def test_early_stopped_burn_equals_the_full_burn(monkeypatch, varphi, settles):
+    params = MapParams(varphi)
+    steps = []
+
+    def counted(z, coeffs, with_p=False):
+        steps.append(1)
+        return quadratic_step(z, coeffs, with_p)
+
+    monkeypatch.setattr(rational_map, "quadratic_step", counted)
+    for burn in (0, 1, 777, 10_000):
+        steps.clear()
+        got = attractive_cycle_batch([params], burn=burn)[0]
+        want = full_burn_cycles(params, burn)
+        assert [c.points for c in got] == [c.points for c in want]
+        assert [c.multiplier for c in got] == [c.multiplier for c in want]
+        if burn == 10_000:
+            assert (len(steps) < 2000) == settles
+    if settles:
+        assert want
 
 
 def test_never_more_than_two_attractive_cycles():
