@@ -9,6 +9,7 @@ and the exponential resource count of the postselected scheme.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -19,6 +20,35 @@ from .protocol import NULL_OUTCOME_EPS, ExactStepOperator, _require_gate
 from .sphere import homogeneous, is_infinite
 
 DEFAULT_SEED = 12345
+
+# Points per block of the discrimination Monte Carlo and the basin grid: a
+# block's ~20 kernel passes stay in cache.  Blocks run on one thread per core
+# this process may use (numpy releases the GIL in its loops); every point is
+# computed on its own, so the output does not depend on either constant.
+BLOCK = 1 << 16
+WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
+# steps of discrimination overlaps stored between two reductions; memory stays O(samples)
+WINDOW = 8
+
+
+def _run_blocks(n: int, run) -> None:
+    """Call run(lo, hi) on the consecutive blocks of range(n), spread over WORKERS threads.
+
+    One block or one worker runs inline.  The first exception (in block order)
+    is raised once the running blocks end; blocks not yet started are dropped.
+    """
+    starts = range(0, n, BLOCK)
+    workers = min(WORKERS, len(starts))
+    if workers <= 1:
+        for lo in starts:
+            run(lo, min(lo + BLOCK, n))
+        return
+    # imported here so that `import tcmap.cli` stays lean
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(lambda lo: run(lo, min(lo + BLOCK, n)), starts):
+            pass
 
 
 def overlap(z1, z2):
@@ -102,7 +132,7 @@ def discrimination_run(
     of z1 is paired with sample i of z2).  With an exact_op the iteration
     runs through the compressed quantum step and samples whose postselection
     nulls are excluded from that step onward and counted as failures.
-    Identical seeds give bit-identical reports.
+    Identical seeds give bit-identical reports, on any number of cores.
     """
     if sigma < 0:
         raise ValueError("sigma must be >= 0")
@@ -113,32 +143,46 @@ def discrimination_run(
     noise = rng.normal(0.0, sigma, size=(4, samples)) if sigma > 0 else np.zeros((4, samples))
     za = complex(z1) + noise[0] + 1j * noise[1]
     zb = complex(z2) + noise[2] + 1j * noise[3]
+    del noise
 
     mean = np.zeros(steps + 1)
     rms = np.zeros(steps + 1)
     counts = np.zeros(steps + 1, dtype=np.int64)
-    alive = np.ones(samples, dtype=bool)
-    failures = 0
+    live = np.ones(samples, dtype=bool)
     params = rm.MapParams(varphi)
     coeffs = None if exact_op is None else exact_op.coefficients(varphi)
+    # overlaps and live masks of one window of steps, a row per step
+    ov = np.empty((min(WINDOW, steps + 1), samples))
+    alive = np.empty(ov.shape, dtype=bool)
 
-    for k in range(steps + 1):
-        ov = overlap(za, zb)[alive]
-        counts[k] = ov.size
-        if ov.size:
-            mean[k] = float(np.mean(ov))
-            rms[k] = float(np.sqrt(np.mean((ov - mean[k]) ** 2)))
-        if k == steps:
-            break
-        if exact_op is None:
-            za = rm.apply_map_grid(za, params)
-            zb = rm.apply_map_grid(zb, params)
-        else:
-            za, pa = rm.quadratic_step(za, coeffs, with_p=True)
-            zb, pb = rm.quadratic_step(zb, coeffs, with_p=True)
-            died = alive & ((pa < NULL_OUTCOME_EPS) | (pb < NULL_OUTCOME_EPS))
-            failures += int(np.count_nonzero(died))
-            alive &= ~died
+    for k0 in range(0, steps + 1, WINDOW):
+        rows = min(WINDOW, steps + 1 - k0)
+
+        def run(lo, hi):
+            a, b, ok = za[lo:hi], zb[lo:hi], live[lo:hi].copy()
+            for j in range(rows):
+                ov[j, lo:hi] = overlap(a, b)
+                alive[j, lo:hi] = ok
+                if k0 + j == steps:
+                    break
+                if exact_op is None:
+                    a = rm.apply_map_grid(a, params)
+                    b = rm.apply_map_grid(b, params)
+                else:
+                    a, pa = rm.quadratic_step(a, coeffs, with_p=True)
+                    b, pb = rm.quadratic_step(b, coeffs, with_p=True)
+                    ok &= ~((pa < NULL_OUTCOME_EPS) | (pb < NULL_OUTCOME_EPS))
+            za[lo:hi], zb[lo:hi], live[lo:hi] = a, b, ok
+
+        _run_blocks(samples, run)
+        for j in range(rows):
+            k, row = k0 + j, ov[j][alive[j]]
+            counts[k] = row.size
+            if row.size:
+                mean[k] = float(np.mean(row))
+                rms[k] = float(np.sqrt(np.mean((row - mean[k]) ** 2)))
+    # a sample nulled at one step stays out, so the failures are the samples lost by the end
+    failures = samples - int(counts[steps])
     kind = "ideal" if exact_op is None else f"exact(nbar={exact_op.nbar:g})"
     return DiscriminationReport(
         mean_overlap=mean,
@@ -241,26 +285,30 @@ def basin_grid(
     z = grid_points(region, width, height).ravel()
     ids = np.full(z.size, -1, dtype=np.int64)
     iters = np.full(z.size, max_iter, dtype=np.int64)
-    cells = np.arange(z.size)  # the grid indices of the open cells, whose labels z holds
-
     coeffs = None if exact_op is None else exact_op.coefficients(varphi)
-    for k in range(max_iter):
-        if not cells.size:
-            break
-        keep = np.ones(cells.size, dtype=bool)
-        for idx, cyc in enumerate(cycle_points):
-            hit = keep & np.any([np.abs(z - p) < tol for p in cyc], axis=0)
-            ids[cells[hit]] = idx
-            iters[cells[hit]] = k
-            keep &= ~hit
-        z, cells = z[keep], cells[keep]
-        if exact_op is None:
-            z = rm.apply_map_grid(z, params)
-        else:
-            z, p_succ = rm.quadratic_step(z, coeffs, with_p=True)
-            # a nulled postselection cannot continue; leave the cell unresolved
-            alive = p_succ >= NULL_OUTCOME_EPS
-            z, cells = z[alive], cells[alive]
+
+    def run(lo, hi):
+        w = z[lo:hi]
+        cells = np.arange(lo, hi)  # the grid indices of the open cells, whose labels w holds
+        for k in range(max_iter):
+            if not cells.size:
+                break
+            keep = np.ones(cells.size, dtype=bool)
+            for idx, cyc in enumerate(cycle_points):
+                hit = keep & np.any([np.abs(w - p) < tol for p in cyc], axis=0)
+                ids[cells[hit]] = idx
+                iters[cells[hit]] = k
+                keep &= ~hit
+            w, cells = w[keep], cells[keep]
+            if exact_op is None:
+                w = rm.apply_map_grid(w, params)
+            else:
+                w, p_succ = rm.quadratic_step(w, coeffs, with_p=True)
+                # a nulled postselection cannot continue; leave the cell unresolved
+                alive = p_succ >= NULL_OUTCOME_EPS
+                w, cells = w[alive], cells[alive]
+
+    _run_blocks(z.size, run)
     return BasinGrid(
         region=tuple(float(v) for v in region),
         width=width,

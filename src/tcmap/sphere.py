@@ -65,15 +65,27 @@ def plane_distance(z: SpherePoint, w: SpherePoint) -> float:
     return abs(z - w)
 
 
+# finite points beyond this modulus get a scaled chart, since |z|^2 would overflow
+HOMOGENEOUS_LIMIT = 1e150
+
+
 def homogeneous(z) -> tuple[np.ndarray, np.ndarray]:
     """Homogeneous coordinates [u:v] of sphere points: [z:1] when finite, [1:0] at infinity.
 
     Takes a sphere point or a complex array, in which any non-finite entry
-    is the point at infinity.
+    is the point at infinity.  A finite entry whose modulus exceeds
+    HOMOGENEOUS_LIMIT is scaled to [z/s : 1/s] with s = max(|Re z|, |Im z|),
+    the same point with v still real, so that |u|^2 + v^2 cannot overflow.
     """
     z = np.asarray(complex(math.inf, 0.0) if z is INFINITY else z, dtype=np.complex128)
-    inf = ~np.isfinite(z)
-    return np.where(inf, 1.0, z), np.where(inf, 0.0, 1.0)
+    far = ~(np.abs(z) <= HOMOGENEOUS_LIMIT)  # also the non-finite entries
+    u, v = np.where(far, 1.0, z), np.where(far, 0.0, 1.0)
+    if far.any():
+        big = far & np.isfinite(z)
+        s = np.maximum(np.abs(z.real[big]), np.abs(z.imag[big]))
+        u[big] = z[big] / s
+        v[big] = 1.0 / s
+    return u, v
 
 
 def chordal_distance(z, w):

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tcmap
 from tcmap.cli import main, parse_angle, parse_complex, parse_config, parse_region
 from tcmap.output import read_csv, read_ppm
 
@@ -168,6 +173,24 @@ def test_discriminate_outputs(tmp_path):
     assert abs(rows[0][1] - 0.9230769230769231) < 1e-12
     assert abs(rows[3][1] - 0.07791825883762012) < 1e-12
     assert all(r[3] == 0 for r in rows)
+
+
+@pytest.mark.parametrize("z1", ["1e200,0", "inf,0"])
+def test_discriminate_from_a_label_whose_square_overflows(tmp_path, z1):
+    out = tmp_path / "disc.csv"
+    assert main(["discriminate", "--z1", z1, "--z2", "0.5,0", "--sigma", "0", "--samples", "1", "--steps", "1",
+                 "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "0,0.44721359549995793,0,0"
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    # the blocked runs import concurrent.futures only when they start threads
+    code = "import sys, tcmap.cli; print('concurrent.futures' in sys.modules)"
+    src = str(Path(tcmap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
 
 
 def test_discriminate_exact_requires_nbar(capsys):

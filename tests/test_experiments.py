@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from tcmap import experiments as ex
+from tcmap import rational_map as rm
 from tcmap.experiments import (
     basin_grid,
     discrimination_run,
@@ -57,6 +59,16 @@ def test_overlap_of_orthogonal_basis_states():
 def test_overlap_projective_infinity_rule():
     z = 0.6 + 0.8j
     assert abs(overlap(INFINITY, z) - abs(z) / math.sqrt(1 + abs(z) ** 2)) < 1e-15
+
+
+def test_overlap_of_labels_whose_square_overflows():
+    # a finite label beyond 1e150 is the same state as its neighbours on the sphere, not 0 or nan
+    assert overlap(1e200, 0.5) == overlap(INFINITY, 0.5) == 0.5 / math.sqrt(1.25)
+    assert overlap(1e200, 1e200) == overlap(1e200, -1e200j) == 1.0
+    assert overlap(1e200, 0j) == 1e-200
+    assert overlap(complex(1e308, 1e308), 1.0) == pytest.approx(math.sqrt(0.5), abs=1e-15)
+    got = overlap(np.array([1e200, 1e150, 2.0]), np.array([0.5, 0.5, 1e200j]))
+    assert np.array_equal(got, [overlap(INFINITY, 0.5), overlap(1e150, 0.5), overlap(INFINITY, 2.0)])
 
 
 def test_overlap_symmetry_and_global_phase_invariance():
@@ -350,3 +362,154 @@ def test_compacted_basin_loop_keeps_the_null_rule(operator):
 def test_basin_needs_attractors_for_chaotic_angles():
     with pytest.raises(ValueError):
         basin_grid((-1, 1, -1, 1), 3, 3, varphi=1.15 * math.pi / 4.0)
+
+
+# ------------------------------------------------------------- blocked runs
+
+def _whole_array_discrimination(z1, z2, sigma, samples, steps, varphi, seed, exact_op):
+    # the one-pass loop over every sample that discrimination_run blocks
+    rng = np.random.default_rng(seed)
+    noise = rng.normal(0.0, sigma, size=(4, samples)) if sigma > 0 else np.zeros((4, samples))
+    za = complex(z1) + noise[0] + 1j * noise[1]
+    zb = complex(z2) + noise[2] + 1j * noise[3]
+    mean, rms = np.zeros(steps + 1), np.zeros(steps + 1)
+    counts = np.zeros(steps + 1, dtype=np.int64)
+    alive = np.ones(samples, dtype=bool)
+    failures = 0
+    params = MapParams(varphi)
+    coeffs = None if exact_op is None else exact_op.coefficients(varphi)
+    for k in range(steps + 1):
+        ov = overlap(za, zb)[alive]
+        counts[k] = ov.size
+        if ov.size:
+            mean[k] = float(np.mean(ov))
+            rms[k] = float(np.sqrt(np.mean((ov - mean[k]) ** 2)))
+        if k == steps:
+            break
+        if exact_op is None:
+            za, zb = quadratic_step(za, params.coefficients), quadratic_step(zb, params.coefficients)
+        else:
+            za, pa = quadratic_step(za, coeffs, with_p=True)
+            zb, pb = quadratic_step(zb, coeffs, with_p=True)
+            died = alive & ((pa < NULL_OUTCOME_EPS) | (pb < NULL_OUTCOME_EPS))
+            failures += int(np.count_nonzero(died))
+            alive &= ~died
+    return mean, rms, counts, failures
+
+
+def _whole_array_basin(region, width, height, varphi, cycle_points, exact_op, tol=0.1, max_iter=97):
+    # the compacted open-cell loop over the whole grid that basin_grid blocks
+    z = grid_points(region, width, height).ravel()
+    ids = np.full(z.size, -1, dtype=np.int64)
+    iters = np.full(z.size, max_iter, dtype=np.int64)
+    cells = np.arange(z.size)
+    coeffs = MapParams(varphi).coefficients if exact_op is None else exact_op.coefficients(varphi)
+    for k in range(max_iter):
+        if not cells.size:
+            break
+        keep = np.ones(cells.size, dtype=bool)
+        for idx, cyc in enumerate(cycle_points):
+            hit = keep & np.any([np.abs(z - p) < tol for p in cyc], axis=0)
+            ids[cells[hit]] = idx
+            iters[cells[hit]] = k
+            keep &= ~hit
+        z, cells = z[keep], cells[keep]
+        z, p_succ = quadratic_step(z, coeffs, with_p=True)
+        if exact_op is not None:
+            alive = p_succ >= NULL_OUTCOME_EPS
+            z, cells = z[alive], cells[alive]
+    return ids.reshape(height, width), iters.reshape(height, width)
+
+
+@pytest.fixture(scope="module")
+def block_operators():
+    dark = ExactStepOperator(matrix=_dark_state_only(), nbar=math.nan, gt=0.0)
+    return {"ideal": None, "nbar10": exact_step_operator(CoherentFieldSpec(nbar=10.0)), "dark": dark}
+
+
+DISCRIMINATION_CASES = [
+    # (operator, z1, z2, sigma, steps)
+    ("ideal", -0.2, 0.2, 0.03, 7),
+    ("ideal", -0.2, 0.2, 0.0, 8),
+    ("ideal", 0.1 + 0.3j, -0.4, 0.2, 19),
+    ("nbar10", -0.2, 0.2, 0.05, 19),
+    ("nbar10", 0.3, -0.2j, 0.0, 0),
+    ("dark", 0.3, -0.2j, 0.1, 2),  # every sample is nulled at the last step
+    ("dark", -0.2, 0.2, 0.3, 9),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_blocked_discrimination_matches_the_whole_array_loop(monkeypatch, block_operators, workers):
+    monkeypatch.setattr(ex, "BLOCK", 64)
+    monkeypatch.setattr(ex, "WORKERS", workers)
+    samples, varphi, seed = 1000, 0.1, 11  # 15 full blocks and a ragged one of 40
+    for name, z1, z2, sigma, steps in DISCRIMINATION_CASES:
+        op = block_operators[name]
+        got = discrimination_run(z1, z2, sigma, samples, steps, varphi=varphi, seed=seed, exact_op=op)
+        mean, rms, counts, failures = _whole_array_discrimination(z1, z2, sigma, samples, steps, varphi, seed, op)
+        assert np.array_equal(got.mean_overlap, mean), name
+        assert np.array_equal(got.rms_deviation, rms), name
+        assert np.array_equal(got.sample_counts, counts), name
+        assert got.failures == failures, name
+    assert failures > 0  # the dark-state run nulls samples
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_blocked_basin_matches_the_whole_array_loop(monkeypatch, block_operators, workers):
+    monkeypatch.setattr(ex, "BLOCK", 100)
+    monkeypatch.setattr(ex, "WORKERS", workers)
+    region, width, height = (-1.7, 1.9, -1.3, 1.6), 37, 29  # 10 full blocks and a ragged one of 73
+    for name, varphi in [("ideal", 0.2375 * math.pi), ("ideal", 0.251953125 * math.pi),
+                         ("nbar10", 0.2375 * math.pi), ("dark", 0.2375 * math.pi)]:
+        op = block_operators[name]
+        cycles = tuple(tuple(c.points) for c in find_attractive_cycles(MapParams(varphi)))
+        grid = basin_grid(region, width, height, varphi, exact_op=op)
+        ids, iters = _whole_array_basin(region, width, height, varphi, cycles, op)
+        assert grid.attractors == cycles
+        assert np.array_equal(grid.attractor_ids, ids), name
+        assert np.array_equal(grid.iterations, iters), name
+    assert np.any(ids == -1)  # the dark-state grid leaves cells unresolved
+
+
+class _BlockFailure(RuntimeError):
+    pass
+
+
+def _fail_on(monkeypatch, marker):
+    # quadratic_step that raises on the one call whose input starts with marker
+    step = rm.quadratic_step
+
+    def failing(z, coeffs, with_p=False):
+        z = np.asarray(z)
+        if z.size and z.flat[0] == marker:
+            raise _BlockFailure(marker)
+        return step(z, coeffs, with_p)
+
+    monkeypatch.setattr(rm, "quadratic_step", failing)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_failing_block_fails_the_discrimination_run(monkeypatch, block_operators, workers, exact):
+    monkeypatch.setattr(ex, "BLOCK", 64)
+    monkeypatch.setattr(ex, "WORKERS", workers)
+    samples, sigma, seed = 300, 0.03, 5
+    noise = np.random.default_rng(seed).normal(0.0, sigma, size=(4, samples))
+    _fail_on(monkeypatch, -0.2 + noise[0, 64] + 1j * noise[1, 64])  # z1 of the second block's first sample
+    with pytest.raises(_BlockFailure):
+        discrimination_run(-0.2, 0.2, sigma, samples, 9, seed=seed,
+                           exact_op=block_operators["nbar10"] if exact else None)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("exact", [False, True])
+def test_a_failing_block_fails_the_basin_grid(monkeypatch, block_operators, workers, exact):
+    monkeypatch.setattr(ex, "BLOCK", 100)
+    monkeypatch.setattr(ex, "WORKERS", workers)
+    region, width, height = (-2.0, 2.0, -2.0, 2.0), 20, 15
+    _fail_on(monkeypatch, grid_points(region, width, height).ravel()[100])  # the second block's first cell
+    with pytest.raises(_BlockFailure):
+        # no cell starts within tol of an attractor, so the second block's first step holds every cell
+        basin_grid(region, width, height, 0.2375 * math.pi, tol=1e-9,
+                   exact_op=block_operators["nbar10"] if exact else None)

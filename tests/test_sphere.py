@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from tcmap.sphere import INFINITY, as_point, chordal_distance, is_infinite, plane_distance
+from tcmap.sphere import INFINITY, as_point, chordal_distance, homogeneous, is_infinite, plane_distance
 
 
 def test_infinity_is_a_singleton():
@@ -41,3 +42,19 @@ def test_chordal_distance_is_bounded_and_symmetric():
             assert d == chordal_distance(b, a)
     # huge finite points are close to infinity in this metric
     assert chordal_distance(1e9 + 0j, INFINITY) < 1e-8
+
+
+def test_chordal_distance_of_labels_whose_square_overflows():
+    assert chordal_distance(1e200 + 0j, 1 + 0j) == chordal_distance(INFINITY, 1 + 0j) == pytest.approx(math.sqrt(2.0))
+    assert chordal_distance(1e200 + 0j, INFINITY) == 2e-200
+    assert chordal_distance(1e200 + 0j, -1e200 + 0j) == 4e-200
+    assert chordal_distance(complex(1e308, -1e308), 0j) == 2.0
+
+
+def test_homogeneous_keeps_moderate_labels_and_scales_huge_ones():
+    z = np.array([3 + 4j, 1e150, -1e150j, 1e160 - 1e170j, complex(math.inf, 0.0), complex(math.nan, 1.0)])
+    u, v = homogeneous(z)
+    assert np.array_equal(u[:3], z[:3]) and np.array_equal(v[:3], [1.0, 1.0, 1.0])
+    assert (u[3], v[3]) == (1e-10 - 1j, 1e-170)
+    assert np.array_equal(u[4:], [1.0, 1.0]) and np.array_equal(v[4:], [0.0, 0.0])
+    assert v.dtype == np.float64
