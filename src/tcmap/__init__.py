@@ -4,7 +4,6 @@ experiments built on both."""
 
 from .sphere import INFINITY, SpherePoint, as_point, chordal_distance, is_infinite, plane_distance
 from .rational_map import (
-    BasinCell,
     CycleReport,
     DegenerateParameterError,
     MapParams,
@@ -13,14 +12,12 @@ from .rational_map import (
     apply_map,
     apply_map_grid,
     attractive_cycle_batch,
-    classify_basin_point,
     classify_multiplier,
     critical_points,
     cycle_multiplier,
     find_attractive_cycles,
     fixed_points,
     inverse_branches,
-    iterate_map,
     julia_backward_sample,
     map_derivative,
     quadratic_step,
@@ -34,7 +31,6 @@ from .tavis_cummings import (
     HomodyneSpec,
     JointState,
     TruncationError,
-    block_eigensystem,
     coherent_approx_fields,
     coherent_state_coefficients,
     default_truncation,
@@ -47,16 +43,15 @@ from .tavis_cummings import (
     quadrature_mean,
 )
 from .protocol import (
+    IDEAL,
     ExactStepOperator,
     NullOutcomeError,
     default_interaction_time,
     exact_step_operator,
     gate_unitary,
-    product_state_vector,
     protocol_step_exact,
     protocol_step_ideal,
     read_step_operator,
-    step_amplitudes,
     write_step_operator,
 )
 from .experiments import (

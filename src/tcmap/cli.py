@@ -65,7 +65,7 @@ def parse_angle(text: str) -> float:
 def parse_gate_angle(text: str) -> float:
     """A gate angle at which the map is not identically zero."""
     varphi = parse_angle(text)
-    if abs(math.cos(varphi)) < rm.DEGENERACY_EPS:
+    if rm.MapParams(varphi).degenerate:
         raise BadValue("degenerate gate angle (cos varphi = 0, the map is identically zero)")
     return varphi
 
@@ -268,7 +268,7 @@ def run_cycles(args: argparse.Namespace) -> None:
 def run_sweep(args: argparse.Namespace) -> None:
     span = args.phi_max - args.phi_min
     grid = [args.phi_min + (k + 0.5) * span / args.grid for k in range(args.grid)]
-    grid = [v for v in grid if abs(math.cos(v)) >= rm.DEGENERACY_EPS]
+    grid = [v for v in grid if not rm.MapParams(v).degenerate]
     rows_out = []
     for row in ex.phi_sweep(grid, burn=args.burn, max_period=args.max_period):
         base = (row.varphi, row.abs_lambda_zero, row.abs_lambda_plus_one, row.abs_lambda_minus_one)

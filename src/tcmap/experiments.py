@@ -16,8 +16,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import rational_map as rm
-from .protocol import NULL_OUTCOME_EPS, ExactStepOperator, _require_gate
-from .sphere import homogeneous, is_infinite
+from .protocol import NULL_OUTCOME_EPS, ExactStepOperator
+from .sphere import as_point, homogeneous, is_infinite
 
 DEFAULT_SEED = 12345
 
@@ -138,7 +138,8 @@ def discrimination_run(
         raise ValueError("sigma must be >= 0")
     if samples < 1:
         raise ValueError("need at least one sample")
-    _require_gate(varphi)
+    params = rm.MapParams(varphi)
+    rm._require_regular(params)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma, size=(4, samples)) if sigma > 0 else np.zeros((4, samples))
     za = complex(z1) + noise[0] + 1j * noise[1]
@@ -149,7 +150,6 @@ def discrimination_run(
     rms = np.zeros(steps + 1)
     counts = np.zeros(steps + 1, dtype=np.int64)
     live = np.ones(samples, dtype=bool)
-    params = rm.MapParams(varphi)
     coeffs = None if exact_op is None else exact_op.coefficients(varphi)
     # overlaps and live masks of one window of steps, a row per step
     ov = np.empty((min(WINDOW, steps + 1), samples))
@@ -209,7 +209,7 @@ class ResourceEstimate:
 def resource_estimate(n: int, varphi: float) -> ResourceEstimate:
     if n < 0:
         raise ValueError("iteration count must be >= 0")
-    _require_gate(varphi)
+    rm._require_regular(rm.MapParams(varphi))
     base = 8.0 / math.cos(varphi) ** 2
     try:
         pairs = math.ceil(base**n)
@@ -247,6 +247,23 @@ def grid_points(region: tuple[float, float, float, float], width: int, height: i
     return xs[None, :] + 1j * ys[:, None]
 
 
+def _attractor_cycles(attractors: Iterable) -> tuple[tuple[complex, ...], ...]:
+    """Each attractor (a CycleReport, a point list or a bare point) as a tuple of finite points."""
+    cycles = []
+    for item in attractors:
+        if isinstance(item, rm.CycleReport):
+            item = item.points
+        elif not isinstance(item, (list, tuple, np.ndarray)):
+            item = [item]
+        points = [as_point(p) for p in item]
+        if any(is_infinite(p) for p in points):
+            raise ValueError("attractor points must be finite")
+        cycles.append(tuple(complex(p) for p in points))
+    if not cycles:
+        raise ValueError("attractor list must not be empty")
+    return tuple(cycles)
+
+
 def basin_grid(
     region: tuple[float, float, float, float],
     width: int,
@@ -261,26 +278,20 @@ def basin_grid(
 
     Attractors default to the critical-orbit search at this angle (their
     order fixes the id, hence the render color).  The iteration is the
-    ideal map or, with exact_op, the compressed quantum step; the checks
-    replicate classify_basin_point cell by cell, and only the open cells
-    (no attractor hit, no null postselection yet) are stepped.
+    ideal map or, with exact_op, the compressed quantum step.  Before each
+    step the open cells (no attractor hit, no null postselection yet) are
+    tested against the attractors in list order, and only they are stepped.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     params = rm.MapParams(varphi)
     if attractors is None:
-        found = rm.find_attractive_cycles(params)
-        if not found:
+        attractors = rm.find_attractive_cycles(params)
+        if not attractors:
             raise ValueError(
                 f"no attractive cycles detected at varphi={varphi!r}; pass attractors explicitly"
             )
-        cycle_points = tuple(tuple(complex(p) for p in c.points) for c in found)
-    else:
-        normalized = rm._normalize_attractors(attractors)
-        for cyc in normalized:
-            if any(is_infinite(p) for p in cyc):
-                raise ValueError("attractor points must be finite")
-        cycle_points = tuple(tuple(complex(p) for p in c) for c in normalized)
+    cycle_points = _attractor_cycles(attractors)
 
     z = grid_points(region, width, height).ravel()
     ids = np.full(z.size, -1, dtype=np.int64)

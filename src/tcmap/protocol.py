@@ -18,15 +18,15 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .rational_map import DegenerateParameterError, DEGENERACY_EPS, step_point
-from .sphere import INFINITY, SpherePoint, as_point, is_infinite
+from .rational_map import MapParams, _require_regular, step_point
+from .sphere import SpherePoint
 from .tavis_cummings import (
     BELL_TO_PRODUCT,
-    AtomPairState,
     CoherentFieldSpec,
     block_inputs,
     block_propagators,
     evolve_exact,  # noqa: F401  not called here; the benchmark's tracer wraps protocol.evolve_exact
+    ideal_postselection_operator,
     poisson_amplitudes,
 )
 
@@ -37,79 +37,12 @@ class NullOutcomeError(ValueError):
     """Raised when a postselection outcome has (numerically) zero probability."""
 
 
-def _require_gate(varphi: float) -> None:
-    if abs(math.cos(varphi)) < DEGENERACY_EPS:
-        raise DegenerateParameterError(
-            f"gate angle varphi={varphi!r} makes every step land on |0> (cos varphi ~ 0)"
-        )
-
-
 def gate_unitary(varphi: float) -> np.ndarray:
     """The single-atom gate diag(e^{i varphi}, -e^{-i varphi}), basis (|1>, |0>)."""
     return np.array(
         [[cmath.exp(1j * varphi), 0.0], [0.0, -cmath.exp(-1j * varphi)]],
         dtype=np.complex128,
     )
-
-
-def product_state_vector(z: SpherePoint) -> np.ndarray:
-    """Normalized two-copy state of |0> + z|1> in the product basis.
-
-    Evaluated through 1/z for |z| > 1 so that arbitrarily large labels and
-    the point at infinity (the state |1,1>) stay exact; the two evaluation
-    branches differ only by a global phase.
-    """
-    z = as_point(z)
-    if is_infinite(z):
-        return np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
-    if abs(z) <= 1.0:
-        return np.array([z * z, z, z, 1.0], dtype=np.complex128) / (1.0 + abs(z) ** 2)
-    w = 1.0 / z
-    return np.array([1.0, w, w, w * w], dtype=np.complex128) / (1.0 + abs(w) ** 2)
-
-
-def step_amplitudes(z: SpherePoint, varphi: float, phi: float = 0.0) -> AtomPairState:
-    """Atomic amplitudes after the gate on atom B, before the field interaction.
-
-    The per-atom state is (|0> + z e^{i phi} |1>)/sqrt(1+|z|^2); z at
-    infinity means |1,1>.  All four amplitudes are carried: the |Psi+>
-    component drops out of the ideal postselection but feeds the exact one.
-    """
-    z = as_point(z)
-    eg = cmath.exp(1j * varphi)
-    if is_infinite(z):
-        return AtomPairState(c0=0j, cminus=0j, cplus=0j, c1=eg * cmath.exp(2j * phi))
-    norm = 1.0 + abs(z) ** 2
-    zph = z * cmath.exp(1j * phi)
-    return AtomPairState(
-        c0=-cmath.exp(-1j * varphi) / norm,
-        cminus=math.sqrt(2.0) * zph * math.cos(varphi) / norm,
-        cplus=1j * math.sqrt(2.0) * zph * math.sin(varphi) / norm,
-        c1=zph * zph * eg / norm,
-    )
-
-
-def protocol_step_ideal(z: SpherePoint, varphi: float, phi: float = 0.0) -> tuple[SpherePoint, float]:
-    """One ideal step: new label z' and the success probability of both projections.
-
-    Computed entirely through the postselection amplitudes (not through the
-    closed-form rational map): the field projection keeps the |Psi-> and
-    |Phi-_phi> components, the |0>_B projection then contributes 1/2, and
-    p_success is bounded below by cos^2(varphi)/4 for every z.
-    """
-    _require_gate(varphi)
-    amps = step_amplitudes(z, varphi, phi)
-    # <Phi-_phi| component of the gated state
-    d = (cmath.exp(1j * phi) * amps.c0 - cmath.exp(-1j * phi) * amps.c1) / math.sqrt(2.0)
-    # after <0|_B: amplitude of |1>_A is -cminus/sqrt2, of |0>_A is d e^{-i phi}/sqrt2
-    amp1 = -amps.cminus / math.sqrt(2.0)
-    amp0 = d * cmath.exp(-1j * phi) / math.sqrt(2.0)
-    p_success = abs(amp1) ** 2 + abs(amp0) ** 2
-    # relative pole rule analogous to the rational map's denominator test
-    if abs(amp0) <= 1e-14 * abs(amp1):
-        return INFINITY, p_success
-    # z' is defined against the e^{i phi} convention of the one-atom state
-    return (amp1 / amp0) * cmath.exp(-1j * phi), p_success
 
 
 @dataclass(frozen=True)
@@ -135,6 +68,21 @@ class ExactStepOperator:
         """
         a = self.matrix * np.tile(np.diag(gate_unitary(varphi)), 2)  # the gate on atom B
         return tuple(np.array(k) for r in (1, 3) for k in (a[r, 0], a[r, 1] + a[r, 2], a[r, 3]))
+
+
+# The ideal step's operator: the rank-two postselection projector, the limit of
+# the exact operator at large mean photon number.
+IDEAL = ExactStepOperator(matrix=ideal_postselection_operator(0.0), nbar=math.inf, gt=math.inf)
+
+
+def protocol_step_ideal(z: SpherePoint, varphi: float) -> tuple[SpherePoint, float]:
+    """One ideal step: new label z' and the success probability of both projections.
+
+    This is the exact step with the operator IDEAL.  p_success is bounded
+    below by cos^2(varphi)/4 for every z, so no outcome is null.
+    """
+    _require_regular(MapParams(varphi))
+    return step_point(z, IDEAL.coefficients(varphi))
 
 
 def default_interaction_time(nbar: float) -> float:
@@ -173,7 +121,7 @@ def protocol_step_exact(
     step kernel does this with the coefficients of op.  Raises
     NullOutcomeError when the surviving norm is below NULL_OUTCOME_EPS.
     """
-    _require_gate(varphi)
+    _require_regular(MapParams(varphi))
     znew, p_success = step_point(z, op.coefficients(varphi))
     if p_success < NULL_OUTCOME_EPS:
         raise NullOutcomeError(f"postselection outcome has probability {p_success:.3e}")
@@ -205,19 +153,17 @@ def read_step_operator(path, nbar: float = math.nan, gt: float = math.nan) -> Ex
     operator is a compression of a unitary) and an exchange-symmetry defect
     above 1e-12 (the two atoms couple to the field alike).
     """
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            vals = [float(tok) for tok in line.split(",")]
-            if len(vals) != 8:
-                raise ValueError(f"expected 8 numbers per line, got {len(vals)}")
-            rows.append([complex(vals[2 * j], vals[2 * j + 1]) for j in range(4)])
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            rows = [[float(tok) for tok in line.split(",")] for line in map(str.strip, fh) if line]
+    except ValueError as exc:  # a token that is no number, or a byte that is no ASCII
+        raise ValueError(f"{path}: {exc}") from None
+    for vals in rows:
+        if len(vals) != 8:
+            raise ValueError(f"{path}: expected 8 numbers per line, got {len(vals)}")
     if len(rows) != 4:
-        raise ValueError(f"expected 4 lines, got {len(rows)}")
-    m = np.array(rows, dtype=np.complex128)
+        raise ValueError(f"{path}: expected 4 lines, got {len(rows)}")
+    m = np.array([[complex(vals[2 * j], vals[2 * j + 1]) for j in range(4)] for vals in rows])
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{path}: step operator has non-finite entries")
     norm = np.linalg.norm(m, 2)

@@ -9,7 +9,7 @@ z^2 = -e^{-2 i varphi}.  This module implements the map together with the
 standard complex-dynamics toolbox: fixed points and the two-cycle,
 multipliers and stability classes, critical orbits (which locate every
 attractive cycle of a degree-2 rational map, at most two of them),
-backward-iteration sampling of the Julia set, and basin classification.
+and backward-iteration sampling of the Julia set.
 """
 
 from __future__ import annotations
@@ -18,11 +18,11 @@ import cmath
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .sphere import INFINITY, SpherePoint, as_point, chordal_distance, is_infinite, plane_distance
+from .sphere import INFINITY, SpherePoint, as_point, chordal_distance, is_infinite
 
 # Degeneracy threshold on |cos(varphi)|: at varphi = pi/2, 3pi/2 the map is
 # identically zero and not a genuine complex map.
@@ -137,17 +137,6 @@ def map_derivative(z: SpherePoint, params: MapParams) -> complex:
     if abs(den) < POLE_EPS * max(1.0, abs(z) ** 2):
         raise PoleError(f"derivative requested at a pole, z={z!r}")
     return 2.0 * c * (em - z * z * ep) / (den * den)
-
-
-def iterate_map(z0: SpherePoint, params: MapParams, n: int) -> list[SpherePoint]:
-    """Orbit [z0, f(z0), ..., f^n(z0)] of length n+1."""
-    if n < 0:
-        raise ValueError("iteration count must be >= 0")
-    _require_regular(params)
-    orbit = [as_point(z0)]
-    for _ in range(n):
-        orbit.append(apply_map(orbit[-1], params))
-    return orbit
 
 
 def fixed_points(params: MapParams) -> tuple[complex, complex, complex]:
@@ -357,54 +346,6 @@ def julia_backward_sample(
         if i >= transient:
             out[i - transient] = INF_COMPLEX if is_infinite(z) else z
     return out
-
-
-@dataclass(frozen=True)
-class BasinCell:
-    """Outcome of basin classification; attractor_id None means unresolved."""
-
-    attractor_id: Optional[int]
-    iterations: int
-
-
-def _normalize_attractors(attractors: Iterable) -> list[list[SpherePoint]]:
-    cycles = []
-    for item in attractors:
-        if isinstance(item, CycleReport):
-            cycles.append([as_point(p) for p in item.points])
-        elif isinstance(item, (list, tuple, np.ndarray)):
-            cycles.append([as_point(p) for p in item])
-        else:
-            cycles.append([as_point(item)])
-    if not cycles:
-        raise ValueError("attractor list must not be empty")
-    return cycles
-
-
-def classify_basin_point(
-    z: SpherePoint,
-    params: MapParams,
-    attractors: Iterable,
-    tol: float = 0.1,
-    max_iter: int = 97,
-) -> BasinCell:
-    """Iterations until the orbit of z comes within tol of an attractor point.
-
-    `attractors` is a sequence of cycles (CycleReport, point list, or a bare
-    point).  The first attractor within tolerance wins, checked in list
-    order before each map application; after max_iter unsuccessful checks
-    the cell is unresolved and carries iterations = max_iter.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    cycles = _normalize_attractors(attractors)
-    z = as_point(z)
-    for k in range(max_iter):
-        for idx, pts in enumerate(cycles):
-            if any(plane_distance(z, p) < tol for p in pts):
-                return BasinCell(idx, k)
-        z = apply_map(z, params)
-    return BasinCell(None, max_iter)
 
 
 def apply_map_grid(z: np.ndarray, params: MapParams) -> np.ndarray:

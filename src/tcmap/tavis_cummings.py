@@ -115,33 +115,6 @@ def poisson_amplitudes(spec: CoherentFieldSpec) -> np.ndarray:
     return coherent_state_coefficients(spec.alpha, spec.nmax)
 
 
-def block_eigensystem(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (units of g) and orthogonal transform of excitation block n.
-
-    Block bases: n=0 {|0,0>|0>}; n=1 {|Psi+>|0>, |0,0>|1>};
-    n>=2 {|1,1>|n-2>, |Psi+>|n-1>, |0,0>|n>}.  Eigenvalue order matches the
-    transform's columns: (0,) then (-w, +w) with w = sqrt(4n-2).
-    """
-    if n < 0:
-        raise ValueError("block index must be >= 0")
-    if n == 0:
-        return np.array([0.0]), np.array([[1.0]])
-    if n == 1:
-        vals = np.array([-math.sqrt(2.0), math.sqrt(2.0)])
-        o = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
-        return vals, o
-    w = math.sqrt(4.0 * n - 2.0)
-    vals = np.array([0.0, -w, w])
-    o = np.array(
-        [
-            [-math.sqrt(2.0 * n), math.sqrt(n - 1.0), math.sqrt(n - 1.0)],
-            [0.0, -math.sqrt(2.0 * n - 1.0), math.sqrt(2.0 * n - 1.0)],
-            [math.sqrt(2.0 * n - 2.0), math.sqrt(n), math.sqrt(n)],
-        ]
-    ) / w
-    return vals, o
-
-
 @dataclass
 class AtomPairState:
     """Amplitudes in the basis {|0,0>, |Psi->, |Psi+>, |1,1>}."""

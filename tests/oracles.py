@@ -1,0 +1,136 @@
+"""Second codings of the protocol and the map, kept as independent test oracles.
+
+The package computes each of these another way: the two-copy state and the
+postselection amplitudes are what `ExactStepOperator.coefficients` and the
+step kernel encode, the orbit and the basin loop are what `apply_map` and
+`basin_grid` run, and the block eigensystem is what `block_propagators`
+sums in closed form.  The tests compare the package against them.
+"""
+
+import cmath
+import math
+from dataclasses import dataclass
+from typing import Optional
+
+import numpy as np
+
+from tcmap.rational_map import CycleReport, apply_map
+from tcmap.sphere import INFINITY, as_point, is_infinite, plane_distance
+from tcmap.tavis_cummings import AtomPairState
+
+
+def product_state_vector(z):
+    """Normalized two-copy state of |0> + z|1> in the product basis.
+
+    Evaluated through 1/z for |z| > 1 so that arbitrarily large labels and
+    the point at infinity (the state |1,1>) stay exact; the two evaluation
+    branches differ only by a global phase.
+    """
+    z = as_point(z)
+    if is_infinite(z):
+        return np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
+    if abs(z) <= 1.0:
+        return np.array([z * z, z, z, 1.0], dtype=np.complex128) / (1.0 + abs(z) ** 2)
+    w = 1.0 / z
+    return np.array([1.0, w, w, w * w], dtype=np.complex128) / (1.0 + abs(w) ** 2)
+
+
+def step_amplitudes(z, varphi, phi=0.0):
+    """Atomic amplitudes after the gate on atom B, before the field interaction.
+
+    The per-atom state is (|0> + z e^{i phi} |1>)/sqrt(1+|z|^2); z at
+    infinity means |1,1>.  All four amplitudes are carried: the |Psi+>
+    component drops out of the ideal postselection but feeds the exact one.
+    """
+    z = as_point(z)
+    eg = cmath.exp(1j * varphi)
+    if is_infinite(z):
+        return AtomPairState(c0=0j, cminus=0j, cplus=0j, c1=eg * cmath.exp(2j * phi))
+    norm = 1.0 + abs(z) ** 2
+    zph = z * cmath.exp(1j * phi)
+    return AtomPairState(
+        c0=-cmath.exp(-1j * varphi) / norm,
+        cminus=math.sqrt(2.0) * zph * math.cos(varphi) / norm,
+        cplus=1j * math.sqrt(2.0) * zph * math.sin(varphi) / norm,
+        c1=zph * zph * eg / norm,
+    )
+
+
+def amplitude_step(z, varphi):
+    """The ideal step (z', p_success) from the postselection amplitudes.
+
+    The field projection keeps the |Psi-> and |Phi-> = (|0,0> - |1,1>)/sqrt2
+    components, and the |0>_B projection then contributes 1/2.  A pole is
+    |amp0| <= 1e-14 |amp1|, and z' there is INFINITY.
+    """
+    amps = step_amplitudes(z, varphi)
+    amp1 = -amps.cminus / math.sqrt(2.0)
+    amp0 = (amps.c0 - amps.c1) / math.sqrt(2.0) / math.sqrt(2.0)
+    p_success = abs(amp1) ** 2 + abs(amp0) ** 2
+    if abs(amp0) <= 1e-14 * abs(amp1):
+        return INFINITY, p_success
+    return amp1 / amp0, p_success
+
+
+def iterate_map(z0, params, n):
+    """Orbit [z0, f(z0), ..., f^n(z0)] of length n+1."""
+    if n < 0:
+        raise ValueError("iteration count must be >= 0")
+    orbit = [as_point(z0)]
+    for _ in range(n):
+        orbit.append(apply_map(orbit[-1], params))
+    return orbit
+
+
+@dataclass(frozen=True)
+class BasinCell:
+    """Outcome of basin classification; attractor_id None means unresolved."""
+
+    attractor_id: Optional[int]
+    iterations: int
+
+
+def classify_basin_point(z, params, attractors, tol=0.1, max_iter=97):
+    """Iterations until the orbit of z comes within tol of an attractor point.
+
+    `attractors` is a sequence of cycles (CycleReport, point list, or a bare
+    point).  The first attractor within tolerance wins, checked in list
+    order before each map application; after max_iter unsuccessful checks
+    the cell is unresolved and carries iterations = max_iter.
+    """
+    cycles = [
+        item.points if isinstance(item, CycleReport) else item if isinstance(item, (list, tuple)) else [item]
+        for item in attractors
+    ]
+    z = as_point(z)
+    for k in range(max_iter):
+        for idx, pts in enumerate(cycles):
+            if any(plane_distance(z, p) < tol for p in pts):
+                return BasinCell(idx, k)
+        z = apply_map(z, params)
+    return BasinCell(None, max_iter)
+
+
+def block_eigensystem(n):
+    """Eigenvalues (units of g) and orthogonal transform of excitation block n.
+
+    Block bases: n=0 {|0,0>|0>}; n=1 {|Psi+>|0>, |0,0>|1>};
+    n>=2 {|1,1>|n-2>, |Psi+>|n-1>, |0,0>|n>}.  Eigenvalue order matches the
+    transform's columns: (0,) then (-w, +w) with w = sqrt(4n-2).
+    """
+    if n == 0:
+        return np.array([0.0]), np.array([[1.0]])
+    if n == 1:
+        vals = np.array([-math.sqrt(2.0), math.sqrt(2.0)])
+        o = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
+        return vals, o
+    w = math.sqrt(4.0 * n - 2.0)
+    vals = np.array([0.0, -w, w])
+    o = np.array(
+        [
+            [-math.sqrt(2.0 * n), math.sqrt(n - 1.0), math.sqrt(n - 1.0)],
+            [0.0, -math.sqrt(2.0 * n - 1.0), math.sqrt(2.0 * n - 1.0)],
+            [math.sqrt(2.0 * n - 2.0), math.sqrt(n), math.sqrt(n)],
+        ]
+    ) / w
+    return vals, o

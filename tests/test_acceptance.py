@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from oracles import block_eigensystem, iterate_map
 from tcmap.experiments import discrimination_run, overlap, resource_estimate
 from tcmap.protocol import (
     exact_step_operator,
@@ -23,7 +24,6 @@ from tcmap.rational_map import (
     cycle_multiplier,
     find_attractive_cycles,
     fixed_points,
-    iterate_map,
     julia_backward_sample,
     map_derivative,
     two_cycle,
@@ -33,7 +33,6 @@ from tcmap.tavis_cummings import (
     AtomPairState,
     CoherentFieldSpec,
     HomodyneSpec,
-    block_eigensystem,
     evolve_exact,
     homodyne_density,
     ideal_postselection_operator,

@@ -1,3 +1,5 @@
+import cmath
+import importlib.util
 import math
 import os
 import subprocess
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import tcmap
+from oracles import amplitude_step
 from tcmap.cli import main, parse_angle, parse_complex, parse_config, parse_region
 from tcmap.output import read_csv, read_ppm
 
@@ -76,6 +79,26 @@ def test_map_trajectory(tmp_path):
     assert abs(rows[1][1] - 0.3846153846153846) < 1e-15
     assert abs(rows[3][1] - 0.9248936482323603) < 1e-12
     assert abs(rows[1][3] - 0.28698224852071004) < 1e-14
+
+
+def test_map_steps_agree_with_the_postselection_amplitudes(tmp_path):
+    # each row against the amplitude oracle applied to the row before it
+    out = tmp_path / "traj.csv"
+    varphi = parse_angle("0.2375pi")
+    assert main(["map", "--varphi", "0.2375pi", "--z", "0.2,0.1", "--steps", "40", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    for prev, row in zip(rows, rows[1:]):
+        want_z, want_p = amplitude_step(complex(prev[1], prev[2]), varphi)
+        assert abs(complex(row[1], row[2]) - want_z) <= 2e-15 * abs(want_z)
+        assert abs(row[3] - want_p) <= 2e-15 * want_p
+    # from the pole i e^{-i varphi} to infinity, then to 0
+    pole = 1j * cmath.exp(-0.6j)
+    assert main(["map", "--varphi", "0.6", "--z", f"{pole.real!r},{pole.imag!r}", "--steps", "2",
+                 "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert rows[1][1:3] == [math.inf, 0] and rows[2][1:3] == [0, 0]
+    for z, row in ((pole, rows[1]), (complex(math.inf, 0.0), rows[2])):
+        assert abs(row[3] - amplitude_step(z, 0.6)[1]) <= 2e-15 * row[3]
 
 
 def test_cycles_output(tmp_path):
@@ -317,3 +340,36 @@ def test_exact_discrimination_survives_large_photon_numbers(tmp_path):
     _, rows = read_csv(out)
     assert all(r[3] == 0 for r in rows)
     assert rows[-1][1] < rows[0][1]
+
+
+@pytest.mark.parametrize(
+    "rows, reason",
+    [
+        (["1,0,0"], "expected 8 numbers per line, got 3"),
+        (["x,0,0,0,0,0,0,0"], "could not convert string to float: 'x'"),
+        (["0,0,0,0,0,0,0,0"], "expected 4 lines, got 1"),
+    ],
+)
+def test_malformed_op_file_exits_1_and_names_it(tmp_path, capsys, rows, reason):
+    op_path = tmp_path / "bad-op.csv"
+    op_path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "d.csv"
+    code = main(["discriminate", "--map-kind", "exact", "--op-file", str(op_path), "--out", str(out)])
+    assert code == 1
+    assert f"{op_path}: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_benchmark_tracer_finds_every_name_it_wraps():
+    # `bench/run.py --trace 1` wraps package functions by name, so each one must still exist
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.Tracer()
+    try:
+        tracing.install(tracer, tcmap)
+        assert tcmap.cli.main is not main
+    finally:
+        tracer.restore()
+    assert tcmap.cli.main is main

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import classify_basin_point, product_state_vector
 from tcmap import experiments as ex
 from tcmap import rational_map as rm
 from tcmap.experiments import (
@@ -20,13 +21,11 @@ from tcmap.protocol import (
     ExactStepOperator,
     exact_step_operator,
     gate_unitary,
-    product_state_vector,
     protocol_step_exact,
 )
 from tcmap.rational_map import (
     MapParams,
     apply_map,
-    classify_basin_point,
     find_attractive_cycles,
     quadratic_step,
 )
@@ -287,6 +286,19 @@ def test_basin_grid_agrees_with_scalar_classification():
             want = -1 if cell.attractor_id is None else cell.attractor_id
             assert grid.attractor_ids[i, j] == want
             assert grid.iterations[i, j] == cell.iterations
+
+
+def test_basin_grid_reads_every_attractor_form():
+    region, cycles = (-2.0, 2.0, -2.0, 2.0), find_attractive_cycles(MapParams(0.0))
+    want = basin_grid(region, 6, 6, varphi=0.0, attractors=cycles)
+    for attractors in ([1.0, -1.0], [[1.0], (-1.0,)], [np.array([1.0]), cycles[1]]):
+        got = basin_grid(region, 6, 6, varphi=0.0, attractors=attractors)
+        assert got.attractors == ((1.0 + 0j,), (-1.0 + 0j,))
+        assert np.array_equal(got.attractor_ids, want.attractor_ids)
+        assert np.array_equal(got.iterations, want.iterations)
+    for attractors, message in (([1.0, INFINITY], "finite"), ([], "empty")):
+        with pytest.raises(ValueError, match=message):
+            basin_grid(region, 6, 6, varphi=0.0, attractors=attractors)
 
 
 def test_basin_symmetries_at_phi_zero():

@@ -4,17 +4,17 @@ import math
 import numpy as np
 import pytest
 
+from oracles import amplitude_step, product_state_vector, step_amplitudes
 from tcmap.protocol import (
+    IDEAL,
     ExactStepOperator,
     NullOutcomeError,
     default_interaction_time,
     exact_step_operator,
     gate_unitary,
-    product_state_vector,
     protocol_step_exact,
     protocol_step_ideal,
     read_step_operator,
-    step_amplitudes,
     write_step_operator,
 )
 from tcmap.rational_map import DegenerateParameterError, MapParams, apply_map
@@ -29,14 +29,6 @@ def closed_form_success_probability(z, varphi):
         1.0 + zsq**2 + 4.0 * zsq * math.cos(varphi) ** 2 + 2.0 * (z * z * cmath.exp(2j * varphi)).real
     ) / (2.0 * (1.0 + zsq) ** 2)
     return q1sq / 2.0
-
-
-def ideal_operator_step(z, varphi):
-    # independent route: gate + rank-two projector + ground-state projection,
-    # all as explicit matrix algebra in the product basis
-    m = ideal_postselection_operator(0.0)
-    op = ExactStepOperator(matrix=m, nbar=math.inf, gt=0.0)
-    return protocol_step_exact(z, varphi, op)
 
 
 # ----------------------------------------------------------------- the gate
@@ -130,20 +122,22 @@ def test_ideal_step_at_the_origin():
 
 
 def test_ideal_step_matches_the_rational_map():
-    # two independent code paths: postselection amplitudes vs the closed map
+    # two independent code paths: postselection amplitudes vs the closed map,
+    # and the step's success probability vs its published closed form
     rng = np.random.default_rng(3)
     for _ in range(100):
         varphi = rng.uniform(0, 2 * math.pi)
         if abs(math.cos(varphi)) < 1e-3:
             continue
         z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        got, p = protocol_step_ideal(z, varphi)
+        got, p = amplitude_step(z, varphi)
         want = apply_map(z, MapParams(varphi))
         if is_infinite(want):
             assert is_infinite(got) or abs(got) > 1e10
         else:
             assert abs(got - want) < 1e-12 * max(1.0, abs(want))
         assert abs(p - closed_form_success_probability(z, varphi)) < 1e-12
+        assert abs(protocol_step_ideal(z, varphi)[1] - closed_form_success_probability(z, varphi)) < 1e-12
 
 
 def test_ideal_step_success_bound_and_minimizer():
@@ -167,14 +161,6 @@ def test_ideal_step_from_infinity():
     z, p = protocol_step_ideal(INFINITY, 0.7)
     assert z == 0j
     assert abs(p - 0.25) < 1e-15
-
-
-def test_ideal_step_is_field_phase_independent():
-    for phi in (0.0, 0.9, 4.1):
-        z, p = protocol_step_ideal(0.3 + 0.2j, 0.4, phi=phi)
-        z0, p0 = protocol_step_ideal(0.3 + 0.2j, 0.4, phi=0.0)
-        assert abs(z - z0) < 1e-13
-        assert abs(p - p0) < 1e-13
 
 
 def test_ideal_step_rejects_degenerate_gate():
@@ -232,19 +218,21 @@ def test_default_interaction_time():
 # ---------------------------------------------------------------- exact step
 
 def test_exact_step_with_the_ideal_projector_reproduces_the_ideal_step():
+    # the step kernel on the rank-two projector against the postselection amplitudes
+    assert np.array_equal(IDEAL.matrix, ideal_postselection_operator(0.0))
     rng = np.random.default_rng(5)
     for _ in range(50):
         varphi = rng.uniform(0, 2 * math.pi)
         if abs(math.cos(varphi)) < 1e-3:
             continue
         z = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
-        got_z, got_p = ideal_operator_step(z, varphi)
-        want_z, want_p = protocol_step_ideal(z, varphi)
-        if is_infinite(want_z):
-            assert is_infinite(got_z) or abs(got_z) > 1e10
-        else:
-            assert abs(got_z - want_z) < 1e-12 * max(1.0, abs(want_z))
-        assert abs(got_p - want_p) < 1e-12
+        want_z, want_p = amplitude_step(z, varphi)
+        for got_z, got_p in (protocol_step_exact(z, varphi, IDEAL), protocol_step_ideal(z, varphi)):
+            if is_infinite(want_z):
+                assert is_infinite(got_z) or abs(got_z) > 1e10
+            else:
+                assert abs(got_z - want_z) < 1e-12 * max(1.0, abs(want_z))
+            assert abs(got_p - want_p) < 1e-12
 
 
 def test_exact_step_single_step_accuracy_at_nbar_100():

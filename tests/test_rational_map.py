@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import BasinCell, classify_basin_point, iterate_map
 from tcmap import rational_map
 from tcmap.rational_map import (
-    BasinCell,
     DegenerateParameterError,
     MapParams,
     NotACycleError,
@@ -14,7 +14,6 @@ from tcmap.rational_map import (
     apply_map,
     apply_map_grid,
     attractive_cycle_batch,
-    classify_basin_point,
     classify_multiplier,
     critical_points,
     cycle_multiplier,
@@ -22,7 +21,6 @@ from tcmap.rational_map import (
     find_attractive_cycles,
     fixed_points,
     inverse_branches,
-    iterate_map,
     julia_backward_sample,
     map_derivative,
     quadratic_step,

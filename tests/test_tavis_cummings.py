@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from oracles import block_eigensystem
 from tcmap.tavis_cummings import (
     ApproximationValidityWarning,
     AtomPairState,
     CoherentFieldSpec,
     HomodyneSpec,
     TruncationError,
-    block_eigensystem,
     block_propagators,
     coherent_approx_fields,
     coherent_state_coefficients,
