@@ -18,6 +18,7 @@ from .rational_map import (
     find_attractive_cycles,
     fixed_points,
     inverse_branches,
+    is_degenerate,
     julia_backward_sample,
     map_derivative,
     quadratic_step,
@@ -43,7 +44,6 @@ from .tavis_cummings import (
     quadrature_mean,
 )
 from .protocol import (
-    IDEAL,
     ExactStepOperator,
     NullOutcomeError,
     default_interaction_time,

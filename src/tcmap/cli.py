@@ -1,6 +1,6 @@
 """Command-line front end: every experiment as a deterministic file emitter.
 
-Angles accept raw radians or multiples of pi with a "pi" suffix (0.2375pi).
+Angles accept raw radians or multiples of pi with a "pi" suffix (0.2375pi, -pi).
 All randomness is seeded; the default seed is experiments.DEFAULT_SEED and
 can be overridden with --seed or the TCMAP_SEED environment variable, so a
 re-run with the same flags writes byte-identical CSV/PPM files.
@@ -56,7 +56,11 @@ _finite = _bounded(float)
 
 def parse_angle(text: str) -> float:
     t = text.strip().lower()
-    value = float(t[:-2] or "1") * math.pi if t.endswith("pi") else float(t)
+    if t.endswith("pi"):
+        head = t[:-2]
+        value = float(head + "1" if head in ("", "+", "-") else head) * math.pi
+    else:
+        value = float(t)
     if not math.isfinite(value):
         raise BadValue(f"angle {text!r} is not finite")
     return value
@@ -65,7 +69,7 @@ def parse_angle(text: str) -> float:
 def parse_gate_angle(text: str) -> float:
     """A gate angle at which the map is not identically zero."""
     varphi = parse_angle(text)
-    if rm.MapParams(varphi).degenerate:
+    if rm.is_degenerate(varphi):
         raise BadValue("degenerate gate angle (cos varphi = 0, the map is identically zero)")
     return varphi
 
@@ -240,10 +244,10 @@ def _resolve_operator(args: argparse.Namespace) -> proto.ExactStepOperator:
 
 
 def run_map(args: argparse.Namespace) -> None:
-    z = as_point(args.z)
+    z, coeffs = as_point(args.z), rm.MapParams(args.varphi).coefficients
     rows = [(0, *_sphere_to_pair(z), math.nan)]
     for k in range(1, args.steps + 1):
-        z, p = proto.protocol_step_ideal(z, args.varphi)
+        z, p = rm.step_point(z, coeffs)  # protocol_step_ideal with the coefficients built once
         rows.append((k, *_sphere_to_pair(z), p))
     output.write_csv(rows, ("step", "z_re", "z_im", "p_success"), args.out)
 
@@ -268,7 +272,7 @@ def run_cycles(args: argparse.Namespace) -> None:
 def run_sweep(args: argparse.Namespace) -> None:
     span = args.phi_max - args.phi_min
     grid = [args.phi_min + (k + 0.5) * span / args.grid for k in range(args.grid)]
-    grid = [v for v in grid if not rm.MapParams(v).degenerate]
+    grid = [v for v in grid if not rm.is_degenerate(v)]
     rows_out = []
     for row in ex.phi_sweep(grid, burn=args.burn, max_period=args.max_period):
         base = (row.varphi, row.abs_lambda_zero, row.abs_lambda_plus_one, row.abs_lambda_minus_one)

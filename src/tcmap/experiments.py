@@ -139,7 +139,6 @@ def discrimination_run(
     if samples < 1:
         raise ValueError("need at least one sample")
     params = rm.MapParams(varphi)
-    rm._require_regular(params)
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma, size=(4, samples)) if sigma > 0 else np.zeros((4, samples))
     za = complex(z1) + noise[0] + 1j * noise[1]
@@ -209,7 +208,7 @@ class ResourceEstimate:
 def resource_estimate(n: int, varphi: float) -> ResourceEstimate:
     if n < 0:
         raise ValueError("iteration count must be >= 0")
-    rm._require_regular(rm.MapParams(varphi))
+    rm.MapParams(varphi)  # the gate rule: raises DegenerateParameterError
     base = 8.0 / math.cos(varphi) ** 2
     try:
         pairs = math.ceil(base**n)

@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .rational_map import MapParams, _require_regular, step_point
+from .rational_map import MapParams, step_point
 from .sphere import SpherePoint
 from .tavis_cummings import (
     BELL_TO_PRODUCT,
@@ -26,7 +26,6 @@ from .tavis_cummings import (
     block_inputs,
     block_propagators,
     evolve_exact,  # noqa: F401  not called here; the benchmark's tracer wraps protocol.evolve_exact
-    ideal_postselection_operator,
     poisson_amplitudes,
 )
 
@@ -70,19 +69,14 @@ class ExactStepOperator:
         return tuple(np.array(k) for r in (1, 3) for k in (a[r, 0], a[r, 1] + a[r, 2], a[r, 3]))
 
 
-# The ideal step's operator: the rank-two postselection projector, the limit of
-# the exact operator at large mean photon number.
-IDEAL = ExactStepOperator(matrix=ideal_postselection_operator(0.0), nbar=math.inf, gt=math.inf)
-
-
 def protocol_step_ideal(z: SpherePoint, varphi: float) -> tuple[SpherePoint, float]:
     """One ideal step: new label z' and the success probability of both projections.
 
-    This is the exact step with the operator IDEAL.  p_success is bounded
+    This is the step on MapParams(varphi).coefficients, the coefficients of
+    the rank-two postselection projector up to sign.  p_success is bounded
     below by cos^2(varphi)/4 for every z, so no outcome is null.
     """
-    _require_regular(MapParams(varphi))
-    return step_point(z, IDEAL.coefficients(varphi))
+    return step_point(z, MapParams(varphi).coefficients)
 
 
 def default_interaction_time(nbar: float) -> float:
@@ -121,7 +115,7 @@ def protocol_step_exact(
     step kernel does this with the coefficients of op.  Raises
     NullOutcomeError when the surviving norm is below NULL_OUTCOME_EPS.
     """
-    _require_regular(MapParams(varphi))
+    MapParams(varphi)  # the gate rule: raises DegenerateParameterError
     znew, p_success = step_point(z, op.coefficients(varphi))
     if p_success < NULL_OUTCOME_EPS:
         raise NullOutcomeError(f"postselection outcome has probability {p_success:.3e}")

@@ -79,7 +79,7 @@ def step_point(z: SpherePoint, coeffs: tuple) -> tuple[SpherePoint, float]:
 
 
 class DegenerateParameterError(ValueError):
-    """Raised when an operation needs cos(varphi) != 0 but got a degenerate angle."""
+    """Raised by MapParams at a degenerate gate angle (cos varphi ~ 0)."""
 
 
 class PoleError(ValueError):
@@ -90,45 +90,42 @@ class NotACycleError(ValueError):
     """Raised when points handed in as a cycle fail the closure check."""
 
 
+def is_degenerate(varphi: float) -> bool:
+    """The gate rule: at cos(varphi) ~ 0 (varphi = pi/2, 3pi/2) the map is identically zero."""
+    return abs(math.cos(float(varphi) % (2.0 * math.pi))) < DEGENERACY_EPS
+
+
 @dataclass(frozen=True)
 class MapParams:
-    """Gate angle and precomputed phases of the map."""
+    """Gate angle and precomputed phases of the map; a degenerate angle raises DegenerateParameterError."""
 
     varphi: float
     cos_varphi: float = field(init=False)
     e_neg: complex = field(init=False)          # e^{-i varphi}
     e_pos: complex = field(init=False)          # e^{+i varphi}
-    degenerate: bool = field(init=False)
-    # quadratic_step coefficients (0, 2 cos varphi, 0, e^{i varphi}, 0, e^{-i varphi})
+    # quadratic_step coefficients (0, cos varphi, 0, e^{i varphi}/2, 0, e^{-i varphi}/2): the ideal
+    # projector's up to sign, so the step's p is the ideal success probability
     coefficients: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = float(self.varphi) % (2.0 * math.pi)
+        if is_degenerate(v):
+            raise DegenerateParameterError(f"map is identically zero at varphi={v!r} (cos varphi ~ 0)")
         object.__setattr__(self, "varphi", v)
         object.__setattr__(self, "cos_varphi", math.cos(v))
         object.__setattr__(self, "e_neg", cmath.exp(-1j * v))
         object.__setattr__(self, "e_pos", cmath.exp(1j * v))
-        object.__setattr__(self, "degenerate", abs(math.cos(v)) < DEGENERACY_EPS)
-        coeffs = (0.0, 2.0 * self.cos_varphi, 0.0, self.e_pos, 0.0, self.e_neg)
+        coeffs = (0.0, self.cos_varphi, 0.0, 0.5 * self.e_pos, 0.0, 0.5 * self.e_neg)
         object.__setattr__(self, "coefficients", tuple(np.array(k, dtype=np.complex128) for k in coeffs))
-
-
-def _require_regular(params: MapParams) -> None:
-    if params.degenerate:
-        raise DegenerateParameterError(
-            f"map is identically zero at varphi={params.varphi!r} (cos varphi ~ 0)"
-        )
 
 
 def apply_map(z: SpherePoint, params: MapParams) -> SpherePoint:
     """One application of the map with exact sphere semantics (f(INFINITY) = 0, poles go to INFINITY)."""
-    _require_regular(params)
     return step_point(z, params.coefficients)[0]
 
 
 def map_derivative(z: SpherePoint, params: MapParams) -> complex:
     """f'(z) = 2 cos(varphi) (e^{-i varphi} - z^2 e^{i varphi}) / (e^{-i varphi} + z^2 e^{i varphi})^2."""
-    _require_regular(params)
     z = as_point(z)
     if is_infinite(z) or abs(z) > ESCAPE_RADIUS:
         raise ValueError("derivative in plane coordinates needs a finite point")
@@ -151,14 +148,12 @@ def two_cycle(params: MapParams) -> tuple[complex, complex]:
     The map swaps the two points (it reduces to z -> -z on them); the cycle
     is repelling for every gate angle.
     """
-    _require_regular(params)
     root = 1j * cmath.sqrt(1.0 + 2.0 * params.e_neg * params.e_neg)
     return (root, -root)
 
 
 def critical_points(params: MapParams) -> tuple[complex, complex]:
     """Zeros of f', at +-e^{-i varphi}; the + point is listed first."""
-    _require_regular(params)
     return (params.e_neg, -params.e_neg)
 
 
@@ -186,7 +181,6 @@ class CycleReport:
 
 def cycle_multiplier(points: Sequence[SpherePoint], params: MapParams, tol: float = 1e-8) -> CycleReport:
     """Validate a cycle and report its multiplier (chain rule over the orbit)."""
-    _require_regular(params)
     pts = [as_point(p) for p in points]
     if not pts:
         raise NotACycleError("empty point list")
@@ -235,8 +229,6 @@ def attractive_cycle_batch(
         raise ValueError("burn must be >= 0")
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
-    for params in params_list:
-        _require_regular(params)
     n = len(params_list)
     if n == 0:
         return []
@@ -300,7 +292,6 @@ def inverse_branches(w: SpherePoint, params: MapParams) -> tuple[SpherePoint, Sp
     w = 0 has preimages {0, infinity}; w = infinity has the two poles.  A
     critical value returns its double preimage twice.
     """
-    _require_regular(params)
     w = as_point(w)
     c, em, ep = params.cos_varphi, params.e_neg, params.e_pos
     if is_infinite(w):
@@ -336,7 +327,6 @@ def julia_backward_sample(
     """
     if n_points < 0:
         raise ValueError("n_points must be >= 0")
-    _require_regular(params)
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=transient + n_points)
     z: SpherePoint = two_cycle(params)[0]
@@ -350,7 +340,6 @@ def julia_backward_sample(
 
 def apply_map_grid(z: np.ndarray, params: MapParams) -> np.ndarray:
     """Vectorized apply_map on a complex array; the point at infinity is inf+0j."""
-    _require_regular(params)
     return quadratic_step(z, params.coefficients)
 
 

@@ -11,8 +11,11 @@ import pytest
 
 import tcmap
 from oracles import amplitude_step
+from tcmap import protocol as proto
 from tcmap.cli import main, parse_angle, parse_complex, parse_config, parse_region
-from tcmap.output import read_csv, read_ppm
+from tcmap.output import format_value, read_csv, read_ppm
+from tcmap.rational_map import MapParams, apply_map
+from tcmap.sphere import INFINITY, is_infinite
 
 
 # ------------------------------------------------------------------- parsing
@@ -22,6 +25,17 @@ def test_parse_angle_accepts_pi_multiples():
     assert parse_angle("1.666pi") == 1.666 * math.pi
     assert parse_angle("pi") == math.pi
     assert parse_angle("0.7461") == 0.7461
+
+
+@pytest.mark.parametrize("text, turns", [("-pi", -1.0), ("+pi", 1.0), ("-1pi", -1.0), ("pi", 1.0)])
+def test_bare_sign_pi_angles_parse(text, turns, tmp_path):
+    assert parse_angle(text) == turns * math.pi
+    assert parse_config(["sweep", "--phi-min", text, "--out", "x.csv"]).phi_min == turns * math.pi
+    out = tmp_path / "cycles.csv"
+    assert main(["cycles", "--varphi", text, "--burn", "200", "--out", str(out)]) == 0
+    want = tmp_path / "want.csv"
+    assert main(["cycles", "--varphi", repr(turns * math.pi), "--burn", "200", "--out", str(want)]) == 0
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_parse_complex():
@@ -99,6 +113,25 @@ def test_map_steps_agree_with_the_postselection_amplitudes(tmp_path):
     assert rows[1][1:3] == [math.inf, 0] and rows[2][1:3] == [0, 0]
     for z, row in ((pole, rows[1]), (complex(math.inf, 0.0), rows[2])):
         assert abs(row[3] - amplitude_step(z, 0.6)[1]) <= 2e-15 * row[3]
+
+
+@pytest.mark.parametrize("angle", ["0.2375pi", "0.6", "1.666pi"])
+def test_map_rows_are_the_apply_map_orbit(angle, tmp_path):
+    # each row is apply_map of the row before it, bit for bit (signed zeros included), and p that
+    # step's success probability
+    varphi = parse_angle(angle)
+    pole = 1j * cmath.exp(-1j * varphi)
+    for start in ("0.2,0.1", f"{pole.real!r},{pole.imag!r}", "-1.7,0.4"):
+        out = tmp_path / "traj.csv"
+        assert main(["map", "--varphi", angle, "--z", start, "--steps", "40", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 41
+        for prev, row in zip(rows, rows[1:]):
+            z = INFINITY if math.isinf(prev[1]) else complex(prev[1], prev[2])
+            w = apply_map(z, MapParams(varphi))
+            want = (math.inf, 0.0) if is_infinite(w) else (w.real, w.imag)
+            want += (proto.protocol_step_ideal(z, varphi)[1],)
+            assert [format_value(v) for v in row[1:]] == [format_value(v) for v in want]
 
 
 def test_cycles_output(tmp_path):

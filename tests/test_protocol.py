@@ -6,7 +6,6 @@ import pytest
 
 from oracles import amplitude_step, product_state_vector, step_amplitudes
 from tcmap.protocol import (
-    IDEAL,
     ExactStepOperator,
     NullOutcomeError,
     default_interaction_time,
@@ -17,9 +16,12 @@ from tcmap.protocol import (
     read_step_operator,
     write_step_operator,
 )
-from tcmap.rational_map import DegenerateParameterError, MapParams, apply_map
+from tcmap.rational_map import DegenerateParameterError, MapParams, apply_map, is_degenerate, quadratic_step
 from tcmap.sphere import INFINITY, is_infinite
 from tcmap.tavis_cummings import CoherentFieldSpec, ideal_postselection_operator
+
+# the rank-two postselection projector as a step operator: the large-nbar limit of the exact step
+IDEAL = ExactStepOperator(matrix=ideal_postselection_operator(0.0), nbar=math.inf, gt=math.inf)
 
 
 def closed_form_success_probability(z, varphi):
@@ -166,6 +168,39 @@ def test_ideal_step_from_infinity():
 def test_ideal_step_rejects_degenerate_gate():
     with pytest.raises(DegenerateParameterError):
         protocol_step_ideal(0.2, math.pi / 2.0)
+
+
+def test_map_coefficients_are_the_projector_coefficients_up_to_sign():
+    # the ideal map's coefficients against those the step reads off the projector, both at the
+    # angle MapParams keeps (reduced mod 2pi)
+    rng = np.random.default_rng(11)
+    angles = np.concatenate([rng.uniform(0, 2 * math.pi, 60), np.arange(-8, 9) * math.pi / 4])
+    checked = 0
+    for varphi in angles:
+        if is_degenerate(varphi):
+            continue
+        params = MapParams(varphi)
+        ours, theirs = np.array(params.coefficients), np.array(IDEAL.coefficients(params.varphi))
+        sign = -1.0 if np.vdot(ours, theirs).real < 0 else 1.0
+        assert np.max(np.abs(theirs - sign * ours)) <= 4e-16 * np.max(np.abs(ours))
+        checked += 1
+    assert checked >= 50
+
+
+def test_ideal_success_probability_bound_holds_at_the_poles():
+    # p >= cos^2(varphi)/4 on a grid of labels that includes both poles and infinity
+    axis = np.linspace(-3.0, 3.0, 61)
+    grid = (axis[None, :] + 1j * axis[:, None]).ravel()
+    for varphi in np.linspace(0.0, 2 * math.pi, 73):
+        if is_degenerate(varphi):
+            continue
+        poles = 1j * cmath.exp(-1j * varphi) * np.array([1.0, -1.0])
+        z = np.concatenate([grid, poles, [complex(math.inf, 0.0)]])
+        _, p = quadratic_step(z, MapParams(varphi).coefficients, with_p=True)
+        bound = (1.0 - 1e-15) * math.cos(varphi) ** 2 / 4.0
+        assert np.all(p >= bound)
+        for pole in poles:
+            assert protocol_step_ideal(pole, varphi)[1] >= bound
 
 
 # ----------------------------------------------------------- exact operator

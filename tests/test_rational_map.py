@@ -21,6 +21,7 @@ from tcmap.rational_map import (
     find_attractive_cycles,
     fixed_points,
     inverse_branches,
+    is_degenerate,
     julia_backward_sample,
     map_derivative,
     quadratic_step,
@@ -77,6 +78,20 @@ def test_apply_map_huge_argument_no_nan():
 def test_apply_map_degenerate_angle_rejected():
     with pytest.raises(DegenerateParameterError):
         apply_map(0.5, MapParams(math.pi / 2))
+
+
+@pytest.mark.parametrize("angle", [math.pi / 2, 3 * math.pi / 2, -math.pi / 2, 5 * math.pi / 2])
+@pytest.mark.parametrize("offset", [0.0, 1e-13, -1e-13, 5e-14])
+def test_map_params_rejects_a_degenerate_angle_on_construction(angle, offset):
+    assert is_degenerate(angle + offset)
+    with pytest.raises(DegenerateParameterError, match="identically zero"):
+        MapParams(angle + offset)
+
+
+def test_map_params_accepts_angles_off_the_degenerate_pair():
+    for v in (0.0, math.pi, math.pi / 2 + 1e-9, 3 * math.pi / 2 - 1e-9, 1e6):
+        assert not is_degenerate(v)
+        assert MapParams(v).coefficients[1] == math.cos(v % (2 * math.pi))
 
 
 def test_fixed_point_identity_for_random_angles():
