@@ -2,7 +2,7 @@
 quadratic rational map on the Riemann sphere, and the state-discrimination
 experiments built on both."""
 
-from .sphere import INFINITY, SpherePoint, as_point, chordal_distance, is_infinite, plane_distance
+from .sphere import INFINITY, as_point, chordal_distance, is_infinite, plane_distance
 from .rational_map import (
     CycleReport,
     DegenerateParameterError,
@@ -29,7 +29,6 @@ from .tavis_cummings import (
     ApproximationValidityWarning,
     AtomPairState,
     CoherentFieldSpec,
-    HomodyneSpec,
     JointState,
     TruncationError,
     coherent_approx_fields,
@@ -45,12 +44,9 @@ from .tavis_cummings import (
 )
 from .protocol import (
     ExactStepOperator,
-    NullOutcomeError,
     default_interaction_time,
     exact_step_operator,
     gate_unitary,
-    protocol_step_exact,
-    protocol_step_ideal,
     read_step_operator,
     write_step_operator,
 )

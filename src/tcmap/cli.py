@@ -22,8 +22,8 @@ from . import experiments as ex
 from . import output
 from . import protocol as proto
 from . import rational_map as rm
-from .sphere import as_point, is_infinite
-from .tavis_cummings import CoherentFieldSpec, HomodyneSpec, f_state_lo_phases, homodyne_density
+from .sphere import as_point
+from .tavis_cummings import CoherentFieldSpec, f_state_lo_phases, homodyne_density
 
 SEED_ENV_VAR = "TCMAP_SEED"
 
@@ -227,12 +227,6 @@ def parse_config(argv) -> argparse.Namespace:
     return args
 
 
-def _sphere_to_pair(z) -> tuple[float, float]:
-    if is_infinite(z):
-        return (math.inf, 0.0)
-    return (z.real, z.imag)
-
-
 def _resolve_operator(args: argparse.Namespace) -> proto.ExactStepOperator:
     if args.op_file is not None:
         return proto.read_step_operator(
@@ -245,10 +239,10 @@ def _resolve_operator(args: argparse.Namespace) -> proto.ExactStepOperator:
 
 def run_map(args: argparse.Namespace) -> None:
     z, coeffs = as_point(args.z), rm.MapParams(args.varphi).coefficients
-    rows = [(0, *_sphere_to_pair(z), math.nan)]
+    rows = [(0, z.real, z.imag, math.nan)]
     for k in range(1, args.steps + 1):
-        z, p = rm.step_point(z, coeffs)  # protocol_step_ideal with the coefficients built once
-        rows.append((k, *_sphere_to_pair(z), p))
+        z, p = rm.step_point(z, coeffs)
+        rows.append((k, z.real, z.imag, p))
     output.write_csv(rows, ("step", "z_re", "z_im", "p_success"), args.out)
 
 
@@ -257,7 +251,7 @@ def run_cycles(args: argparse.Namespace) -> None:
         rm.MapParams(args.varphi), burn=args.burn, max_period=args.max_period, tol=args.cycle_tol
     )
     rows = [
-        (cid, rep.period, pidx, *_sphere_to_pair(pt),
+        (cid, rep.period, pidx, pt.real, pt.imag,
          rep.multiplier.real, rep.multiplier.imag, abs(rep.multiplier), rep.stability)
         for cid, rep in enumerate(cycles) for pidx, pt in enumerate(rep.points)
     ]
@@ -342,7 +336,7 @@ def run_homodyne(args: argparse.Namespace) -> None:
     alpha = CoherentFieldSpec(nbar=args.nbar, phi=args.phi).alpha
     gt = args.gt if args.gt is not None else proto.default_interaction_time(args.nbar)
     thetas = (args.theta, *f_state_lo_phases(args.theta, args.nbar, gt))
-    rows = [(q, *(homodyne_density(HomodyneSpec(theta, q), alpha) for theta in thetas))
+    rows = [(q, *(homodyne_density(q, theta, alpha) for theta in thetas))
             for q in np.linspace(*args.q_range).tolist()]
     output.write_csv(rows, ("q", "density_alpha", "density_f_plus", "density_f_minus"), args.out)
 

@@ -257,7 +257,7 @@ def _attractor_cycles(attractors: Iterable) -> tuple[tuple[complex, ...], ...]:
         points = [as_point(p) for p in item]
         if any(is_infinite(p) for p in points):
             raise ValueError("attractor points must be finite")
-        cycles.append(tuple(complex(p) for p in points))
+        cycles.append(tuple(points))
     if not cycles:
         raise ValueError("attractor list must not be empty")
     return tuple(cycles)

@@ -1,12 +1,13 @@
-"""One step of the iterated postselection protocol, ideal and numerically exact.
+"""The numerically exact protocol step as a 4x4 operator: build, coefficients, file I/O.
 
 A step takes two atoms prepared in the same pure state labelled by z, applies
 the single-qubit gate diag(e^{i varphi}, -e^{-i varphi}) to atom B, lets the
 pair interact with the coherent field, projects the field back onto |alpha>
-and atom B onto |0>, and reads off the new label z' of atom A.  The ideal
-step uses the rank-two postselection projector; the exact step compresses
-the full truncated field evolution into a 4x4 operator and reproduces the
-ideal map in the limit of large mean photon number.
+and atom B onto |0>, and reads off the new label z' of atom A.  The exact
+step compresses the full truncated field evolution into a 4x4 operator; its
+coefficients drive rational_map.step_point and quadratic_step, and it
+reproduces the ideal map (MapParams.coefficients) in the limit of large mean
+photon number.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .rational_map import MapParams, step_point
-from .sphere import SpherePoint
 from .tavis_cummings import (
     BELL_TO_PRODUCT,
     CoherentFieldSpec,
@@ -29,11 +28,8 @@ from .tavis_cummings import (
     poisson_amplitudes,
 )
 
+# an exact step whose success probability p falls below this is a null outcome
 NULL_OUTCOME_EPS = 1e-14
-
-
-class NullOutcomeError(ValueError):
-    """Raised when a postselection outcome has (numerically) zero probability."""
 
 
 def gate_unitary(varphi: float) -> np.ndarray:
@@ -69,16 +65,6 @@ class ExactStepOperator:
         return tuple(np.array(k) for r in (1, 3) for k in (a[r, 0], a[r, 1] + a[r, 2], a[r, 3]))
 
 
-def protocol_step_ideal(z: SpherePoint, varphi: float) -> tuple[SpherePoint, float]:
-    """One ideal step: new label z' and the success probability of both projections.
-
-    This is the step on MapParams(varphi).coefficients, the coefficients of
-    the rank-two postselection projector up to sign.  p_success is bounded
-    below by cos^2(varphi)/4 for every z, so no outcome is null.
-    """
-    return step_point(z, MapParams(varphi).coefficients)
-
-
 def default_interaction_time(nbar: float) -> float:
     """The protocol's interaction time gt = pi sqrt(nbar) / 2."""
     return math.pi * math.sqrt(nbar) / 2.0
@@ -101,25 +87,6 @@ def exact_step_operator(field: CoherentFieldSpec, gt: Optional[float] = None) ->
     m[2, 2] += abs(p[0]) ** 2
     m[3, 3] = np.vdot(p, p)
     return ExactStepOperator(matrix=BELL_TO_PRODUCT @ m @ BELL_TO_PRODUCT.T, nbar=field.nbar, gt=gt)
-
-
-def protocol_step_exact(
-    z: SpherePoint,
-    varphi: float,
-    op: ExactStepOperator,
-) -> tuple[SpherePoint, float]:
-    """One numerically exact step through the compressed operator.
-
-    The two-atom product state of z (field phase fixed to 0) goes through
-    the gate on atom B and the operator, and atom B is projected on |0>; the
-    step kernel does this with the coefficients of op.  Raises
-    NullOutcomeError when the surviving norm is below NULL_OUTCOME_EPS.
-    """
-    MapParams(varphi)  # the gate rule: raises DegenerateParameterError
-    znew, p_success = step_point(z, op.coefficients(varphi))
-    if p_success < NULL_OUTCOME_EPS:
-        raise NullOutcomeError(f"postselection outcome has probability {p_success:.3e}")
-    return znew, p_success
 
 
 def write_step_operator(op: Union[ExactStepOperator, np.ndarray], path) -> None:

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sphere import INFINITY, SpherePoint, as_point, chordal_distance, is_infinite
+from .sphere import INFINITY, as_point, chordal_distance, is_infinite
 
 # Degeneracy threshold on |cos(varphi)|: at varphi = pi/2, 3pi/2 the map is
 # identically zero and not a genuine complex map.
@@ -36,9 +36,6 @@ ESCAPE_RADIUS = 1e12
 SUPERATTRACTIVE_EPS = 1e-9
 NEUTRAL_EPS = 1e-9
 
-# Marker used for the point at infinity inside complex ndarrays.
-INF_COMPLEX = complex(np.inf, 0.0)
-
 
 def quadratic_step(z: np.ndarray, coeffs: tuple, with_p: bool = False):
     """One forward step z -> (a z^2 + b z + c) / (d z^2 + e z + f) on an array.
@@ -47,7 +44,7 @@ def quadratic_step(z: np.ndarray, coeffs: tuple, with_p: bool = False):
     read in the chart z = u/v.  `coeffs` holds the six complex arrays
     (a, b, c, d, e, f), each 0-d or of the shape of z.  The escape rule: an
     input with |z| > ESCAPE_RADIUS is the point at infinity, whose image is
-    a/d, and a non-finite result is the point at infinity, returned as inf+0j.
+    a/d, and a non-finite result is the point at infinity, returned as INFINITY.
 
     With with_p, also returns p = (|num|^2 + |den|^2) / (1 + |z|^2)^2, the
     squared norm of the image of the normalized two-copy state (|a|^2 + |d|^2
@@ -66,14 +63,13 @@ def quadratic_step(z: np.ndarray, coeffs: tuple, with_p: bool = False):
             np.copyto(p, np.abs(a) ** 2 + np.abs(d) ** 2, where=far)
         np.divide(num, den, out=num)
         np.copyto(num, a / d, where=far)
-    num[~np.isfinite(num)] = INF_COMPLEX
+    num[~np.isfinite(num)] = INFINITY
     return (num, p) if with_p else num
 
 
-def step_point(z: SpherePoint, coeffs: tuple) -> tuple[SpherePoint, float]:
+def step_point(z: complex, coeffs: tuple) -> tuple[complex, float]:
     """quadratic_step on one sphere point: the image, read as INFINITY beyond ESCAPE_RADIUS, and p."""
-    z = as_point(z)
-    w, p = quadratic_step(np.array([INF_COMPLEX if is_infinite(z) else z]), coeffs, with_p=True)
+    w, p = quadratic_step(np.array([as_point(z)]), coeffs, with_p=True)
     w = complex(w[0])
     return (w if abs(w) <= ESCAPE_RADIUS else INFINITY), float(p[0])
 
@@ -119,15 +115,15 @@ class MapParams:
         object.__setattr__(self, "coefficients", tuple(np.array(k, dtype=np.complex128) for k in coeffs))
 
 
-def apply_map(z: SpherePoint, params: MapParams) -> SpherePoint:
+def apply_map(z: complex, params: MapParams) -> complex:
     """One application of the map with exact sphere semantics (f(INFINITY) = 0, poles go to INFINITY)."""
     return step_point(z, params.coefficients)[0]
 
 
-def map_derivative(z: SpherePoint, params: MapParams) -> complex:
+def map_derivative(z: complex, params: MapParams) -> complex:
     """f'(z) = 2 cos(varphi) (e^{-i varphi} - z^2 e^{i varphi}) / (e^{-i varphi} + z^2 e^{i varphi})^2."""
     z = as_point(z)
-    if is_infinite(z) or abs(z) > ESCAPE_RADIUS:
+    if abs(z) > ESCAPE_RADIUS:  # infinity included
         raise ValueError("derivative in plane coordinates needs a finite point")
     c, em, ep = params.cos_varphi, params.e_neg, params.e_pos
     den = em + z * z * ep
@@ -173,13 +169,13 @@ def classify_multiplier(multiplier: complex) -> str:
 class CycleReport:
     """Periodic orbit with multiplier and stability class."""
 
-    points: tuple[SpherePoint, ...]
+    points: tuple[complex, ...]
     period: int
     multiplier: complex
     stability: str
 
 
-def cycle_multiplier(points: Sequence[SpherePoint], params: MapParams, tol: float = 1e-8) -> CycleReport:
+def cycle_multiplier(points: Sequence[complex], params: MapParams, tol: float = 1e-8) -> CycleReport:
     """Validate a cycle and report its multiplier (chain rule over the orbit)."""
     pts = [as_point(p) for p in points]
     if not pts:
@@ -249,6 +245,8 @@ def attractive_cycle_batch(
                 last = max_period - 1 - same[::-1].argmax(axis=0)  # the latest earlier copy of z
                 z = states[last + (burn - step) % (max_period - last), np.arange(z.size)]
                 break
+    # an orbit decaying to the fixed point 0 ends the burn on a subnormal or signed zero: read it as 0
+    z = np.where(np.abs(z) < np.finfo(float).tiny, 0j, z)
     orbit = [z]
     for _ in range(max_period):
         orbit.append(quadratic_step(orbit[-1], coeffs))
@@ -286,7 +284,7 @@ def find_attractive_cycles(
     return attractive_cycle_batch([params], burn=burn, max_period=max_period, tol=tol)[0]
 
 
-def inverse_branches(w: SpherePoint, params: MapParams) -> tuple[SpherePoint, SpherePoint]:
+def inverse_branches(w: complex, params: MapParams) -> tuple[complex, complex]:
     """Both preimages of w, solving w e^{i varphi} z^2 - 2 cos(varphi) z + w e^{-i varphi} = 0.
 
     w = 0 has preimages {0, infinity}; w = infinity has the two poles.  A
@@ -323,26 +321,26 @@ def julia_backward_sample(
     Starts from one point of the repelling two-cycle and at each step jumps
     to a uniformly chosen inverse branch; the first `transient` points are
     discarded.  Returns a complex array of n_points entries (a point at
-    infinity, never observed in practice, would be stored as inf+0j).
+    infinity, never observed in practice, would be stored as INFINITY).
     """
     if n_points < 0:
         raise ValueError("n_points must be >= 0")
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=transient + n_points)
-    z: SpherePoint = two_cycle(params)[0]
+    z = two_cycle(params)[0]
     out = np.empty(n_points, dtype=np.complex128)
     for i, bit in enumerate(bits):
         z = inverse_branches(z, params)[bit]
         if i >= transient:
-            out[i - transient] = INF_COMPLEX if is_infinite(z) else z
+            out[i - transient] = z
     return out
 
 
 def apply_map_grid(z: np.ndarray, params: MapParams) -> np.ndarray:
-    """Vectorized apply_map on a complex array; the point at infinity is inf+0j."""
+    """Vectorized apply_map on a complex array of sphere points."""
     return quadratic_step(z, params.coefficients)
 
 
 def escape_guard_grid(z: np.ndarray) -> np.ndarray:
-    """The escape rule on an array, as quadratic_step applies it: snap |z| > ESCAPE_RADIUS to inf+0j."""
-    return np.where(np.abs(z) > ESCAPE_RADIUS, INF_COMPLEX, z)
+    """The escape rule on an array, as quadratic_step applies it: snap |z| > ESCAPE_RADIUS to INFINITY."""
+    return np.where(np.abs(z) > ESCAPE_RADIUS, INFINITY, z)

@@ -1,68 +1,41 @@
 """Points on the extended complex plane (Riemann sphere).
 
 A pure qubit state |0> + z e^{i phi} |1> (up to normalization) is labelled by
-a single point z of the sphere: either a finite complex number or the one
-distinguished point at infinity, which encodes the state |1>.
+a single point z of the sphere, a complex number: either finite or the
+point at infinity INFINITY = inf+0j, which encodes the state |1>.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-from typing import Union
 
 import numpy as np
 
-
-class _PointAtInfinity:
-    """Singleton marker for the point at infinity (no signed infinities)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "INFINITY"
-
-    def __reduce__(self):
-        return (_PointAtInfinity, ())
+# The point at infinity: a sphere point is a complex number, and this is the
+# value the step kernel writes for infinity into complex arrays.
+INFINITY = complex(math.inf, 0.0)
 
 
-INFINITY = _PointAtInfinity()
-
-SpherePoint = Union[complex, _PointAtInfinity]
-
-
-def is_infinite(z: SpherePoint) -> bool:
-    return z is INFINITY
+def is_infinite(z) -> bool:
+    return cmath.isinf(z)
 
 
-def as_point(z) -> SpherePoint:
+def as_point(z) -> complex:
     """Coerce a number to a sphere point.
 
     Real and complex inputs are accepted; any non-finite component maps to
-    the single INFINITY point, NaN is rejected.
+    the single INFINITY constant, NaN is rejected.
     """
-    if z is INFINITY:
-        return INFINITY
     w = complex(z)
-    if math.isnan(w.real) or math.isnan(w.imag):
+    if cmath.isnan(w):
         raise ValueError("NaN is not a point of the sphere")
-    if math.isinf(w.real) or math.isinf(w.imag):
-        return INFINITY
-    return w
+    return INFINITY if cmath.isinf(w) else w
 
 
-def plane_distance(z: SpherePoint, w: SpherePoint) -> float:
+def plane_distance(z: complex, w: complex) -> float:
     """Euclidean distance |z - w|; inf when exactly one point is infinite."""
-    zi, wi = z is INFINITY, w is INFINITY
-    if zi and wi:
-        return 0.0
-    if zi or wi:
-        return math.inf
-    return abs(z - w)
+    return 0.0 if is_infinite(z) and is_infinite(w) else abs(z - w)
 
 
 # finite points beyond this modulus get a scaled chart, since |z|^2 would overflow
@@ -72,12 +45,12 @@ HOMOGENEOUS_LIMIT = 1e150
 def homogeneous(z) -> tuple[np.ndarray, np.ndarray]:
     """Homogeneous coordinates [u:v] of sphere points: [z:1] when finite, [1:0] at infinity.
 
-    Takes a sphere point or a complex array, in which any non-finite entry
-    is the point at infinity.  A finite entry whose modulus exceeds
+    Takes a sphere point or a complex array; any non-finite entry is the
+    point at infinity.  A finite entry whose modulus exceeds
     HOMOGENEOUS_LIMIT is scaled to [z/s : 1/s] with s = max(|Re z|, |Im z|),
     the same point with v still real, so that |u|^2 + v^2 cannot overflow.
     """
-    z = np.asarray(complex(math.inf, 0.0) if z is INFINITY else z, dtype=np.complex128)
+    z = np.asarray(z, dtype=np.complex128)
     far = ~(np.abs(z) <= HOMOGENEOUS_LIMIT)  # also the non-finite entries
     u, v = np.where(far, 1.0, z), np.where(far, 0.0, 1.0)
     if far.any():
@@ -94,7 +67,7 @@ def chordal_distance(z, w):
     Bounded by 2 and continuous across infinity, so it is safe for
     near-return tests on orbits that may pass close to a pole.  Evaluated
     as 2|u1 v2 - u2 v1| / (|[u1:v1]| |[u2:v2]|); sphere points give a float,
-    arrays (with inf+0j for infinity) an array.
+    arrays an array.
     """
     (u1, v1), (u2, v2) = homogeneous(z), homogeneous(w)
     norms = (np.abs(u1) ** 2 + v1 * v1) * (np.abs(u2) ** 2 + v2 * v2)

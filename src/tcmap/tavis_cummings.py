@@ -312,22 +312,14 @@ def ideal_postselection_operator(phi: float) -> np.ndarray:
     return np.outer(psi_minus, psi_minus.conj()) + np.outer(phi_minus, phi_minus.conj())
 
 
-@dataclass(frozen=True)
-class HomodyneSpec:
-    """Local-oscillator phase and quadrature value of one homodyne sample."""
-
-    theta: float
-    q: float
-
-
 def quadrature_mean(alpha: complex, theta: float) -> float:
     """Mean of the quadrature (a e^{-i theta} + a^dag e^{i theta})/sqrt(2) in |alpha>."""
     return math.sqrt(2.0) * (alpha * cmath.exp(-1j * theta)).real
 
 
-def homodyne_density(spec: HomodyneSpec, alpha: complex) -> float:
-    """Quadrature density (1/sqrt(pi)) exp(-(q - q_mean)^2) of a coherent state."""
-    d = spec.q - quadrature_mean(alpha, spec.theta)
+def homodyne_density(q: float, theta: float, alpha: complex) -> float:
+    """Quadrature density (1/sqrt(pi)) exp(-(q - q_mean)^2) of |alpha> at local-oscillator phase theta."""
+    d = q - quadrature_mean(alpha, theta)
     return math.exp(-d * d) / math.sqrt(math.pi)
 
 

@@ -11,11 +11,7 @@ import numpy as np
 
 from oracles import block_eigensystem, iterate_map
 from tcmap.experiments import discrimination_run, overlap, resource_estimate
-from tcmap.protocol import (
-    exact_step_operator,
-    protocol_step_exact,
-    protocol_step_ideal,
-)
+from tcmap.protocol import exact_step_operator
 from tcmap.rational_map import (
     MapParams,
     apply_map,
@@ -26,13 +22,13 @@ from tcmap.rational_map import (
     fixed_points,
     julia_backward_sample,
     map_derivative,
+    step_point,
     two_cycle,
 )
 from tcmap.sphere import is_infinite
 from tcmap.tavis_cummings import (
     AtomPairState,
     CoherentFieldSpec,
-    HomodyneSpec,
     evolve_exact,
     homodyne_density,
     ideal_postselection_operator,
@@ -157,11 +153,11 @@ def test_criterion_04_noise_robustness():
 def test_criterion_05_exact_map_fixed_points():
     results = {}
     for nbar in (10.0, 100.0):
-        op = exact_step_operator(CoherentFieldSpec(nbar=nbar))
+        coeffs = exact_step_operator(CoherentFieldSpec(nbar=nbar)).coefficients(0.0)
         for z0 in (0.5, -0.5):
             z = complex(z0)
             for _ in range(97):
-                z, _ = protocol_step_exact(z, 0.0, op)
+                z, _ = step_point(z, coeffs)
             target = 1.0 if z0 > 0 else -1.0
             results[(nbar, z0)] = abs(z - target)
     ok = results[(10.0, 0.5)] < 0.1 and results[(10.0, -0.5)] < 0.1 \
@@ -180,10 +176,10 @@ def test_criterion_06_exact_to_ideal_convergence():
     grid9 = [complex(x, y) for x in (-0.6, 0.0, 0.6) for y in (-0.6, 0.0, 0.6)]
     discrepancy = {}
     for nbar in (10.0, 50.0, 100.0):
-        op = exact_step_operator(CoherentFieldSpec(nbar=nbar))
+        coeffs = exact_step_operator(CoherentFieldSpec(nbar=nbar)).coefficients(varphi)
         worst = 0.0
         for z in grid9:
-            z_exact, _ = protocol_step_exact(z, varphi, op)
+            z_exact, _ = step_point(z, coeffs)
             z_ideal = apply_map(z, params)
             worst = max(worst, abs(z_exact - z_ideal))
         discrepancy[nbar] = worst
@@ -232,13 +228,13 @@ def test_criterion_08_success_probability_bound():
         if abs(math.cos(varphi)) < 1e-9:
             continue
         z = complex(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0))
-        _, p = protocol_step_ideal(z, varphi)
+        _, p = step_point(z, MapParams(varphi).coefficients)
         gap = p - math.cos(varphi) ** 2 / 4.0
         worst_gap = min(worst_gap, gap)
         if gap < -1e-12:
             ok_bound = False
     varphi = 0.77
-    _, p_min = protocol_step_ideal(1j * cmath.exp(-1j * varphi), varphi)
+    _, p_min = step_point(1j * cmath.exp(-1j * varphi), MapParams(varphi).coefficients)
     eq_err = abs(p_min - math.cos(varphi) ** 2 / 4.0)
     _report(
         8,
@@ -300,7 +296,7 @@ def test_criterion_10_physics_invariant_suite():
     qs = np.linspace(-14.0, 14.0, 40001)
     homo_worst = 0.0
     for alpha, theta in ((1.5 + 0j, 0.0), (2.0 * cmath.exp(0.9j), 0.7)):
-        dens = np.array([homodyne_density(HomodyneSpec(theta, float(q)), alpha) for q in qs])
+        dens = np.array([homodyne_density(float(q), theta, alpha) for q in qs])
         homo_worst = max(homo_worst, abs(float(np.trapezoid(dens, qs)) - 1.0))
     homo_ok = homo_worst < 1e-8
 

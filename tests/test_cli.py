@@ -11,11 +11,9 @@ import pytest
 
 import tcmap
 from oracles import amplitude_step
-from tcmap import protocol as proto
 from tcmap.cli import main, parse_angle, parse_complex, parse_config, parse_region
 from tcmap.output import format_value, read_csv, read_ppm
-from tcmap.rational_map import MapParams, apply_map
-from tcmap.sphere import INFINITY, is_infinite
+from tcmap.rational_map import MapParams, apply_map, step_point
 
 
 # ------------------------------------------------------------------- parsing
@@ -127,10 +125,9 @@ def test_map_rows_are_the_apply_map_orbit(angle, tmp_path):
         _, rows = read_csv(out)
         assert len(rows) == 41
         for prev, row in zip(rows, rows[1:]):
-            z = INFINITY if math.isinf(prev[1]) else complex(prev[1], prev[2])
+            z = complex(prev[1], prev[2])  # inf,0 is the point at infinity
             w = apply_map(z, MapParams(varphi))
-            want = (math.inf, 0.0) if is_infinite(w) else (w.real, w.imag)
-            want += (proto.protocol_step_ideal(z, varphi)[1],)
+            want = (w.real, w.imag, step_point(z, MapParams(varphi).coefficients)[1])
             assert [format_value(v) for v in row[1:]] == [format_value(v) for v in want]
 
 
@@ -141,6 +138,28 @@ def test_cycles_output(tmp_path):
     assert len(rows) == 2
     values = sorted(r[3] for r in rows)
     assert abs(values[0] + 1.0) < 1e-12 and abs(values[1] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("angle", ["0.4pi", "0.45pi", "0.6pi"])
+def test_cycles_print_the_fixed_point_zero_as_zero(angle, tmp_path):
+    # both critical orbits decay to the attracting fixed point 0, through subnormal labels
+    # (0.4pi, 0.6pi) or to a signed zero (0.45pi); the point prints as 0,0
+    out = tmp_path / "cycles.csv"
+    assert main(["cycles", "--varphi", angle, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert len(lines) == 2
+    assert lines[1].startswith("0,1,0,0,0,")
+
+
+def test_readme_command_lines_parse():
+    # each line of the README's command-line block parses with today's subcommands and flags
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Command line\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0].split() for line in block.splitlines() if line.strip()]
+    assert len(lines) >= 11
+    for argv in lines:
+        assert argv[0] == "tcmap"
+        assert parse_config(argv[1:]).subcommand == argv[1]
 
 
 def test_sweep_row_pattern_for_phi_zero(tmp_path):

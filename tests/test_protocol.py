@@ -5,18 +5,24 @@ import numpy as np
 import pytest
 
 from oracles import amplitude_step, product_state_vector, step_amplitudes
+from tcmap.experiments import basin_grid, discrimination_run
 from tcmap.protocol import (
+    NULL_OUTCOME_EPS,
     ExactStepOperator,
-    NullOutcomeError,
     default_interaction_time,
     exact_step_operator,
     gate_unitary,
-    protocol_step_exact,
-    protocol_step_ideal,
     read_step_operator,
     write_step_operator,
 )
-from tcmap.rational_map import DegenerateParameterError, MapParams, apply_map, is_degenerate, quadratic_step
+from tcmap.rational_map import (
+    DegenerateParameterError,
+    MapParams,
+    apply_map,
+    is_degenerate,
+    quadratic_step,
+    step_point,
+)
 from tcmap.sphere import INFINITY, is_infinite
 from tcmap.tavis_cummings import CoherentFieldSpec, ideal_postselection_operator
 
@@ -111,14 +117,19 @@ def test_step_amplitudes_agree_with_the_gated_product_state():
 
 # --------------------------------------------------------------- ideal step
 
+def ideal_step(z, varphi):
+    """One ideal protocol step: the step kernel on the ideal projector's coefficients."""
+    return step_point(z, MapParams(varphi).coefficients)
+
+
 def test_ideal_step_first_link_of_the_chain():
-    z, p = protocol_step_ideal(0.2, 0.0)
+    z, p = ideal_step(0.2, 0.0)
     assert abs(z - 0.3846153846153846) < 1e-14
     assert abs(p - 0.28698224852071004) < 1e-14
 
 
 def test_ideal_step_at_the_origin():
-    z, p = protocol_step_ideal(0j, 0.0)
+    z, p = ideal_step(0j, 0.0)
     assert z == 0j
     assert abs(p - 0.25) < 1e-15
 
@@ -139,7 +150,7 @@ def test_ideal_step_matches_the_rational_map():
         else:
             assert abs(got - want) < 1e-12 * max(1.0, abs(want))
         assert abs(p - closed_form_success_probability(z, varphi)) < 1e-12
-        assert abs(protocol_step_ideal(z, varphi)[1] - closed_form_success_probability(z, varphi)) < 1e-12
+        assert abs(ideal_step(z, varphi)[1] - closed_form_success_probability(z, varphi)) < 1e-12
 
 
 def test_ideal_step_success_bound_and_minimizer():
@@ -149,25 +160,25 @@ def test_ideal_step_success_bound_and_minimizer():
         z = complex(rng.uniform(-4, 4), rng.uniform(-4, 4))
         if abs(math.cos(varphi)) < 1e-6:
             continue
-        _, p = protocol_step_ideal(z, varphi)
+        _, p = ideal_step(z, varphi)
         assert p >= math.cos(varphi) ** 2 / 4.0 - 1e-12
     # the minimum sits at the pole z = i e^{-i varphi}
     varphi = 0.6
     zmin = 1j * cmath.exp(-1j * varphi)
-    znew, p = protocol_step_ideal(zmin, varphi)
+    znew, p = ideal_step(zmin, varphi)
     assert is_infinite(znew)
     assert abs(p - math.cos(varphi) ** 2 / 4.0) < 1e-15
 
 
 def test_ideal_step_from_infinity():
-    z, p = protocol_step_ideal(INFINITY, 0.7)
+    z, p = ideal_step(INFINITY, 0.7)
     assert z == 0j
     assert abs(p - 0.25) < 1e-15
 
 
 def test_ideal_step_rejects_degenerate_gate():
     with pytest.raises(DegenerateParameterError):
-        protocol_step_ideal(0.2, math.pi / 2.0)
+        ideal_step(0.2, math.pi / 2.0)
 
 
 def test_map_coefficients_are_the_projector_coefficients_up_to_sign():
@@ -200,7 +211,7 @@ def test_ideal_success_probability_bound_holds_at_the_poles():
         bound = (1.0 - 1e-15) * math.cos(varphi) ** 2 / 4.0
         assert np.all(p >= bound)
         for pole in poles:
-            assert protocol_step_ideal(pole, varphi)[1] >= bound
+            assert ideal_step(pole, varphi)[1] >= bound
 
 
 # ----------------------------------------------------------- exact operator
@@ -262,7 +273,7 @@ def test_exact_step_with_the_ideal_projector_reproduces_the_ideal_step():
             continue
         z = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
         want_z, want_p = amplitude_step(z, varphi)
-        for got_z, got_p in (protocol_step_exact(z, varphi, IDEAL), protocol_step_ideal(z, varphi)):
+        for got_z, got_p in (step_point(z, IDEAL.coefficients(varphi)), ideal_step(z, varphi)):
             if is_infinite(want_z):
                 assert is_infinite(got_z) or abs(got_z) > 1e10
             else:
@@ -272,7 +283,7 @@ def test_exact_step_with_the_ideal_projector_reproduces_the_ideal_step():
 
 def test_exact_step_single_step_accuracy_at_nbar_100():
     op = exact_step_operator(CoherentFieldSpec(nbar=100.0))
-    z, p = protocol_step_exact(0.2, 0.0, op)
+    z, p = step_point(0.2, op.coefficients(0.0))
     assert abs(z - apply_map(0.2, MapParams(0.0))) < 0.05
     assert 0.0 < p <= 1.0
 
@@ -281,14 +292,18 @@ def test_exact_step_null_outcome():
     s = 1.0 / math.sqrt(2.0)
     psi_minus = np.array([0.0, -s, s, 0.0], dtype=complex)
     only_dark = ExactStepOperator(matrix=np.outer(psi_minus, psi_minus.conj()), nbar=math.nan, gt=0.0)
-    with pytest.raises(NullOutcomeError):
-        protocol_step_exact(0j, 0.0, only_dark)
+    _, p = step_point(0j, only_dark.coefficients(0.0))
+    assert p < NULL_OUTCOME_EPS
 
 
 def test_exact_step_rejects_degenerate_gate():
+    # the runners of the exact step build MapParams(varphi), the gate rule, before stepping
     op = exact_step_operator(CoherentFieldSpec(nbar=2.0), gt=1.0)
+    varphi = 3.0 * math.pi / 2.0
     with pytest.raises(DegenerateParameterError):
-        protocol_step_exact(0.1, 3.0 * math.pi / 2.0, op)
+        discrimination_run(0.1, 0.2, sigma=0.0, samples=1, steps=1, varphi=varphi, exact_op=op)
+    with pytest.raises(DegenerateParameterError):
+        basin_grid((-1.0, 1.0, -1.0, 1.0), 2, 2, varphi, exact_op=op)
 
 
 # -------------------------------------------------------------- serialization

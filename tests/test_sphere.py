@@ -3,15 +3,21 @@ import math
 import numpy as np
 import pytest
 
+from tcmap.rational_map import MapParams, inverse_branches
 from tcmap.sphere import INFINITY, as_point, chordal_distance, homogeneous, is_infinite, plane_distance
 
 
 def test_infinity_is_a_singleton():
+    # one marker: the complex number inf+0j, the value the step kernel writes into arrays
+    assert INFINITY == complex(math.inf, 0.0) and type(INFINITY) is complex
     assert as_point(INFINITY) is INFINITY
-    assert as_point(complex(math.inf, 0.0)) is INFINITY
-    assert as_point(complex(-math.inf, 3.0)) is INFINITY
+    for z in (complex(math.inf, 0.0), complex(-math.inf, 3.0), complex(1.0, math.inf), np.complex128(math.inf)):
+        assert as_point(z) is INFINITY
     assert is_infinite(INFINITY)
     assert not is_infinite(1 + 2j)
+    u, v = homogeneous(INFINITY)
+    assert (u, v) == (1.0, 0.0)
+    assert inverse_branches(0j, MapParams(0.5))[1] is INFINITY
 
 
 def test_nan_is_rejected():

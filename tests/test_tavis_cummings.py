@@ -9,7 +9,6 @@ from tcmap.tavis_cummings import (
     ApproximationValidityWarning,
     AtomPairState,
     CoherentFieldSpec,
-    HomodyneSpec,
     TruncationError,
     block_propagators,
     coherent_approx_fields,
@@ -324,7 +323,7 @@ def test_homodyne_peak_value():
     # center the Gaussian: quadrature mean zero at theta = pi/2 for real alpha
     alpha = 2.0 + 0j
     assert abs(quadrature_mean(alpha, math.pi / 2.0)) < 1e-14
-    val = homodyne_density(HomodyneSpec(theta=math.pi / 2.0, q=0.0), alpha)
+    val = homodyne_density(0.0, math.pi / 2.0, alpha)
     assert abs(val - 1.0 / math.sqrt(math.pi)) < 1e-12
 
 
@@ -332,7 +331,7 @@ def test_homodyne_density_normalizes():
     alpha = 1.3 * np.exp(0.4j)
     for theta in (0.0, 0.7):
         qs = np.linspace(-12.0, 12.0, 20001)
-        dens = [homodyne_density(HomodyneSpec(theta, float(q)), alpha) for q in qs]
+        dens = [homodyne_density(float(q), theta, alpha) for q in qs]
         integral = np.trapezoid(dens, qs)
         assert abs(integral - 1.0) < 1e-8
 
@@ -347,6 +346,6 @@ def test_f_state_centers_are_phase_shifted():
     alpha = math.sqrt(nbar) + 0j
     rotated = alpha * np.exp(1j * shift)
     for q in (-1.0, 0.5, 2.0):
-        lhs = homodyne_density(HomodyneSpec(theta, q), rotated)
-        rhs = homodyne_density(HomodyneSpec(theta - shift, q), alpha)
+        lhs = homodyne_density(q, theta, rotated)
+        rhs = homodyne_density(q, theta - shift, alpha)
         assert abs(lhs - rhs) < 1e-12
