@@ -2,7 +2,7 @@
 quadratic rational map on the Riemann sphere, and the state-discrimination
 experiments built on both."""
 
-from .sphere import INFINITY, as_point, chordal_distance, is_infinite, plane_distance
+from .sphere import INFINITY, as_point, chordal_distance, is_infinite
 from .rational_map import (
     CycleReport,
     DegenerateParameterError,
@@ -16,7 +16,6 @@ from .rational_map import (
     critical_points,
     cycle_multiplier,
     find_attractive_cycles,
-    fixed_points,
     inverse_branches,
     is_degenerate,
     julia_backward_sample,

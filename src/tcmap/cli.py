@@ -307,8 +307,22 @@ def run_basin(args: argparse.Namespace) -> None:
 
 
 def run_exact_basin(args: argparse.Namespace) -> None:
+    op = _resolve_operator(args)
+    ideal = rm.find_attractive_cycles(rm.MapParams(args.varphi))
+    if not ideal:
+        raise ValueError(f"no attractive cycles detected at varphi={args.varphi!r}")
+    # cells are classified toward the ideal attractors: each exact one must lie within --tol of them
+    exact = rm.attractive_cycle_batch([(op.coefficients(args.varphi), args.varphi)])[0]
+    if not exact:
+        raise ValueError("the exact step has no attracting cycle at this angle")
+    ideal_points = [p for cycle in ideal for p in cycle.points]
+    gaps = {cycle.points[0]: min(abs(p - q) for p in cycle.points for q in ideal_points) for cycle in exact}
+    point = max(gaps, key=gaps.get)
+    if not gaps[point] < args.tol:
+        raise ValueError(f"the exact step's attracting cycle through {point:.6g} lies {gaps[point]:.3g} "
+                         f"from the ideal attractors, beyond --tol {args.tol:g}")
     grid = ex.basin_grid(args.region, *args.res, args.varphi, tol=args.tol, max_iter=args.max_iter,
-                         exact_op=_resolve_operator(args))
+                         attractors=ideal, exact_op=op)
     _emit_basin(args, grid)
 
 

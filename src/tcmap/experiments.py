@@ -95,8 +95,8 @@ def phi_sweep(
     The critical orbits of all angles are searched as one batch.
     """
     varphis = [float(v) for v in varphis]
-    params = [rm.MapParams(v) for v in varphis]
-    found = rm.attractive_cycle_batch(params, burn=burn, max_period=max_period, tol=tol)
+    maps = [(p.coefficients, p.varphi) for p in map(rm.MapParams, varphis)]
+    found = rm.attractive_cycle_batch(maps, burn=burn, max_period=max_period, tol=tol)
     return [StabilityRow(v, *fixed_point_multiplier_moduli(v), tuple(c)) for v, c in zip(varphis, found)]
 
 

@@ -5,11 +5,11 @@ For gate angle varphi the map on the extended complex plane is
     f(z) = 2 z cos(varphi) / (e^{-i varphi} + z^2 e^{i varphi})
 
 with f(infinity) = 0 and f(pole) = infinity at the two poles
-z^2 = -e^{-2 i varphi}.  This module implements the map together with the
-standard complex-dynamics toolbox: fixed points and the two-cycle,
-multipliers and stability classes, critical orbits (which locate every
-attractive cycle of a degree-2 rational map, at most two of them),
-and backward-iteration sampling of the Julia set.
+z^2 = -e^{-2 i varphi}.  This module implements the step kernel and the
+complex-dynamics toolbox: the two-cycle, multipliers and stability classes,
+critical orbits (which locate the at most two attractive cycles) and
+backward-iteration Julia sampling.  All of it reads the six coefficients of
+f(z) = (a z^2 + b z + c) / (d z^2 + e z + f), the ideal map's or the exact step's.
 """
 
 from __future__ import annotations
@@ -27,8 +27,6 @@ from .sphere import INFINITY, as_point, chordal_distance, is_infinite
 # Degeneracy threshold on |cos(varphi)|: at varphi = pi/2, 3pi/2 the map is
 # identically zero and not a genuine complex map.
 DEGENERACY_EPS = 1e-12
-# Pole test: |denominator| < POLE_EPS * max(1, |z|^2).
-POLE_EPS = 1e-14
 # The single escape rule of every forward step: a point with modulus above this
 # is the point at infinity.
 ESCAPE_RADIUS = 1e12
@@ -93,12 +91,9 @@ def is_degenerate(varphi: float) -> bool:
 
 @dataclass(frozen=True)
 class MapParams:
-    """Gate angle and precomputed phases of the map; a degenerate angle raises DegenerateParameterError."""
+    """Gate angle and the map's step coefficients; a degenerate angle raises DegenerateParameterError."""
 
     varphi: float
-    cos_varphi: float = field(init=False)
-    e_neg: complex = field(init=False)          # e^{-i varphi}
-    e_pos: complex = field(init=False)          # e^{+i varphi}
     # quadratic_step coefficients (0, cos varphi, 0, e^{i varphi}/2, 0, e^{-i varphi}/2): the ideal
     # projector's up to sign, so the step's p is the ideal success probability
     coefficients: tuple = field(init=False, repr=False, compare=False)
@@ -108,10 +103,7 @@ class MapParams:
         if is_degenerate(v):
             raise DegenerateParameterError(f"map is identically zero at varphi={v!r} (cos varphi ~ 0)")
         object.__setattr__(self, "varphi", v)
-        object.__setattr__(self, "cos_varphi", math.cos(v))
-        object.__setattr__(self, "e_neg", cmath.exp(-1j * v))
-        object.__setattr__(self, "e_pos", cmath.exp(1j * v))
-        coeffs = (0.0, self.cos_varphi, 0.0, 0.5 * self.e_pos, 0.0, 0.5 * self.e_neg)
+        coeffs = (0.0, math.cos(v), 0.0, 0.5 * cmath.exp(1j * v), 0.0, 0.5 * cmath.exp(-1j * v))
         object.__setattr__(self, "coefficients", tuple(np.array(k, dtype=np.complex128) for k in coeffs))
 
 
@@ -120,22 +112,29 @@ def apply_map(z: complex, params: MapParams) -> complex:
     return step_point(z, params.coefficients)[0]
 
 
-def map_derivative(z: complex, params: MapParams) -> complex:
-    """f'(z) = 2 cos(varphi) (e^{-i varphi} - z^2 e^{i varphi}) / (e^{-i varphi} + z^2 e^{i varphi})^2."""
+def _quadratic_roots(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
+    """Both roots of a z^2 + b z + c on the sphere: INFINITY for each degree the form drops."""
+    if a == 0:
+        if b == 0 and c == 0:  # only the form of a step that is no degree-2 map vanishes
+            raise ValueError("the step is not a degree-2 map")
+        return (INFINITY if b == 0 else -c / b, INFINITY)
+    disc = cmath.sqrt(b * b - 4.0 * a * c)
+    # pick the root sign that avoids cancellation in b + s
+    s = disc if (b.conjugate() * disc).real >= 0.0 else -disc
+    q = -0.5 * (b + s)
+    return (0j, 0j) if q == 0 else (q / a, c / q)  # q == 0 only for b == c == 0
+
+
+def map_derivative(z: complex, coeffs: tuple) -> complex:
+    """f'(z) = ((ae-bd) z^2 + 2(af-cd) z + (bf-ce)) / (d z^2 + e z + f)^2 for the six step coefficients."""
     z = as_point(z)
     if abs(z) > ESCAPE_RADIUS:  # infinity included
         raise ValueError("derivative in plane coordinates needs a finite point")
-    c, em, ep = params.cos_varphi, params.e_neg, params.e_pos
-    den = em + z * z * ep
-    if abs(den) < POLE_EPS * max(1.0, abs(z) ** 2):
+    a, b, c, d, e, f = (complex(k) for k in coeffs)
+    den = (d * z + e) * z + f
+    if den == 0:
         raise PoleError(f"derivative requested at a pole, z={z!r}")
-    return 2.0 * c * (em - z * z * ep) / (den * den)
-
-
-def fixed_points(params: MapParams) -> tuple[complex, complex, complex]:
-    """The three fixed points -1, 0, +1, independent of the gate angle."""
-    del params
-    return (-1.0 + 0j, 0j, 1.0 + 0j)
+    return (((a * e - b * d) * z + 2.0 * (a * f - c * d)) * z + (b * f - c * e)) / (den * den)
 
 
 def two_cycle(params: MapParams) -> tuple[complex, complex]:
@@ -144,13 +143,17 @@ def two_cycle(params: MapParams) -> tuple[complex, complex]:
     The map swaps the two points (it reduces to z -> -z on them); the cycle
     is repelling for every gate angle.
     """
-    root = 1j * cmath.sqrt(1.0 + 2.0 * params.e_neg * params.e_neg)
+    em = cmath.exp(-1j * params.varphi)
+    root = 1j * cmath.sqrt(1.0 + 2.0 * em * em)
     return (root, -root)
 
 
-def critical_points(params: MapParams) -> tuple[complex, complex]:
-    """Zeros of f', at +-e^{-i varphi}; the + point is listed first."""
-    return (params.e_neg, -params.e_neg)
+def critical_points(coeffs: tuple, varphi: float) -> tuple[complex, complex]:
+    """Zeros of f', roots of (ae-bd) z^2 + 2(af-cd) z + (bf-ce), the one nearer e^{-i varphi} first."""
+    a, b, c, d, e, f = (complex(k) for k in coeffs)
+    roots = _quadratic_roots(a * e - b * d, 2.0 * (a * f - c * d), b * f - c * e)
+    near = cmath.exp(-1j * varphi)
+    return roots if chordal_distance(roots[0], near) <= chordal_distance(roots[1], near) else roots[::-1]
 
 
 def classify_multiplier(multiplier: complex) -> str:
@@ -175,13 +178,13 @@ class CycleReport:
     stability: str
 
 
-def cycle_multiplier(points: Sequence[complex], params: MapParams, tol: float = 1e-8) -> CycleReport:
-    """Validate a cycle and report its multiplier (chain rule over the orbit)."""
+def cycle_multiplier(points: Sequence[complex], coeffs: tuple, tol: float = 1e-8) -> CycleReport:
+    """Validate a cycle of the step on `coeffs` and report its multiplier (chain rule over the orbit)."""
     pts = [as_point(p) for p in points]
     if not pts:
         raise NotACycleError("empty point list")
     for i, p in enumerate(pts):
-        nxt = apply_map(p, params)
+        nxt = step_point(p, coeffs)[0]
         expected = pts[(i + 1) % len(pts)]
         if chordal_distance(nxt, expected) > tol:
             raise NotACycleError(
@@ -189,13 +192,11 @@ def cycle_multiplier(points: Sequence[complex], params: MapParams, tol: float = 
                 f"(distance {chordal_distance(nxt, expected):.3e} > {tol:.3e})"
             )
     if any(is_infinite(p) for p in pts):
-        # no periodic orbit of this map passes through infinity (it is
-        # strictly preperiodic: inf -> 0 -> 0), so reject rather than invent
-        # a chart change
+        # f' is taken in the plane chart; the ideal map has no such cycle (inf -> 0 -> 0)
         raise NotACycleError("cycle through infinity is not supported")
     lam = 1.0 + 0j
     for p in pts:
-        lam *= map_derivative(p, params)
+        lam *= map_derivative(p, coeffs)
     return CycleReport(tuple(pts), len(pts), lam, classify_multiplier(lam))
 
 
@@ -206,16 +207,17 @@ def _same_cycle(a: CycleReport, b: CycleReport, match_tol: float = 1e-6) -> bool
 
 
 def attractive_cycle_batch(
-    params_list: Sequence[MapParams],
+    maps: Sequence[tuple[tuple, float]],
     burn: int = 10_000,
     max_period: int = 64,
     tol: float = 1e-8,
 ) -> list[list[CycleReport]]:
-    """find_attractive_cycles for many gate angles at once, one list per angle.
+    """The attractive cycles of many maps at once, one list per map.
 
-    Both critical orbits of every angle advance together as one array: `burn`
-    steps, then `max_period` more, and an orbit's period is its first
-    near-return (chordal distance below tol) to the point the burn ended on.
+    Each map is a pair (coefficients, varphi); the angle only orders the two
+    critical points.  Both critical orbits of every map advance together as
+    one array: `burn` steps, then `max_period` more, and an orbit's period is
+    its first near-return (chordal distance below tol) to its burn's end.
 
     The burn stops once every orbit repeats one of its last `max_period` states
     bit for bit (checked at 2, 4, 8, ... times max_period steps): the step is
@@ -225,12 +227,12 @@ def attractive_cycle_batch(
         raise ValueError("burn must be >= 0")
     if max_period < 1:
         raise ValueError("max_period must be >= 1")
-    n = len(params_list)
+    n = len(maps)
     if n == 0:
         return []
-    coeffs = tuple(np.array(k * 2) for k in zip(*(p.coefficients for p in params_list)))
-    crit = np.array([critical_points(p)[0] for p in params_list])
-    z = np.concatenate([crit, -crit])  # the + critical point of every angle, then the - one
+    coeffs = tuple(np.array(k * 2) for k in zip(*(c for c, _ in maps)))
+    # the first critical point of every map, then the second one
+    z = np.array([critical_points(*m) for m in maps]).T.ravel()
     history = deque([z], maxlen=max_period + 1)
     check = 2 * max_period
     for step in range(1, burn + 1):
@@ -257,12 +259,11 @@ def attractive_cycle_batch(
     found: list[list[CycleReport]] = [[] for _ in range(n)]
     for j in np.flatnonzero(periods):
         try:
-            report = cycle_multiplier(orbit[: periods[j], j], params_list[j % n], tol)
+            report = cycle_multiplier(orbit[: periods[j], j], maps[j % n][0], tol)
         except ValueError:  # through infinity, at a pole, or not closing
             continue
-        if report.stability not in ("attractive", "superattractive"):
-            continue
-        if not any(_same_cycle(report, other) for other in found[j % n]):
+        attracting = report.stability in ("attractive", "superattractive")
+        if attracting and not any(_same_cycle(report, other) for other in found[j % n]):
             found[j % n].append(report)
     return found
 
@@ -273,41 +274,27 @@ def find_attractive_cycles(
     max_period: int = 64,
     tol: float = 1e-8,
 ) -> list[CycleReport]:
-    """All attractive cycles found by following the two critical orbits.
+    """All attractive cycles of the ideal map, found by following the two critical orbits.
 
     A degree-2 rational map has at most two attractive cycles and each one
-    attracts a critical point, so iterating both critical points for `burn`
-    steps and then scanning periods up to `max_period` finds every one of
-    them.  Orbits that never settle (neutral or chaotic parameter values)
-    simply contribute nothing.
+    attracts a critical point.  Orbits that never settle (neutral or chaotic
+    parameter values) contribute nothing.
     """
-    return attractive_cycle_batch([params], burn=burn, max_period=max_period, tol=tol)[0]
+    maps = [(params.coefficients, params.varphi)]
+    return attractive_cycle_batch(maps, burn=burn, max_period=max_period, tol=tol)[0]
 
 
-def inverse_branches(w: complex, params: MapParams) -> tuple[complex, complex]:
-    """Both preimages of w, solving w e^{i varphi} z^2 - 2 cos(varphi) z + w e^{-i varphi} = 0.
+def inverse_branches(w: complex, coeffs: tuple) -> tuple[complex, complex]:
+    """Both preimages of w, roots of (a - w d) z^2 + (b - w e) z + (c - w f) (of d z^2 + e z + f at infinity).
 
-    w = 0 has preimages {0, infinity}; w = infinity has the two poles.  A
-    critical value returns its double preimage twice.
+    Where the degree drops the second one is INFINITY (the ideal map's 0 has
+    {0, infinity}); a critical value returns its double preimage twice.
     """
     w = as_point(w)
-    c, em, ep = params.cos_varphi, params.e_neg, params.e_pos
+    a, b, c, d, e, f = (complex(k) for k in coeffs)
     if is_infinite(w):
-        return (1j * em, -1j * em)
-    if w == 0:
-        return (0j, INFINITY)
-    a = w * ep
-    b = -2.0 * c
-    cc = w * em
-    disc = cmath.sqrt(b * b - 4.0 * a * cc)
-    # pick the root sign that avoids cancellation in b + s
-    if (b.conjugate() * disc).real >= 0.0:
-        s = disc
-    else:
-        s = -disc
-    q = -0.5 * (b + s)
-    # q == 0 only if b == 0 and disc == 0, impossible for non-degenerate c
-    return (q / a, cc / q)
+        return _quadratic_roots(d, e, f)
+    return _quadratic_roots(a - w * d, b - w * e, c - w * f)
 
 
 def julia_backward_sample(
@@ -330,7 +317,7 @@ def julia_backward_sample(
     z = two_cycle(params)[0]
     out = np.empty(n_points, dtype=np.complex128)
     for i, bit in enumerate(bits):
-        z = inverse_branches(z, params)[bit]
+        z = inverse_branches(z, params.coefficients)[bit]
         if i >= transient:
             out[i - transient] = z
     return out

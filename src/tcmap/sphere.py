@@ -33,11 +33,6 @@ def as_point(z) -> complex:
     return INFINITY if cmath.isinf(w) else w
 
 
-def plane_distance(z: complex, w: complex) -> float:
-    """Euclidean distance |z - w|; inf when exactly one point is infinite."""
-    return 0.0 if is_infinite(z) and is_infinite(w) else abs(z - w)
-
-
 # finite points beyond this modulus get a scaled chart, since |z|^2 would overflow
 HOMOGENEOUS_LIMIT = 1e150
 

@@ -1,6 +1,7 @@
 """Second codings of the protocol and the map, kept as independent test oracles.
 
-The package computes each of these another way: the two-copy state and the
+The package computes each of these another way (or, for the ideal map's
+fixed points and the plane distance, not at all): the two-copy state and the
 postselection amplitudes are what `ExactStepOperator.coefficients` and the
 step kernel encode, the orbit and the basin loop are what `apply_map` and
 `basin_grid` run, and the block eigensystem is what `block_propagators`
@@ -15,8 +16,19 @@ from typing import Optional
 import numpy as np
 
 from tcmap.rational_map import CycleReport, apply_map
-from tcmap.sphere import INFINITY, as_point, is_infinite, plane_distance
+from tcmap.sphere import INFINITY, as_point, is_infinite
 from tcmap.tavis_cummings import AtomPairState
+
+
+def fixed_points(params):
+    """The ideal map's three fixed points -1, 0, +1, independent of the gate angle."""
+    del params
+    return (-1.0 + 0j, 0j, 1.0 + 0j)
+
+
+def plane_distance(z, w):
+    """Euclidean distance |z - w|; inf when exactly one point is infinite."""
+    return 0.0 if is_infinite(z) and is_infinite(w) else abs(z - w)
 
 
 def product_state_vector(z):

@@ -19,7 +19,6 @@ from tcmap.rational_map import (
     critical_points,
     cycle_multiplier,
     find_attractive_cycles,
-    fixed_points,
     julia_backward_sample,
     map_derivative,
     step_point,
@@ -64,7 +63,7 @@ def test_criterion_01_fixed_points_and_two_cycle():
     params0 = MapParams(0.0)
     a, b = two_cycle(params0)
     cyc_ok = abs(a - 1j * math.sqrt(3.0)) < 1e-12 and abs(b + 1j * math.sqrt(3.0)) < 1e-12
-    rep = cycle_multiplier([a, b], params0)
+    rep = cycle_multiplier([a, b], params0.coefficients)
     rep_ok = rep.stability == "repelling" and abs(abs(rep.multiplier) - 4.0) < 1e-10
     _report(
         1,
@@ -87,7 +86,7 @@ def test_criterion_02_stability_diagram_structure():
             (-1.0 + 0j, abs(math.tan(v))),
         )
         for z, lam in targets:
-            worst_closed = max(worst_closed, abs(abs(map_derivative(z, params)) - lam))
+            worst_closed = max(worst_closed, abs(abs(map_derivative(z, params.coefficients)) - lam))
             fd = (apply_map(z + h, params) - apply_map(z - h, params)) / (2.0 * h)
             worst_fd_rel = max(worst_fd_rel, abs(abs(fd) - lam) / max(1.0, lam))
 
@@ -195,7 +194,7 @@ def test_criterion_06_exact_to_ideal_convergence():
 def test_criterion_07_julia_structure():
     # totally disconnected case: both critical orbits reach the same fixed point 0
     params_a = MapParams(1.666 * math.pi)
-    ends_a = [iterate_map(zc, params_a, 3000)[-1] for zc in critical_points(params_a)]
+    ends_a = [iterate_map(zc, params_a, 3000)[-1] for zc in critical_points(params_a.coefficients, params_a.varphi)]
     merged = find_attractive_cycles(params_a)
     case_a = (
         all((not is_infinite(e)) and abs(e) < 1e-3 for e in ends_a)
@@ -204,7 +203,7 @@ def test_criterion_07_julia_structure():
     )
     # connected case: the critical orbits split between +1 and -1
     params_b = MapParams(0.95 * math.pi / 4.0)
-    zc_plus, zc_minus = critical_points(params_b)
+    zc_plus, zc_minus = critical_points(params_b.coefficients, params_b.varphi)
     end_plus = iterate_map(zc_plus, params_b, 3000)[-1]
     end_minus = iterate_map(zc_minus, params_b, 3000)[-1]
     case_b = abs(end_plus - 1.0) < 1e-6 and abs(end_minus + 1.0) < 1e-6

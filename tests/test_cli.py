@@ -238,6 +238,26 @@ def test_exact_op_dump_and_reuse(tmp_path):
     assert direct.read_bytes() == cached.read_bytes() == file_only.read_bytes()
 
 
+# the dark-state projector |Psi-><Psi-|, a valid step operator that sends every label to infinity
+DARK_OPERATOR = ["0,0,0,0,0,0,0,0", "0,0,0.5,0,-0.5,0,0,0", "0,0,-0.5,0,0.5,0,0,0", "0,0,0,0,0,0,0,0"]
+
+
+@pytest.mark.parametrize("step, reason", [
+    (["--nbar", "2"], "attracting cycle through -1.3556+0.488022j lies 0.604 from the ideal attractors"),
+    (["--op-file", "dark.csv"], "not a degree-2 map"),
+], ids=["nbar2", "dark-op-file"])
+def test_exact_basin_needs_the_ideal_attractors(tmp_path, capsys, step, reason):
+    # cells are classified toward the ideal attractors, which the exact step must keep within --tol
+    (tmp_path / "dark.csv").write_text("\n".join(DARK_OPERATOR) + "\n")
+    out, csv = tmp_path / "exact.ppm", tmp_path / "exact.csv"
+    argv = ["exact-basin", "--varphi", "0.2375pi", "--res", "20x20", "--out", str(out), "--csv", str(csv)]
+    if step[0] == "--op-file":
+        step = ["--op-file", str(tmp_path / step[1])]
+    assert main(argv + step) == 1
+    assert reason in capsys.readouterr().err
+    assert not out.exists() and not csv.exists()
+
+
 def test_discriminate_outputs(tmp_path):
     out = tmp_path / "disc.csv"
     assert main(
@@ -412,16 +432,30 @@ def test_malformed_op_file_exits_1_and_names_it(tmp_path, capsys, rows, reason):
     assert not out.exists()
 
 
-def test_the_benchmark_tracer_finds_every_name_it_wraps():
-    # `bench/run.py --trace 1` wraps package functions by name, so each one must still exist
+def test_the_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
+    # `bench/run.py --trace 1` wraps package functions by name and binds their parameters
+    # by name, so each one must still exist and a traced run must fill the layer metrics
     path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     tracer = tracing.Tracer()
+    op = str(tmp_path / "op.csv")
     try:
         tracing.install(tracer, tcmap)
         assert tcmap.cli.main is not main
+        for argv in (
+            ["basin", "--varphi", "0.2375pi", "--res", "8x8", "--csv", str(tmp_path / "b.csv")],
+            ["exact-op", "--nbar", "10"],
+            ["exact-basin", "--varphi", "0.2375pi", "--res", "8x8", "--op-file", op],
+            ["discriminate", "--samples", "10", "--steps", "2"],
+        ):
+            assert tcmap.cli.main(argv + ["--out", op if argv[0] == "exact-op" else str(tmp_path / "out")]) == 0
     finally:
         tracer.restore()
     assert tcmap.cli.main is main
+    metrics = {name: value for name, (value, _) in tracing.layer_metrics(tracer).items()}
+    assert metrics["experiments.basin_grid_s"] > 0
+    assert metrics["experiments.discrimination_sample_steps"] == 20
+    assert metrics["output.ppm_bytes"] > 0
+    assert metrics["output.csv_rows"] > 0

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import BasinCell, classify_basin_point, iterate_map
+from oracles import BasinCell, classify_basin_point, fixed_points, iterate_map
 from tcmap import rational_map
 from tcmap.rational_map import (
     DegenerateParameterError,
@@ -19,15 +19,17 @@ from tcmap.rational_map import (
     cycle_multiplier,
     escape_guard_grid,
     find_attractive_cycles,
-    fixed_points,
     inverse_branches,
     is_degenerate,
     julia_backward_sample,
     map_derivative,
     quadratic_step,
+    step_point,
     two_cycle,
 )
+from tcmap.protocol import exact_step_operator
 from tcmap.sphere import INFINITY, chordal_distance, is_infinite
+from tcmap.tavis_cummings import CoherentFieldSpec
 
 
 def random_angles(rng, n):
@@ -114,21 +116,21 @@ def test_imaginary_axis_invariant_at_phi_zero():
 # ---------------------------------------------------------- map_derivative
 
 def test_derivative_at_origin():
-    assert abs(map_derivative(0j, MapParams(0.0)) - 2.0) < 1e-15
+    assert abs(map_derivative(0j, MapParams(0.0).coefficients) - 2.0) < 1e-15
 
 
 def test_derivative_vanishes_at_critical_fixed_point():
-    assert abs(map_derivative(1.0, MapParams(0.0))) < 1e-15
+    assert abs(map_derivative(1.0, MapParams(0.0).coefficients)) < 1e-15
 
 
 def test_derivative_at_one_for_pi_over_eight():
     expected = -1j * math.tan(math.pi / 8.0)
-    assert abs(map_derivative(1.0, MapParams(math.pi / 8.0)) - expected) < 1e-14
+    assert abs(map_derivative(1.0, MapParams(math.pi / 8.0).coefficients) - expected) < 1e-14
 
 
 def test_derivative_raises_at_pole():
     with pytest.raises(PoleError):
-        map_derivative(1j, MapParams(0.0))
+        map_derivative(1j, MapParams(0.0).coefficients)
 
 
 def test_derivative_matches_finite_differences():
@@ -138,10 +140,10 @@ def test_derivative_matches_finite_differences():
         v = random_angles(rng, 1)[0]
         params = MapParams(v)
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-        den = params.e_neg + z * z * params.e_pos
+        den = cmath.exp(-1j * v) + z * z * cmath.exp(1j * v)
         if abs(den) < 1e-2:
             continue
-        exact = map_derivative(z, params)
+        exact = map_derivative(z, params.coefficients)
         approx = finite_difference_derivative(z, params)
         assert abs(exact - approx) <= 1e-5 * max(1.0, abs(exact))
         checked += 1
@@ -198,33 +200,33 @@ def test_two_cycle_is_repelling_for_any_angle():
     rng = np.random.default_rng(5)
     for v in random_angles(rng, 20) + [0.95 * math.pi / 4.0]:
         params = MapParams(v)
-        rep = cycle_multiplier(two_cycle(params), params)
+        rep = cycle_multiplier(two_cycle(params), params.coefficients)
         assert rep.stability == "repelling"
         # |lambda| = 3 + 1/cos^2 analytically
         assert abs(abs(rep.multiplier) - (3.0 + 1.0 / math.cos(v) ** 2)) < 1e-8
 
 
 def test_cycle_multiplier_fixed_point_zero():
-    rep = cycle_multiplier([0j], MapParams(0.0))
+    rep = cycle_multiplier([0j], MapParams(0.0).coefficients)
     assert abs(rep.multiplier - 2.0) < 1e-14
     assert rep.stability == "repelling"
     assert rep.period == 1
 
 
 def test_cycle_multiplier_superattractive_one():
-    rep = cycle_multiplier([1.0 + 0j], MapParams(0.0))
+    rep = cycle_multiplier([1.0 + 0j], MapParams(0.0).coefficients)
     assert abs(rep.multiplier) < 1e-15
     assert rep.stability == "superattractive"
 
 
 def test_cycle_multiplier_two_cycle_value():
-    rep = cycle_multiplier([1j * math.sqrt(3.0), -1j * math.sqrt(3.0)], MapParams(0.0))
+    rep = cycle_multiplier([1j * math.sqrt(3.0), -1j * math.sqrt(3.0)], MapParams(0.0).coefficients)
     assert abs(rep.multiplier - 4.0) < 1e-12
 
 
 def test_cycle_multiplier_rejects_non_cycle():
     with pytest.raises(NotACycleError):
-        cycle_multiplier([0.3 + 0j], MapParams(0.0))
+        cycle_multiplier([0.3 + 0j], MapParams(0.0).coefficients)
 
 
 def test_classify_multiplier_bands():
@@ -235,14 +237,24 @@ def test_classify_multiplier_bands():
     assert classify_multiplier(1.1) == "repelling"
 
 
+def ideal_critical_points(v):
+    params = MapParams(v)
+    return critical_points(params.coefficients, params.varphi)
+
+
 def test_critical_points_values_and_modulus():
-    assert critical_points(MapParams(0.0)) == (1.0 + 0j, -1.0 + 0j)
-    a, b = critical_points(MapParams(math.pi / 3.0))
+    assert ideal_critical_points(0.0) == (1.0 + 0j, -1.0 + 0j)
+    a, b = ideal_critical_points(math.pi / 3.0)
     assert abs(a - cmath.exp(-1j * math.pi / 3.0)) < 1e-15
     for v in (0.1, 2.0, 5.5):
-        for c in critical_points(MapParams(v)):
+        for c in ideal_critical_points(v):
             assert abs(abs(c) - 1.0) < 1e-15
-            assert abs(map_derivative(c, MapParams(v))) < 1e-13
+            assert abs(map_derivative(c, MapParams(v).coefficients)) < 1e-13
+    # the root nearer e^{-i varphi} comes first, in all four quadrants and at negative angles
+    for v in (0.3, 1.2, 2.0, 2.9, 3.5, 4.4, 5.0, 6.1, -0.7, -2.5):
+        plus, minus = ideal_critical_points(v)
+        assert abs(plus - cmath.exp(-1j * v)) < 1e-15
+        assert abs(minus + cmath.exp(-1j * v)) < 1e-15
 
 
 # --------------------------------------------------- find_attractive_cycles
@@ -282,8 +294,7 @@ def test_cycle_search_rejects_a_negative_burn():
 
 def full_burn_cycles(params, burn, max_period=64, tol=1e-8):
     """The critical-orbit search with every one of the `burn` steps taken."""
-    c = critical_points(params)[0]
-    z = np.array([c, -c])
+    z = np.array(critical_points(params.coefficients, params.varphi))
     coeffs = tuple(np.array([k, k]) for k in params.coefficients)  # one coefficient per orbit, as in a batch
     for _ in range(burn):
         z = quadratic_step(z, coeffs)
@@ -297,7 +308,7 @@ def full_burn_cycles(params, burn, max_period=64, tol=1e-8):
         if not close.any():
             continue
         try:
-            rep = cycle_multiplier(orbit[: close.argmax() + 1, j], params, tol)
+            rep = cycle_multiplier(orbit[: close.argmax() + 1, j], params.coefficients, tol)
         except ValueError:
             continue
         new = all(rep.period != f.period or min(chordal_distance(rep.points[0], q) for q in f.points) >= 1e-6
@@ -323,7 +334,7 @@ def test_early_stopped_burn_equals_the_full_burn(monkeypatch, varphi, settles):
     monkeypatch.setattr(rational_map, "quadratic_step", counted)
     for burn in (0, 1, 777, 10_000):
         steps.clear()
-        got = attractive_cycle_batch([params], burn=burn)[0]
+        got = attractive_cycle_batch([(params.coefficients, params.varphi)], burn=burn)[0]
         want = full_burn_cycles(params, burn)
         assert [c.points for c in got] == [c.points for c in want]
         assert [c.multiplier for c in got] == [c.multiplier for c in want]
@@ -351,23 +362,23 @@ def test_cycle_reports_close_under_the_map():
 # --------------------------------------------------------- inverse branches
 
 def test_inverse_of_critical_value_is_a_double_root():
-    a, b = inverse_branches(1.0, MapParams(0.0))
+    a, b = inverse_branches(1.0, MapParams(0.0).coefficients)
     assert abs(a - 1.0) < 1e-12 and abs(b - 1.0) < 1e-12
 
 
 def test_inverse_of_zero():
-    a, b = inverse_branches(0j, MapParams(0.5))
+    a, b = inverse_branches(0j, MapParams(0.5).coefficients)
     assert a == 0j and b is INFINITY
 
 
 def test_inverse_of_infinity_is_the_poles():
-    a, b = inverse_branches(INFINITY, MapParams(0.4))
+    a, b = inverse_branches(INFINITY, MapParams(0.4).coefficients)
     for p in (a, b):
         assert apply_map(p, MapParams(0.4)) is INFINITY
 
 
 def test_inverse_recovers_the_forward_image():
-    branches = inverse_branches(0.3846153846153846, MapParams(0.0))
+    branches = inverse_branches(0.3846153846153846, MapParams(0.0).coefficients)
     assert min(abs(z - 0.2) for z in branches if not is_infinite(z)) < 1e-12
 
 
@@ -377,7 +388,7 @@ def test_inverse_correctness_on_random_points():
         v = random_angles(rng, 1)[0]
         params = MapParams(v)
         w = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        for z in inverse_branches(w, params):
+        for z in inverse_branches(w, params.coefficients):
             assert chordal_distance(apply_map(z, params), w) < 1e-9
 
 
@@ -467,3 +478,68 @@ def test_escape_guard_grid():
     assert out[0] == 1.0 + 0j
     assert not np.isfinite(out[1])
     assert not np.isfinite(out[2])
+
+
+# ------------------------------------------------ the analyses on the exact step
+
+EXACT_VARPHI = 0.2375 * math.pi
+
+
+@pytest.fixture(scope="module", params=[2.0, 10.0, 100.0], ids=lambda nbar: f"nbar{nbar:g}")
+def exact_coefficients(request):
+    return exact_step_operator(CoherentFieldSpec(nbar=request.param)).coefficients(EXACT_VARPHI)
+
+
+def test_exact_derivative_matches_finite_differences(exact_coefficients):
+    rng = np.random.default_rng(41)
+    z = rng.uniform(-2, 2, size=200) + 1j * rng.uniform(-2, 2, size=200)
+    h = 1e-4
+
+    def f(x):
+        return quadratic_step(x, exact_coefficients)
+
+    # the five-point central difference, accurate to O(h^4)
+    approx = (f(z - 2 * h) - 8 * f(z - h) + 8 * f(z + h) - f(z + 2 * h)) / (12 * h)
+    exact = np.array([map_derivative(x, exact_coefficients) for x in z])
+    assert np.all(np.abs(exact - approx) <= 1e-8 * np.maximum(1.0, np.abs(exact)))
+
+
+def test_exact_critical_points_are_zeros_of_the_derivative(exact_coefficients):
+    points = critical_points(exact_coefficients, EXACT_VARPHI)
+    assert not any(is_infinite(c) for c in points)
+    for c in points:
+        assert abs(map_derivative(c, exact_coefficients)) < 1e-10
+    # the one nearer e^{-i varphi} first
+    near = cmath.exp(-1j * EXACT_VARPHI)
+    assert abs(points[0] - near) < abs(points[1] - near)
+
+
+def test_exact_inverse_branches_map_back(exact_coefficients):
+    rng = np.random.default_rng(43)
+    targets = [0j, INFINITY] + [complex(*rng.uniform(-3, 3, size=2)) for _ in range(100)]
+    for w in targets:
+        for z in inverse_branches(w, exact_coefficients):
+            assert chordal_distance(step_point(z, exact_coefficients)[0], w) < 1e-9
+
+
+@pytest.mark.parametrize("nbar, attractors", [
+    (2.0, [1.38499 - 0.25336j, -1.35560 + 0.48802j]),
+    (10.0, [1.03045 - 0.03043j, -1.03046 + 0.03060j]),
+    (100.0, [1.00273 - 0.00254j, -1.00273 + 0.00254j]),
+])
+def test_exact_step_attractors(nbar, attractors):
+    coeffs = exact_step_operator(CoherentFieldSpec(nbar=nbar)).coefficients(EXACT_VARPHI)
+    cycles = attractive_cycle_batch([(coeffs, EXACT_VARPHI)])[0]
+    assert [c.period for c in cycles] == [1, 1]
+    assert all(c.stability == "attractive" for c in cycles)
+    for cycle, want in zip(cycles, attractors):
+        assert abs(cycle.points[0] - want) < 1e-4
+
+
+def test_a_critical_point_at_infinity():
+    # f(z) = z^2 + 2z has f' = 2z + 2: critical points -1 and infinity, ordered by e^{-i varphi}
+    coeffs = (1.0, 2.0, 0.0, 0.0, 0.0, 1.0)
+    assert critical_points(coeffs, math.pi) == (-1.0, INFINITY)
+    assert critical_points(coeffs, 0.0) == (INFINITY, -1.0)
+    assert inverse_branches(-1.0, coeffs) == (-1.0, -1.0)
+    assert inverse_branches(INFINITY, coeffs) == (INFINITY, INFINITY)

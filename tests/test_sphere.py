@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from oracles import plane_distance
 from tcmap.rational_map import MapParams, inverse_branches
-from tcmap.sphere import INFINITY, as_point, chordal_distance, homogeneous, is_infinite, plane_distance
+from tcmap.sphere import INFINITY, as_point, chordal_distance, homogeneous, is_infinite
 
 
 def test_infinity_is_a_singleton():
@@ -17,7 +18,7 @@ def test_infinity_is_a_singleton():
     assert not is_infinite(1 + 2j)
     u, v = homogeneous(INFINITY)
     assert (u, v) == (1.0, 0.0)
-    assert inverse_branches(0j, MapParams(0.5))[1] is INFINITY
+    assert inverse_branches(0j, MapParams(0.5).coefficients)[1] is INFINITY
 
 
 def test_nan_is_rejected():
