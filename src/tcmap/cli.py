@@ -267,6 +267,9 @@ def run_sweep(args: argparse.Namespace) -> None:
     span = args.phi_max - args.phi_min
     grid = [args.phi_min + (k + 0.5) * span / args.grid for k in range(args.grid)]
     grid = [v for v in grid if not rm.is_degenerate(v)]
+    if not grid:
+        raise ValueError(f"no usable angle: every grid angle in [{args.phi_min!r}, {args.phi_max!r}] "
+                         "is degenerate (cos varphi ~ 0)")
     rows_out = []
     for row in ex.phi_sweep(grid, burn=args.burn, max_period=args.max_period):
         base = (row.varphi, row.abs_lambda_zero, row.abs_lambda_plus_one, row.abs_lambda_minus_one)

@@ -305,7 +305,10 @@ def basin_grid(
                 break
             keep = np.ones(cells.size, dtype=bool)
             for idx, cyc in enumerate(cycle_points):
-                hit = keep & np.any([np.abs(w - p) < tol for p in cyc], axis=0)
+                hit = np.abs(w - cyc[0]) < tol
+                for p in cyc[1:]:
+                    hit |= np.abs(w - p) < tol
+                hit &= keep
                 ids[cells[hit]] = idx
                 iters[cells[hit]] = k
                 keep &= ~hit

@@ -152,8 +152,8 @@ def critical_points(coeffs: tuple, varphi: float) -> tuple[complex, complex]:
     """Zeros of f', roots of (ae-bd) z^2 + 2(af-cd) z + (bf-ce), the one nearer e^{-i varphi} first."""
     a, b, c, d, e, f = (complex(k) for k in coeffs)
     roots = _quadratic_roots(a * e - b * d, 2.0 * (a * f - c * d), b * f - c * e)
-    near = cmath.exp(-1j * varphi)
-    return roots if chordal_distance(roots[0], near) <= chordal_distance(roots[1], near) else roots[::-1]
+    dist = chordal_distance(np.array(roots), cmath.exp(-1j * varphi))
+    return roots if dist[0] <= dist[1] else roots[::-1]
 
 
 def classify_multiplier(multiplier: complex) -> str:
@@ -184,13 +184,15 @@ def cycle_multiplier(points: Sequence[complex], coeffs: tuple, tol: float = 1e-8
     if not pts:
         raise NotACycleError("empty point list")
     for i, p in enumerate(pts):
-        nxt = step_point(p, coeffs)[0]
-        expected = pts[(i + 1) % len(pts)]
-        if chordal_distance(nxt, expected) > tol:
-            raise NotACycleError(
-                f"points do not close under the map at index {i} "
-                f"(distance {chordal_distance(nxt, expected):.3e} > {tol:.3e})"
-            )
+        gap = chordal_distance(step_point(p, coeffs)[0], pts[(i + 1) % len(pts)])
+        if gap > tol:
+            raise NotACycleError(f"points do not close under the map at index {i} "
+                                 f"(distance {gap:.3e} > {tol:.3e})")
+    return _cycle_report(pts, coeffs)
+
+
+def _cycle_report(pts: Sequence[complex], coeffs: tuple) -> CycleReport:
+    """The report of a closed cycle: f' multiplied along it; infinite points and poles raise ValueError."""
     if any(is_infinite(p) for p in pts):
         # f' is taken in the plane chart; the ideal map has no such cycle (inf -> 0 -> 0)
         raise NotACycleError("cycle through infinity is not supported")
@@ -203,7 +205,7 @@ def cycle_multiplier(points: Sequence[complex], coeffs: tuple, tol: float = 1e-8
 def _same_cycle(a: CycleReport, b: CycleReport, match_tol: float = 1e-6) -> bool:
     if a.period != b.period:
         return False
-    return all(min(chordal_distance(p, q) for q in b.points) < match_tol for p in a.points)
+    return bool((chordal_distance(np.array(a.points)[:, None], np.array(b.points)).min(axis=1) < match_tol).all())
 
 
 def attractive_cycle_batch(
@@ -219,9 +221,10 @@ def attractive_cycle_batch(
     one array: `burn` steps, then `max_period` more, and an orbit's period is
     its first near-return (chordal distance below tol) to its burn's end.
 
-    The burn stops once every orbit repeats one of its last `max_period` states
-    bit for bit (checked at 2, 4, 8, ... times max_period steps): the step is
-    elementwise, so the state after `burn` steps is read off each loop, exactly.
+    An orbit leaves the burn once it repeats one of its last `max_period` states
+    bit for bit (checked at 2, 4, 8, ... times max_period steps), so only open
+    orbits are stepped: the step is elementwise, so the state after `burn`
+    steps is read off each loop, exactly.
     """
     if burn < 0:
         raise ValueError("burn must be >= 0")
@@ -230,9 +233,11 @@ def attractive_cycle_batch(
     n = len(maps)
     if n == 0:
         return []
-    coeffs = tuple(np.array(k * 2) for k in zip(*(c for c, _ in maps)))
+    all_coeffs = tuple(np.array(k * 2) for k in zip(*(c for c, _ in maps)))
     # the first critical point of every map, then the second one
     z = np.array([critical_points(*m) for m in maps]).T.ravel()
+    end = np.empty_like(z)  # each orbit's state after the burn
+    live, coeffs = np.arange(z.size), all_coeffs  # the open orbits and their coefficients
     history = deque([z], maxlen=max_period + 1)
     check = 2 * max_period
     for step in range(1, burn + 1):
@@ -243,24 +248,30 @@ def attractive_cycle_batch(
             states = np.array(history)
             bits = states.view(np.int64)
             same = (bits[:-1] == bits[-1]).reshape(max_period, z.size, 2).all(axis=2)
-            if same.any(axis=0).all():
-                last = max_period - 1 - same[::-1].argmax(axis=0)  # the latest earlier copy of z
-                z = states[last + (burn - step) % (max_period - last), np.arange(z.size)]
+            done = same.any(axis=0)
+            last = max_period - 1 - same[::-1, done].argmax(axis=0)  # the latest earlier copy of z
+            end[live[done]] = states[last + (burn - step) % (max_period - last), np.flatnonzero(done)]
+            live, z, states = live[~done], z[~done], states[:, ~done]
+            coeffs = tuple(k[~done] for k in coeffs)
+            history = deque(states, maxlen=max_period + 1)
+            if not live.size:
                 break
+    end[live] = z
     # an orbit decaying to the fixed point 0 ends the burn on a subnormal or signed zero: read it as 0
-    z = np.where(np.abs(z) < np.finfo(float).tiny, 0j, z)
+    z = np.where(np.abs(end) < np.finfo(float).tiny, 0j, end)
     orbit = [z]
     for _ in range(max_period):
-        orbit.append(quadratic_step(orbit[-1], coeffs))
+        orbit.append(quadratic_step(orbit[-1], all_coeffs))
     orbit = np.array(orbit)
     close = chordal_distance(orbit[1:], orbit[0]) < tol
     periods = np.where(close.any(axis=0), close.argmax(axis=0) + 1, 0)
 
     found: list[list[CycleReport]] = [[] for _ in range(n)]
     for j in np.flatnonzero(periods):
+        # rows are the step's images and the period is the near-return, so the points close
         try:
-            report = cycle_multiplier(orbit[: periods[j], j], maps[j % n][0], tol)
-        except ValueError:  # through infinity, at a pole, or not closing
+            report = _cycle_report([complex(p) for p in orbit[: periods[j], j]], maps[j % n][0])
+        except ValueError:  # through infinity, beyond the escape radius or at a pole
             continue
         attracting = report.stability in ("attractive", "superattractive")
         if attracting and not any(_same_cycle(report, other) for other in found[j % n]):

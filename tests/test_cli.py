@@ -174,6 +174,14 @@ def test_sweep_row_pattern_for_phi_zero(tmp_path):
     assert lines[2] == "0,2,0,0,1,0"
 
 
+def test_sweep_without_a_usable_angle_fails(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    # every grid angle is the degenerate 0.5pi, so no row could be written
+    assert main(["sweep", "--grid", "3", "--phi-min", "0.5pi", "--phi-max", "0.5pi", "--out", str(out)]) == 1
+    assert f"in [{0.5 * math.pi!r}, {0.5 * math.pi!r}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_julia_csv_and_image(tmp_path):
     out = tmp_path / "julia.csv"
     img = tmp_path / "julia.ppm"

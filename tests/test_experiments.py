@@ -25,6 +25,7 @@ from tcmap.protocol import (
 from tcmap.rational_map import (
     MapParams,
     apply_map,
+    cycle_multiplier,
     find_attractive_cycles,
     quadratic_step,
     step_point,
@@ -118,6 +119,16 @@ def test_sweep_emits_rows_in_grid_order():
 def test_sweep_finds_a_four_cycle_between_the_neutral_angles():
     rows = phi_sweep([1.01 * math.pi / 4.0])
     assert any(c.period == 4 for c in rows[0].cycles)
+
+
+def test_sweep_reports_match_cycle_multiplier():
+    varphis = [(k + 0.5) * 2.0 * math.pi / 64 for k in range(64)]
+    reports = 0
+    for v, row in zip(varphis, phi_sweep(varphis)):
+        for rep in row.cycles:
+            assert rep == cycle_multiplier(rep.points, MapParams(v).coefficients)
+            reports += 1
+    assert reports >= 32
 
 
 def test_batched_sweep_matches_one_angle_at_a_time():

@@ -292,10 +292,10 @@ def test_cycle_search_rejects_a_negative_burn():
         find_attractive_cycles(MapParams(0.3), burn=-1)
 
 
-def full_burn_cycles(params, burn, max_period=64, tol=1e-8):
-    """The critical-orbit search with every one of the `burn` steps taken."""
-    z = np.array(critical_points(params.coefficients, params.varphi))
-    coeffs = tuple(np.array([k, k]) for k in params.coefficients)  # one coefficient per orbit, as in a batch
+def full_burn_cycles(step_coeffs, varphi, burn, max_period=64, tol=1e-8):
+    """The critical-orbit search on one map with every one of the `burn` steps taken."""
+    z = np.array(critical_points(step_coeffs, varphi))
+    coeffs = tuple(np.array([k, k]) for k in step_coeffs)  # one coefficient per orbit, as in a batch
     for _ in range(burn):
         z = quadratic_step(z, coeffs)
     orbit = [z]
@@ -308,7 +308,7 @@ def full_burn_cycles(params, burn, max_period=64, tol=1e-8):
         if not close.any():
             continue
         try:
-            rep = cycle_multiplier(orbit[: close.argmax() + 1, j], params.coefficients, tol)
+            rep = cycle_multiplier(orbit[: close.argmax() + 1, j], step_coeffs, tol)
         except ValueError:
             continue
         new = all(rep.period != f.period or min(chordal_distance(rep.points[0], q) for q in f.points) >= 1e-6
@@ -335,13 +335,28 @@ def test_early_stopped_burn_equals_the_full_burn(monkeypatch, varphi, settles):
     for burn in (0, 1, 777, 10_000):
         steps.clear()
         got = attractive_cycle_batch([(params.coefficients, params.varphi)], burn=burn)[0]
-        want = full_burn_cycles(params, burn)
+        want = full_burn_cycles(params.coefficients, params.varphi, burn)
         assert [c.points for c in got] == [c.points for c in want]
         assert [c.multiplier for c in got] == [c.multiplier for c in want]
         if burn == 10_000:
             assert (len(steps) < 2000) == settles
     if settles:
         assert want
+
+
+def test_settled_orbits_leave_the_burn(monkeypatch):
+    sizes = []
+
+    def counted(z, coeffs, with_p=False):
+        sizes.append(np.size(z))
+        return quadratic_step(z, coeffs, with_p)
+
+    monkeypatch.setattr(rational_map, "quadratic_step", counted)
+    maps = [(p.coefficients, p.varphi) for p in (MapParams(0.2375 * math.pi), MapParams(0.3 * math.pi))]
+    attractive_cycle_batch(maps)
+    burned = sum(sizes[:-64])  # the last max_period steps trace the orbits after the burn
+    # the chaotic pair runs the whole burn; the settled pair leaves at the check where it repeats alone
+    assert 2 * 10_000 <= burned <= 2 * 10_000 + 2 * 512
 
 
 def test_never_more_than_two_attractive_cycles():
@@ -543,3 +558,18 @@ def test_a_critical_point_at_infinity():
     assert critical_points(coeffs, 0.0) == (INFINITY, -1.0)
     assert inverse_branches(-1.0, coeffs) == (-1.0, -1.0)
     assert inverse_branches(INFINITY, coeffs) == (INFINITY, INFINITY)
+
+
+@pytest.fixture(scope="module")
+def mixed_ideal_maps():
+    """Ideal maps that settle, carry a pair of 4-cycles, fall to 0, drift by ulps, are chaotic; with full burns."""
+    params = [MapParams(t * math.pi) for t in (0.2375, 0.251953125, 0.45, 0.1, 0.3)]
+    return [((p.coefficients, p.varphi), full_burn_cycles(p.coefficients, p.varphi, 10_000)) for p in params]
+
+
+def test_a_mixed_batch_equals_per_map_full_burns(mixed_ideal_maps, exact_coefficients):
+    cases = mixed_ideal_maps + [((exact_coefficients, EXACT_VARPHI),
+                                 full_burn_cycles(exact_coefficients, EXACT_VARPHI, 10_000))]
+    for got, (_, want) in zip(attractive_cycle_batch([m for m, _ in cases]), cases):
+        assert [c.points for c in got] == [c.points for c in want]
+        assert [c.multiplier for c in got] == [c.multiplier for c in want]
