@@ -12,6 +12,8 @@ is a usage error (exit 2) that names the flag. Runtime and I/O errors exit 1.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import math
 import os
 import sys
@@ -300,8 +302,8 @@ def _emit_basin(args: argparse.Namespace, grid: ex.BasinGrid) -> None:
     img = output.render_basin_image(grid.attractor_ids, grid.iterations, grid.max_iter)
     output.write_ppm(img, args.out)
     if args.csv is not None:
-        pts = ex.grid_points(grid.region, grid.width, grid.height)  # rows share x, columns share y
-        output.write_basin_csv(pts[0].real, pts[:, 0].imag, grid.attractor_ids, grid.iterations, args.csv)
+        xs, ys = ex.grid_axes(grid.region, grid.width, grid.height)
+        output.write_basin_csv(xs, ys, grid.attractor_ids, grid.iterations, args.csv)
 
 
 def run_basin(args: argparse.Namespace) -> None:
@@ -363,7 +365,30 @@ def run_exact_op(args: argparse.Namespace) -> None:
     proto.write_step_operator(proto.exact_step_operator(field, gt=args.gt), args.out)
 
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Let the C heap keep up to 64 MiB of freed memory and serve blocks below 4 MiB.
+
+    With glibc's start-up thresholds, the ~1 MiB temporaries of every block
+    step go back to the kernel when freed and are faulted in again by the
+    next step.  Runs once per process; without mallopt it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv=None) -> int:
+    _keep_freed_heap()
     args = parse_config(sys.argv[1:] if argv is None else argv)
     try:
         args.run(args)

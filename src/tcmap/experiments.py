@@ -234,8 +234,8 @@ class BasinGrid:
     max_iter: int
 
 
-def grid_points(region: tuple[float, float, float, float], width: int, height: int) -> np.ndarray:
-    """Complex midpoints, shape (height, width), top row = max imaginary part."""
+def grid_axes(region: tuple[float, float, float, float], width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
+    """Midpoint coordinates (xs, ys) of the grid's columns and rows, ys from the top down."""
     xmin, xmax, ymin, ymax = region
     if not (xmax > xmin and ymax > ymin):
         raise ValueError("region must have positive extent")
@@ -243,6 +243,12 @@ def grid_points(region: tuple[float, float, float, float], width: int, height: i
         raise ValueError("resolution must be at least 1x1")
     xs = xmin + (np.arange(width) + 0.5) * (xmax - xmin) / width
     ys = ymax - (np.arange(height) + 0.5) * (ymax - ymin) / height
+    return xs, ys
+
+
+def grid_points(region: tuple[float, float, float, float], width: int, height: int) -> np.ndarray:
+    """Complex midpoints, shape (height, width), top row = max imaginary part."""
+    xs, ys = grid_axes(region, width, height)
     return xs[None, :] + 1j * ys[:, None]
 
 

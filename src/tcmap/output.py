@@ -7,6 +7,7 @@ with the same configuration reproduces output files byte for byte.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,14 +33,34 @@ def write_csv(rows: Iterable[Sequence], header: Sequence[str], path) -> None:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 
 
+def _dense_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(the distinct values, ascending; each entry's index among them), without sorting the entries.
+
+    A presence table over [min, max] gives the codes when that range is no
+    longer than the input, so the table never outgrows the input; a wider
+    range (a few far-apart values, such as unresolved cells at a huge
+    max_iter) is looked up among its distinct values.
+    """
+    lo = values.min()
+    span = int(values.max()) - int(lo) + 1
+    if span > values.size:
+        distinct = np.unique(values)
+        return distinct, np.searchsorted(distinct, values)
+    offsets = values - lo
+    present = np.flatnonzero(np.bincount(offsets, minlength=span))
+    lookup = np.zeros(span, dtype=np.intp)
+    lookup[present] = np.arange(present.size)
+    return present + lo, lookup[offsets]
+
+
 def write_basin_csv(xs, ys, attractor_ids, iterations, path) -> None:
     """write_csv's bytes for the basin rows (xs[j], ys[i], id, k), row-major.
 
     Each x, y and distinct (id, k) pair is formatted once; each image row is one write.
     """
-    id_vals, id_code = np.unique(np.ravel(attractor_ids), return_inverse=True)
-    k_vals, k_code = np.unique(np.ravel(iterations), return_inverse=True)
-    pairs, pair_code = np.unique(id_code * k_vals.size + k_code, return_inverse=True)
+    id_vals, id_code = _dense_codes(np.ravel(attractor_ids))
+    k_vals, k_code = _dense_codes(np.ravel(iterations))
+    pairs, pair_code = _dense_codes(id_code * k_vals.size + k_code)
     tails = np.array([f",{format_value(id_vals[c // k_vals.size])},{format_value(k_vals[c % k_vals.size])}\n"
                       for c in pairs.tolist()], dtype=object)[pair_code].reshape(len(ys), len(xs))
     xcol = [format_value(x) + "," for x in np.asarray(xs).tolist()]
@@ -47,8 +68,7 @@ def write_basin_csv(xs, ys, attractor_ids, iterations, path) -> None:
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write("x,y,attractor_id,iterations\n")
             for y, row in zip(np.asarray(ys).tolist(), tails.tolist()):
-                y = format_value(y)
-                fh.write("".join([x + y + tail for x, tail in zip(xcol, row)]))
+                fh.write("".join(chain.from_iterable(zip(xcol, repeat(format_value(y)), row))))
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
 

@@ -33,8 +33,9 @@ def as_point(z) -> complex:
     return INFINITY if cmath.isinf(w) else w
 
 
-# finite points beyond this modulus get a scaled chart, since |z|^2 would overflow
-HOMOGENEOUS_LIMIT = 1e150
+# finite points beyond this modulus get a scaled chart: below it |u|^2 + v^2 <= 1e150 + 1,
+# so the product of two such norms, as overlaps and chordal distances take it, cannot overflow
+HOMOGENEOUS_LIMIT = 1e75
 
 
 def homogeneous(z) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -294,6 +295,42 @@ def test_importing_the_cli_loads_no_thread_pool():
     res = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "False"
+
+
+def _basin_bytes(tmp_path, name):
+    out, csv = tmp_path / f"{name}.ppm", tmp_path / f"{name}.csv"
+    assert main(["basin", "--varphi", "0.2375pi", "--res", "24x16", "--csv", str(csv), "--out", str(out)]) == 0
+    return out.read_bytes(), csv.read_bytes()
+
+
+@pytest.fixture
+def fresh_heap_setup():
+    # the allocator set-up runs once per process; let the test see it run again, then leave it to run anew
+    tcmap.cli._keep_freed_heap.cache_clear()
+    yield
+    tcmap.cli._keep_freed_heap.cache_clear()
+
+
+def _no_c_library(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [lambda name: object(), _no_c_library], ids=["no-mallopt", "oserror"])
+def test_cli_runs_without_mallopt(tmp_path, monkeypatch, fresh_heap_setup, cdll):
+    want = _basin_bytes(tmp_path, "tuned")
+    tcmap.cli._keep_freed_heap.cache_clear()
+    monkeypatch.setattr(tcmap.cli.ctypes, "CDLL", cdll)
+    assert _basin_bytes(tmp_path, "plain") == want
+
+
+def test_the_allocator_is_set_up_once_per_process(tmp_path, monkeypatch, fresh_heap_setup):
+    calls = []
+    libc = SimpleNamespace(mallopt=lambda param, value: calls.append((param, value)) or 1)
+    monkeypatch.setattr(tcmap.cli.ctypes, "CDLL", lambda name: calls.append(name) or libc)
+    for name in ("first", "second"):
+        _basin_bytes(tmp_path, name)
+    # glibc's M_MMAP_THRESHOLD (-3) to 4 MiB and M_TRIM_THRESHOLD (-1) to 64 MiB
+    assert calls == [None, (-3, 4 << 20), (-1, 64 << 20)]
 
 
 def test_discriminate_exact_requires_nbar(capsys):

@@ -62,13 +62,19 @@ def test_overlap_projective_infinity_rule():
 
 
 def test_overlap_of_labels_whose_square_overflows():
-    # a finite label beyond 1e150 is the same state as its neighbours on the sphere, not 0 or nan
+    # a finite label beyond HOMOGENEOUS_LIMIT is the same state as its neighbours on the sphere, not 0 or nan
     assert overlap(1e200, 0.5) == overlap(INFINITY, 0.5) == 0.5 / math.sqrt(1.25)
     assert overlap(1e200, 1e200) == overlap(1e200, -1e200j) == 1.0
     assert overlap(1e200, 0j) == 1e-200
     assert overlap(complex(1e308, 1e308), 1.0) == pytest.approx(math.sqrt(0.5), abs=1e-15)
     got = overlap(np.array([1e200, 1e150, 2.0]), np.array([0.5, 0.5, 1e200j]))
     assert np.array_equal(got, [overlap(INFINITY, 0.5), overlap(1e150, 0.5), overlap(INFINITY, 2.0)])
+
+
+@pytest.mark.parametrize("z2", [1e100, 1e100j, 1e76 - 1e76j])
+def test_overlap_of_two_labels_beyond_the_chart_limit(z2):
+    # both labels lie next to infinity, so the product of their norms must not overflow to an overlap of 0
+    assert overlap(1e100, z2) == 1.0
 
 
 def test_overlap_symmetry_and_global_phase_invariance():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,21 +57,47 @@ def test_csv_write_failure_carries_the_path():
 BASIN_HEADER = ("x", "y", "attractor_id", "iterations")
 
 
-@pytest.mark.parametrize("region, width, height", [
-    ((-1.5, 1.5, -1.5, 1.5), 3, 3),    # the centre midpoint is an exact 0
-    ((-2.0, -0.5, -1.0, -0.3), 7, 5),  # negative x and y only
-    ((-2.0, 2.0, -2.0, 2.0), 1, 1),
+def _ids_0_1_or_unresolved(rng, shape):
+    return rng.integers(-1, 3, size=shape), rng.integers(0, 98, size=shape)
+
+
+def _extra_hue_ids(rng, shape):
+    return rng.integers(-1, 8, size=shape), rng.integers(0, 98, size=shape)
+
+
+def _one_id_k_pair(rng, shape):
+    return np.full(shape, 3), np.full(shape, 41)
+
+
+def _unresolved_at_a_huge_max_iter(rng, shape):
+    # unresolved cells carry iterations = max_iter, so the (id, k) table must not span 0..max_iter
+    ids = rng.integers(-1, 2, size=shape)
+    return ids, np.where(ids < 0, 10**9, rng.integers(0, 98, size=shape))
+
+
+@pytest.mark.parametrize("region, width, height, cells", [
+    pytest.param((-1.5, 1.5, -1.5, 1.5), 3, 3, _ids_0_1_or_unresolved,  # the centre midpoint is an exact 0
+                 id="region0-3-3"),
+    pytest.param((-2.0, -0.5, -1.0, -0.3), 7, 5, _ids_0_1_or_unresolved, id="region1-7-5"),  # negative x and y only
+    pytest.param((-2.0, 2.0, -2.0, 2.0), 1, 1, _ids_0_1_or_unresolved, id="region2-1-1"),
+    pytest.param((-2.0, 2.0, -2.0, 2.0), 40, 30, _extra_hue_ids, id="extra-hues"),
+    pytest.param((-2.0, 2.0, -2.0, 2.0), 9, 4, _one_id_k_pair, id="one-pair"),
+    pytest.param((-2.0, 2.0, -2.0, 2.0), 200, 150, _unresolved_at_a_huge_max_iter, id="unresolved-at-1e9"),
 ])
-def test_basin_csv_matches_write_csv_over_the_cells(tmp_path, region, width, height):
-    rng = np.random.default_rng(width)
-    ids = rng.integers(-1, 3, size=(height, width))
-    its = rng.integers(0, 98, size=(height, width))
+def test_basin_csv_matches_write_csv_over_the_cells(tmp_path, region, width, height, cells):
+    ids, its = cells(np.random.default_rng(width), (height, width))
     pts = grid_points(region, width, height)
-    cells = pts.ravel()
-    rows = zip(cells.real.tolist(), cells.imag.tolist(), ids.ravel().tolist(), its.ravel().tolist())
+    flat = pts.ravel()
+    rows = zip(flat.real.tolist(), flat.imag.tolist(), ids.ravel().tolist(), its.ravel().tolist())
     write_csv(rows, BASIN_HEADER, tmp_path / "cells.csv")
-    write_basin_csv(pts[0].real, pts[:, 0].imag, ids, its, tmp_path / "basin.csv")
+    tracemalloc.start()
+    try:
+        write_basin_csv(pts[0].real, pts[:, 0].imag, ids, its, tmp_path / "basin.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert (tmp_path / "basin.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+    assert peak < 4 << 20
     if width == 3:
         assert b"\n0,0," in (tmp_path / "basin.csv").read_bytes()
 

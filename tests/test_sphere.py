@@ -58,8 +58,14 @@ def test_chordal_distance_of_labels_whose_square_overflows():
     assert chordal_distance(complex(1e308, -1e308), 0j) == 2.0
 
 
+@pytest.mark.parametrize("w, distance", [(0j, 2.0), (1e100j, 2 * math.sqrt(2.0) * 1e-100)])
+def test_chordal_distance_from_a_label_beyond_the_chart_limit(w, distance):
+    # the product of the two chart norms must not overflow to a distance of 0
+    assert chordal_distance(1e100 + 0j, w) == distance
+
+
 def test_homogeneous_keeps_moderate_labels_and_scales_huge_ones():
-    z = np.array([3 + 4j, 1e150, -1e150j, 1e160 - 1e170j, complex(math.inf, 0.0), complex(math.nan, 1.0)])
+    z = np.array([3 + 4j, 1e75, -1e75j, 1e160 - 1e170j, complex(math.inf, 0.0), complex(math.nan, 1.0)])
     u, v = homogeneous(z)
     assert np.array_equal(u[:3], z[:3]) and np.array_equal(v[:3], [1.0, 1.0, 1.0])
     assert (u[3], v[3]) == (1e-10 - 1j, 1e-170)
