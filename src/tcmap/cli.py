@@ -229,14 +229,19 @@ def parse_config(argv) -> argparse.Namespace:
     return args
 
 
-def _resolve_operator(args: argparse.Namespace) -> proto.ExactStepOperator:
+def _exact_coefficients(args: argparse.Namespace) -> tuple:
+    """The exact step's six coefficients at --varphi, from --op-file or else built from --nbar and --gt."""
     if args.op_file is not None:
-        return proto.read_step_operator(
-            args.op_file,
-            nbar=args.nbar if args.nbar is not None else math.nan,
-            gt=args.gt if args.gt is not None else math.nan,
-        )
-    return proto.exact_step_operator(CoherentFieldSpec(nbar=args.nbar), gt=args.gt)
+        return proto.read_step_operator(args.op_file).coefficients(args.varphi)
+    return proto.exact_step_operator(CoherentFieldSpec(nbar=args.nbar), gt=args.gt).coefficients(args.varphi)
+
+
+def _ideal_attractors(varphi: float) -> list[rm.CycleReport]:
+    """The ideal map's attractive cycles, which basins are classified toward; none is an error."""
+    cycles = rm.find_attractive_cycles(rm.MapParams(varphi))
+    if not cycles:
+        raise ValueError(f"no attractive cycles detected at varphi={varphi!r}")
+    return cycles
 
 
 def run_map(args: argparse.Namespace) -> None:
@@ -307,17 +312,17 @@ def _emit_basin(args: argparse.Namespace, grid: ex.BasinGrid) -> None:
 
 
 def run_basin(args: argparse.Namespace) -> None:
-    grid = ex.basin_grid(args.region, *args.res, args.varphi, tol=args.tol, max_iter=args.max_iter)
+    attractors = [c.points for c in _ideal_attractors(args.varphi)]
+    grid = ex.basin_grid(args.region, *args.res, rm.MapParams(args.varphi).coefficients, attractors,
+                         tol=args.tol, max_iter=args.max_iter)
     _emit_basin(args, grid)
 
 
 def run_exact_basin(args: argparse.Namespace) -> None:
-    op = _resolve_operator(args)
-    ideal = rm.find_attractive_cycles(rm.MapParams(args.varphi))
-    if not ideal:
-        raise ValueError(f"no attractive cycles detected at varphi={args.varphi!r}")
+    coeffs = _exact_coefficients(args)
+    ideal = _ideal_attractors(args.varphi)
     # cells are classified toward the ideal attractors: each exact one must lie within --tol of them
-    exact = rm.attractive_cycle_batch([(op.coefficients(args.varphi), args.varphi)])[0]
+    exact = rm.attractive_cycle_batch([(coeffs, args.varphi)])[0]
     if not exact:
         raise ValueError("the exact step has no attracting cycle at this angle")
     ideal_points = [p for cycle in ideal for p in cycle.points]
@@ -326,17 +331,14 @@ def run_exact_basin(args: argparse.Namespace) -> None:
     if not gaps[point] < args.tol:
         raise ValueError(f"the exact step's attracting cycle through {point:.6g} lies {gaps[point]:.3g} "
                          f"from the ideal attractors, beyond --tol {args.tol:g}")
-    grid = ex.basin_grid(args.region, *args.res, args.varphi, tol=args.tol, max_iter=args.max_iter,
-                         attractors=ideal, exact_op=op)
+    grid = ex.basin_grid(args.region, *args.res, coeffs, [c.points for c in ideal],
+                         tol=args.tol, max_iter=args.max_iter)
     _emit_basin(args, grid)
 
 
 def run_discriminate(args: argparse.Namespace) -> None:
-    op = _resolve_operator(args) if args.map_kind == "exact" else None
-    report = ex.discrimination_run(
-        args.z1, args.z2, args.sigma, args.samples, args.steps,
-        varphi=args.varphi, seed=args.seed, exact_op=op,
-    )
+    coeffs = _exact_coefficients(args) if args.map_kind == "exact" else rm.MapParams(args.varphi).coefficients
+    report = ex.discrimination_run(args.z1, args.z2, args.sigma, args.samples, args.steps, coeffs, seed=args.seed)
     rows = [
         (k, report.mean_overlap[k], report.rms_deviation[k],
          int(report.samples - report.sample_counts[k]))

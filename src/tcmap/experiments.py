@@ -2,8 +2,9 @@
 
 Covers the stability sweep over the gate angle, the two-state discrimination
 Monte Carlo (amplifying the distance between two nearly parallel qubit
-states), deterministic basin grids for both the ideal and the exact map,
-and the exponential resource count of the postselected scheme.
+states), deterministic basin grids, and the exponential resource count of
+the postselected scheme.  The runners iterate one step given by its six
+quadratic_step coefficients, the ideal map's or the exact step's alike.
 """
 
 from __future__ import annotations
@@ -11,12 +12,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import rational_map as rm
-from .protocol import NULL_OUTCOME_EPS, ExactStepOperator
 from .sphere import as_point, homogeneous, is_infinite
 
 DEFAULT_SEED = 12345
@@ -108,7 +108,6 @@ class DiscriminationReport:
     rms_deviation: np.ndarray
     sample_counts: np.ndarray
     failures: int
-    map_kind: str
     sigma: float
     samples: int
     steps: int
@@ -121,24 +120,24 @@ def discrimination_run(
     sigma: float,
     samples: int,
     steps: int,
-    varphi: float = 0.0,
+    coeffs: tuple,
     seed: int = DEFAULT_SEED,
-    exact_op: Optional[ExactStepOperator] = None,
 ) -> DiscriminationReport:
-    """Monte Carlo of the pairwise overlap under `steps` iterations.
+    """Monte Carlo of the pairwise overlap under `steps` iterations of the step on coeffs.
 
     Each sample perturbs the real and imaginary parts of both starting
     labels with independent Gaussians of standard deviation sigma (sample i
-    of z1 is paired with sample i of z2).  With an exact_op the iteration
-    runs through the compressed quantum step and samples whose postselection
-    nulls are excluded from that step onward and counted as failures.
-    Identical seeds give bit-identical reports, on any number of cores.
+    of z1 is paired with sample i of z2).  A sample whose postselection
+    nulls in either state is excluded from that step onward and counted as
+    a failure.  Identical seeds give bit-identical reports, on any number of cores.
     """
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
     if samples < 1:
         raise ValueError("need at least one sample")
-    params = rm.MapParams(varphi)
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    nulls = rm.success_floor(coeffs) < 2.0 * rm.NULL_OUTCOME_EPS  # else no step nulls, and p is skipped
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma, size=(4, samples)) if sigma > 0 else np.zeros((4, samples))
     za = complex(z1) + noise[0] + 1j * noise[1]
@@ -149,7 +148,6 @@ def discrimination_run(
     rms = np.zeros(steps + 1)
     counts = np.zeros(steps + 1, dtype=np.int64)
     live = np.ones(samples, dtype=bool)
-    coeffs = None if exact_op is None else exact_op.coefficients(varphi)
     # overlaps and live masks of one window of steps, a row per step
     ov = np.empty((min(WINDOW, steps + 1), samples))
     alive = np.empty(ov.shape, dtype=bool)
@@ -164,13 +162,12 @@ def discrimination_run(
                 alive[j, lo:hi] = ok
                 if k0 + j == steps:
                     break
-                if exact_op is None:
-                    a = rm.apply_map_grid(a, params)
-                    b = rm.apply_map_grid(b, params)
-                else:
+                if nulls:
                     a, pa = rm.quadratic_step(a, coeffs, with_p=True)
                     b, pb = rm.quadratic_step(b, coeffs, with_p=True)
-                    ok &= ~((pa < NULL_OUTCOME_EPS) | (pb < NULL_OUTCOME_EPS))
+                    ok &= ~((pa < rm.NULL_OUTCOME_EPS) | (pb < rm.NULL_OUTCOME_EPS))
+                else:
+                    a, b = rm.quadratic_step(a, coeffs), rm.quadratic_step(b, coeffs)
             za[lo:hi], zb[lo:hi], live[lo:hi] = a, b, ok
 
         _run_blocks(samples, run)
@@ -182,13 +179,11 @@ def discrimination_run(
                 rms[k] = float(np.sqrt(np.mean((row - mean[k]) ** 2)))
     # a sample nulled at one step stays out, so the failures are the samples lost by the end
     failures = samples - int(counts[steps])
-    kind = "ideal" if exact_op is None else f"exact(nbar={exact_op.nbar:g})"
     return DiscriminationReport(
         mean_overlap=mean,
         rms_deviation=rms,
         sample_counts=counts,
         failures=failures,
-        map_kind=kind,
         sigma=sigma,
         samples=samples,
         steps=steps,
@@ -252,56 +247,42 @@ def grid_points(region: tuple[float, float, float, float], width: int, height: i
     return xs[None, :] + 1j * ys[:, None]
 
 
-def _attractor_cycles(attractors: Iterable) -> tuple[tuple[complex, ...], ...]:
-    """Each attractor (a CycleReport, a point list or a bare point) as a tuple of finite points."""
-    cycles = []
-    for item in attractors:
-        if isinstance(item, rm.CycleReport):
-            item = item.points
-        elif not isinstance(item, (list, tuple, np.ndarray)):
-            item = [item]
-        points = [as_point(p) for p in item]
-        if any(is_infinite(p) for p in points):
-            raise ValueError("attractor points must be finite")
-        cycles.append(tuple(points))
-    if not cycles:
-        raise ValueError("attractor list must not be empty")
-    return tuple(cycles)
+def _attractor_cycles(attractors: Sequence[Sequence[complex]]) -> tuple[tuple[complex, ...], ...]:
+    """Each attractor, the sequence of its cycle's points, as a tuple of finite sphere points."""
+    cycles = tuple(tuple(as_point(p) for p in cycle) for cycle in attractors)
+    if not cycles or not all(cycles):
+        raise ValueError("the attractor list and each attractor in it must be non-empty")
+    if any(is_infinite(p) for cycle in cycles for p in cycle):
+        raise ValueError("attractor points must be finite")
+    return cycles
 
 
 def basin_grid(
     region: tuple[float, float, float, float],
     width: int,
     height: int,
-    varphi: float,
+    coeffs: tuple,
+    attractors: Sequence[Sequence[complex]],
     tol: float = 0.1,
     max_iter: int = 97,
-    attractors: Optional[Sequence] = None,
-    exact_op: Optional[ExactStepOperator] = None,
 ) -> BasinGrid:
-    """Classify every grid midpoint toward the attractive cycles.
+    """Classify every grid midpoint toward the attractors under the step on coeffs.
 
-    Attractors default to the critical-orbit search at this angle (their
-    order fixes the id, hence the render color).  The iteration is the
-    ideal map or, with exact_op, the compressed quantum step.  Before each
-    step the open cells (no attractor hit, no null postselection yet) are
-    tested against the attractors in list order, and only they are stepped.
+    Each attractor is the sequence of its cycle's points; their order fixes
+    the id, hence the render color.  Before each step the open cells (no
+    attractor hit, no null postselection yet) are tested against the
+    attractors in list order, and only they are stepped.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
-    params = rm.MapParams(varphi)
-    if attractors is None:
-        attractors = rm.find_attractive_cycles(params)
-        if not attractors:
-            raise ValueError(
-                f"no attractive cycles detected at varphi={varphi!r}; pass attractors explicitly"
-            )
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     cycle_points = _attractor_cycles(attractors)
+    nulls = rm.success_floor(coeffs) < 2.0 * rm.NULL_OUTCOME_EPS  # else no step nulls, and p is skipped
 
     z = grid_points(region, width, height).ravel()
     ids = np.full(z.size, -1, dtype=np.int64)
     iters = np.full(z.size, max_iter, dtype=np.int64)
-    coeffs = None if exact_op is None else exact_op.coefficients(varphi)
 
     def run(lo, hi):
         w = z[lo:hi]
@@ -319,13 +300,13 @@ def basin_grid(
                 iters[cells[hit]] = k
                 keep &= ~hit
             w, cells = w[keep], cells[keep]
-            if exact_op is None:
-                w = rm.apply_map_grid(w, params)
-            else:
+            if nulls:
                 w, p_succ = rm.quadratic_step(w, coeffs, with_p=True)
                 # a nulled postselection cannot continue; leave the cell unresolved
-                alive = p_succ >= NULL_OUTCOME_EPS
+                alive = p_succ >= rm.NULL_OUTCOME_EPS
                 w, cells = w[alive], cells[alive]
+            else:
+                w = rm.quadratic_step(w, coeffs)
 
     _run_blocks(z.size, run)
     return BasinGrid(

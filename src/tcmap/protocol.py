@@ -19,6 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .rational_map import MapParams
 from .tavis_cummings import (
     BELL_TO_PRODUCT,
     CoherentFieldSpec,
@@ -27,9 +28,6 @@ from .tavis_cummings import (
     evolve_exact,  # noqa: F401  not called here; the benchmark's tracer wraps protocol.evolve_exact
     poisson_amplitudes,
 )
-
-# an exact step whose success probability p falls below this is a null outcome
-NULL_OUTCOME_EPS = 1e-14
 
 
 def gate_unitary(varphi: float) -> np.ndarray:
@@ -45,8 +43,6 @@ class ExactStepOperator:
     """4x4 compression <alpha| e^{-iHt} |alpha> in the product atomic basis."""
 
     matrix: np.ndarray
-    nbar: float
-    gt: float
 
     def exchange_symmetric_defect(self) -> float:
         """Max deviation from A<->B exchange symmetry (swap of |1,0>, |0,1>)."""
@@ -59,8 +55,9 @@ class ExactStepOperator:
 
         The two-copy state of z is (z^2, z, z, 1) up to normalization, so the
         |1,0> and |0,0> rows of A = M diag(gate) give (a, b, c) and (d, e, f),
-        with the two uv columns summed.
+        with the two uv columns summed.  A degenerate angle raises DegenerateParameterError.
         """
+        MapParams(varphi)  # the gate rule
         a = self.matrix * np.tile(np.diag(gate_unitary(varphi)), 2)  # the gate on atom B
         return tuple(np.array(k) for r in (1, 3) for k in (a[r, 0], a[r, 1] + a[r, 2], a[r, 3]))
 
@@ -86,7 +83,7 @@ def exact_step_operator(field: CoherentFieldSpec, gt: Optional[float] = None) ->
     m[:3, :3] = np.einsum("ni,nij,nj->ij", q.conj(), block_propagators(field.nmax + 2, gt), q)
     m[2, 2] += abs(p[0]) ** 2
     m[3, 3] = np.vdot(p, p)
-    return ExactStepOperator(matrix=BELL_TO_PRODUCT @ m @ BELL_TO_PRODUCT.T, nbar=field.nbar, gt=gt)
+    return ExactStepOperator(BELL_TO_PRODUCT @ m @ BELL_TO_PRODUCT.T)
 
 
 def write_step_operator(op: Union[ExactStepOperator, np.ndarray], path) -> None:
@@ -107,8 +104,8 @@ def write_step_operator(op: Union[ExactStepOperator, np.ndarray], path) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def read_step_operator(path, nbar: float = math.nan, gt: float = math.nan) -> ExactStepOperator:
-    """Load a serialized step operator; nbar/gt metadata are caller-supplied.
+def read_step_operator(path) -> ExactStepOperator:
+    """Load a serialized step operator.
 
     Rejects non-finite entries, a spectral norm above 1 + 1e-9 (a step
     operator is a compression of a unitary) and an exchange-symmetry defect
@@ -130,7 +127,7 @@ def read_step_operator(path, nbar: float = math.nan, gt: float = math.nan) -> Ex
     norm = np.linalg.norm(m, 2)
     if not norm <= 1.0 + 1e-9:
         raise ValueError(f"{path}: step operator norm {norm:.6g} exceeds 1, so it is no compression of a unitary")
-    op = ExactStepOperator(matrix=m, nbar=nbar, gt=gt)
+    op = ExactStepOperator(m)
     defect = op.exchange_symmetric_defect()
     if defect > 1e-12:
         raise ValueError(f"{path}: step operator breaks the exchange symmetry of the atoms (defect {defect:.6g})")

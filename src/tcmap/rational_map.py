@@ -33,6 +33,8 @@ ESCAPE_RADIUS = 1e12
 
 SUPERATTRACTIVE_EPS = 1e-9
 NEUTRAL_EPS = 1e-9
+# a step whose success probability p falls below this is a null outcome
+NULL_OUTCOME_EPS = 1e-14
 
 
 def quadratic_step(z: np.ndarray, coeffs: tuple, with_p: bool = False):
@@ -63,6 +65,22 @@ def quadratic_step(z: np.ndarray, coeffs: tuple, with_p: bool = False):
         np.copyto(num, a / d, where=far)
     num[~np.isfinite(num)] = INFINITY
     return (num, p) if with_p else num
+
+
+def success_floor(coeffs: tuple) -> float:
+    """A lower bound on quadratic_step's p over the whole sphere; cos^2 varphi / 4 for the ideal map.
+
+    p = |B s|^2 for B = [[a, b/r, c], [d, e/r, f]], r = sqrt 2, and the unit vector
+    s = (u^2, r uv, v^2), |u|^2 + |v|^2 = 1.  With n the unit null vector of B,
+    |<n, s>| = |u^T N u| <= sigma_1(N) for N = [[n1, n2/r], [n2/r, n3]], and |N|_F = 1,
+    so p >= sigma_2(B)^2 (1 - |<n, s>|^2) >= sigma_2(B)^2 sigma_2(N)^2.
+    """
+    a, b, c, d, e, f = (complex(k) for k in coeffs)
+    r = math.sqrt(2.0)
+    _, sb, vh = np.linalg.svd(np.array([[a, b / r, c], [d, e / r, f]]))
+    n1, n2, n3 = vh[2]  # conjugated, which leaves the singular values of N as they are
+    sn = np.linalg.svd(np.array([[n1, n2 / r], [n2 / r, n3]]), compute_uv=False)
+    return float((sb[1] * sn[1]) ** 2)
 
 
 def step_point(z: complex, coeffs: tuple) -> tuple[complex, float]:
@@ -335,7 +353,7 @@ def julia_backward_sample(
 
 
 def apply_map_grid(z: np.ndarray, params: MapParams) -> np.ndarray:
-    """Vectorized apply_map on a complex array of sphere points."""
+    """Vectorized apply_map on a complex array; no runner calls it, bench/tracing.py wraps it by name."""
     return quadratic_step(z, params.coefficients)
 
 

@@ -115,7 +115,7 @@ def test_criterion_02_stability_diagram_structure():
 
 
 def test_criterion_03_discrimination_headline():
-    report = discrimination_run(-0.2, 0.2, sigma=0.0, samples=1, steps=3, seed=1)
+    report = discrimination_run(-0.2, 0.2, sigma=0.0, samples=1, steps=3, coeffs=MapParams(0.0).coefficients, seed=1)
     # independent re-derivation: direct scalar iteration plus the overlap formula
     z1, z2 = -0.2 + 0j, 0.2 + 0j
     direct = []
@@ -138,7 +138,8 @@ def test_criterion_03_discrimination_headline():
 
 
 def test_criterion_04_noise_robustness():
-    report = discrimination_run(-0.2, 0.2, sigma=0.03, samples=10_000, steps=6, seed=12345)
+    report = discrimination_run(-0.2, 0.2, sigma=0.03, samples=10_000, steps=6, coeffs=MapParams(0.0).coefficients,
+                                seed=12345)
     ok = report.rms_deviation[5] < report.rms_deviation[2] and report.mean_overlap[6] < 0.05
     _report(
         4,

@@ -267,6 +267,14 @@ def test_exact_basin_needs_the_ideal_attractors(tmp_path, capsys, step, reason):
     assert not out.exists() and not csv.exists()
 
 
+def test_basin_needs_attractors_for_chaotic_angles(tmp_path, capsys):
+    # basins are classified toward the critical-orbit attractors; at 0.2875pi the search finds none
+    out = tmp_path / "basin.ppm"
+    assert main(["basin", "--varphi", "0.2875pi", "--res", "3x3", "--out", str(out)]) == 1
+    assert "no attractive cycles" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_discriminate_outputs(tmp_path):
     out = tmp_path / "disc.csv"
     assert main(
@@ -494,6 +502,7 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
             ["exact-op", "--nbar", "10"],
             ["exact-basin", "--varphi", "0.2375pi", "--res", "8x8", "--op-file", op],
             ["discriminate", "--samples", "10", "--steps", "2"],
+            ["discriminate", "--map-kind", "exact", "--op-file", op, "--samples", "10", "--steps", "3"],
         ):
             assert tcmap.cli.main(argv + ["--out", op if argv[0] == "exact-op" else str(tmp_path / "out")]) == 0
     finally:
@@ -501,6 +510,6 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
     assert tcmap.cli.main is main
     metrics = {name: value for name, (value, _) in tracing.layer_metrics(tracer).items()}
     assert metrics["experiments.basin_grid_s"] > 0
-    assert metrics["experiments.discrimination_sample_steps"] == 20
+    assert metrics["experiments.discrimination_sample_steps"] == 10 * 2 + 10 * 3
     assert metrics["output.ppm_bytes"] > 0
     assert metrics["output.csv_rows"] > 0

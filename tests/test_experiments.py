@@ -17,21 +17,29 @@ from tcmap.experiments import (
     resource_estimate,
 )
 from tcmap.protocol import (
-    NULL_OUTCOME_EPS,
     ExactStepOperator,
     exact_step_operator,
     gate_unitary,
 )
 from tcmap.rational_map import (
+    NULL_OUTCOME_EPS,
     MapParams,
     apply_map,
     cycle_multiplier,
     find_attractive_cycles,
     quadratic_step,
     step_point,
+    success_floor,
 )
 from tcmap.sphere import INFINITY
 from tcmap.tavis_cummings import CoherentFieldSpec
+
+
+IDEAL_0 = MapParams(0.0).coefficients
+
+
+def ideal_attractors(varphi):
+    return [c.points for c in find_attractive_cycles(MapParams(varphi))]
 
 
 def iterate_ideal(z, varphi, n):
@@ -153,7 +161,7 @@ def test_batched_sweep_matches_one_angle_at_a_time():
 # --------------------------------------------------------- discrimination MC
 
 def test_noiseless_run_reproduces_direct_iteration():
-    report = discrimination_run(-0.2, 0.2, sigma=0.0, samples=3, steps=3, seed=1)
+    report = discrimination_run(-0.2, 0.2, sigma=0.0, samples=3, steps=3, coeffs=IDEAL_0, seed=1)
     # oracle: direct scalar iteration and the overlap formula
     z1, z2 = -0.2, 0.2
     for k in range(4):
@@ -168,16 +176,16 @@ def test_noiseless_run_reproduces_direct_iteration():
 
 
 def test_run_is_deterministic_for_a_fixed_seed():
-    a = discrimination_run(-0.2, 0.2, sigma=0.03, samples=500, steps=5, seed=42)
-    b = discrimination_run(-0.2, 0.2, sigma=0.03, samples=500, steps=5, seed=42)
+    a = discrimination_run(-0.2, 0.2, sigma=0.03, samples=500, steps=5, coeffs=IDEAL_0, seed=42)
+    b = discrimination_run(-0.2, 0.2, sigma=0.03, samples=500, steps=5, coeffs=IDEAL_0, seed=42)
     assert np.array_equal(a.mean_overlap, b.mean_overlap)
     assert np.array_equal(a.rms_deviation, b.rms_deviation)
-    c = discrimination_run(-0.2, 0.2, sigma=0.03, samples=500, steps=5, seed=43)
+    c = discrimination_run(-0.2, 0.2, sigma=0.03, samples=500, steps=5, coeffs=IDEAL_0, seed=43)
     assert not np.array_equal(a.mean_overlap, c.mean_overlap)
 
 
 def test_noise_grows_then_collapses():
-    report = discrimination_run(-0.2, 0.2, sigma=0.03, samples=2000, steps=6, seed=7)
+    report = discrimination_run(-0.2, 0.2, sigma=0.03, samples=2000, steps=6, coeffs=IDEAL_0, seed=7)
     rms = report.rms_deviation
     assert rms[1] > rms[0]
     assert rms[5] < rms[2]
@@ -188,9 +196,8 @@ def test_noise_grows_then_collapses():
 
 def test_exact_map_decreases_faster_then_plateaus():
     op = exact_step_operator(CoherentFieldSpec(nbar=10.0))
-    exact = discrimination_run(-0.2, 0.2, sigma=0.0, samples=1, steps=7, seed=3, exact_op=op)
-    ideal = discrimination_run(-0.2, 0.2, sigma=0.0, samples=1, steps=7, seed=3)
-    assert exact.map_kind == "exact(nbar=10)"
+    exact = discrimination_run(-0.2, 0.2, sigma=0.0, samples=1, steps=7, coeffs=op.coefficients(0.0), seed=3)
+    ideal = discrimination_run(-0.2, 0.2, sigma=0.0, samples=1, steps=7, coeffs=IDEAL_0, seed=3)
     # faster early orthogonalization, larger late plateau
     assert exact.mean_overlap[2] < ideal.mean_overlap[2]
     assert exact.mean_overlap[3] < ideal.mean_overlap[3]
@@ -200,7 +207,7 @@ def test_exact_map_decreases_faster_then_plateaus():
 
 def test_exact_map_matches_scalar_steps():
     op = exact_step_operator(CoherentFieldSpec(nbar=10.0))
-    report = discrimination_run(0.1 + 0.2j, 0.3, sigma=0.0, samples=1, steps=4, seed=5, exact_op=op)
+    report = discrimination_run(0.1 + 0.2j, 0.3, sigma=0.0, samples=1, steps=4, coeffs=op.coefficients(0.0), seed=5)
     z1, z2 = 0.1 + 0.2j, 0.3 + 0j
     for k in range(5):
         assert abs(report.mean_overlap[k] - overlap(z1, z2)) < 1e-12
@@ -234,17 +241,20 @@ def test_vectorized_exact_step_equals_the_scalar_one():
     # every image is the point at infinity (its |0,0> amplitude vanishes)
     s = 1.0 / math.sqrt(2.0)
     psi_minus = np.array([0.0, -s, s, 0.0], dtype=complex)
-    dark = ExactStepOperator(matrix=np.outer(psi_minus, psi_minus.conj()), nbar=math.nan, gt=0.0)
+    dark = ExactStepOperator(np.outer(psi_minus, psi_minus.conj()))
     got, p = quadratic_step(np.array([0j, 0.3 + 0.1j]), dark.coefficients(0.0), with_p=True)
     assert p[0] < NULL_OUTCOME_EPS < p[1]
     assert not np.any(np.isfinite(got))
 
 
 def test_invalid_arguments():
-    with pytest.raises(ValueError):
-        discrimination_run(0, 1, sigma=-0.1, samples=10, steps=2)
-    with pytest.raises(ValueError):
-        discrimination_run(0, 1, sigma=0.1, samples=0, steps=2)
+    for sigma, samples, steps in ((-0.1, 10, 2), (math.nan, 10, 2), (0.1, 0, 2), (0.0, 4, -1), (0.0, 4, -3)):
+        with pytest.raises(ValueError):
+            discrimination_run(0, 1, sigma=sigma, samples=samples, steps=steps, coeffs=IDEAL_0)
+    region, attractors = (-1.0, 1.0, -1.0, 1.0), ideal_attractors(0.0)
+    for tol, max_iter in ((math.nan, 97), (0.0, 97), (-0.1, 97), (0.1, -5)):
+        with pytest.raises(ValueError):
+            basin_grid(region, 3, 3, IDEAL_0, attractors, tol=tol, max_iter=max_iter)
 
 
 # ------------------------------------------------------------------ resources
@@ -281,7 +291,7 @@ def test_grid_points_layout():
 
 
 def test_basin_halves_at_phi_zero():
-    grid = basin_grid((-2.0, 2.0, -2.0, 2.0), 5, 5, varphi=0.0)
+    grid = basin_grid((-2.0, 2.0, -2.0, 2.0), 5, 5, IDEAL_0, ideal_attractors(0.0))
     # discovery order: the + critical orbit lands on +1 first
     assert abs(grid.attractors[0][0] - 1.0) < 1e-12
     assert abs(grid.attractors[1][0] + 1.0) < 1e-12
@@ -295,7 +305,7 @@ def test_basin_halves_at_phi_zero():
 def test_basin_grid_agrees_with_scalar_classification():
     params = MapParams(0.95 * math.pi / 4.0)
     cycles = find_attractive_cycles(params)
-    grid = basin_grid((-1.5, 1.5, -1.0, 1.0), 7, 5, varphi=params.varphi, attractors=cycles)
+    grid = basin_grid((-1.5, 1.5, -1.0, 1.0), 7, 5, params.coefficients, [c.points for c in cycles])
     pts = grid_points(grid.region, grid.width, grid.height)
     for i in range(grid.height):
         for j in range(grid.width):
@@ -306,20 +316,21 @@ def test_basin_grid_agrees_with_scalar_classification():
 
 
 def test_basin_grid_reads_every_attractor_form():
-    region, cycles = (-2.0, 2.0, -2.0, 2.0), find_attractive_cycles(MapParams(0.0))
-    want = basin_grid(region, 6, 6, varphi=0.0, attractors=cycles)
-    for attractors in ([1.0, -1.0], [[1.0], (-1.0,)], [np.array([1.0]), cycles[1]]):
-        got = basin_grid(region, 6, 6, varphi=0.0, attractors=attractors)
+    # an attractor is any sequence of its cycle's points
+    region, cycles = (-2.0, 2.0, -2.0, 2.0), ideal_attractors(0.0)
+    want = basin_grid(region, 6, 6, IDEAL_0, cycles)
+    for attractors in ([[1.0], (-1.0,)], [np.array([1.0]), cycles[1]], np.array([[1.0], [-1.0]])):
+        got = basin_grid(region, 6, 6, IDEAL_0, attractors)
         assert got.attractors == ((1.0 + 0j,), (-1.0 + 0j,))
         assert np.array_equal(got.attractor_ids, want.attractor_ids)
         assert np.array_equal(got.iterations, want.iterations)
-    for attractors, message in (([1.0, INFINITY], "finite"), ([], "empty")):
+    for attractors, message in (([[1.0], [INFINITY]], "finite"), ([], "empty"), ([[1.0], []], "empty")):
         with pytest.raises(ValueError, match=message):
-            basin_grid(region, 6, 6, varphi=0.0, attractors=attractors)
+            basin_grid(region, 6, 6, IDEAL_0, attractors)
 
 
 def test_basin_symmetries_at_phi_zero():
-    grid = basin_grid((-2.0, 2.0, -2.0, 2.0), 8, 8, varphi=0.0)
+    grid = basin_grid((-2.0, 2.0, -2.0, 2.0), 8, 8, IDEAL_0, ideal_attractors(0.0))
     ids = grid.attractor_ids
     its = grid.iterations
     # z -> -z swaps the attractors, z -> conj(z) preserves them
@@ -334,12 +345,12 @@ def test_basin_symmetries_at_phi_zero():
 def test_exact_basin_approaches_the_ideal_with_photon_number():
     varphi = 0.95 * math.pi / 4.0
     region = (-1.5, 1.5, -1.5, 1.5)
-    cycles = find_attractive_cycles(MapParams(varphi))
-    ideal = basin_grid(region, 9, 9, varphi, attractors=cycles)
+    cycles = ideal_attractors(varphi)
+    ideal = basin_grid(region, 9, 9, MapParams(varphi).coefficients, cycles)
     agree = {}
     for nbar in (10.0, 100.0):
         op = exact_step_operator(CoherentFieldSpec(nbar=nbar))
-        ex = basin_grid(region, 9, 9, varphi, attractors=cycles, exact_op=op)
+        ex = basin_grid(region, 9, 9, op.coefficients(varphi), cycles)
         agree[nbar] = float(np.mean(ex.attractor_ids == ideal.attractor_ids))
     assert agree[100.0] >= agree[10.0]
     assert agree[100.0] > 0.8
@@ -366,14 +377,13 @@ def _null_at_zero_then_one(varphi):
 def test_compacted_basin_loop_keeps_the_null_rule(operator):
     varphi, region, attractors, max_iter = 0.2375 * math.pi, (-1.25, 1.25, -1.25, 1.25), [[1.0], [-1.0]], 97
     matrix = _dark_state_only() if operator == "dark" else _null_at_zero_then_one(varphi)
-    op = ExactStepOperator(matrix=matrix, nbar=math.nan, gt=0.0)
-    grid = basin_grid(region, 5, 5, varphi, attractors=attractors, exact_op=op, max_iter=max_iter)
+    coeffs = ExactStepOperator(matrix).coefficients(varphi)
+    grid = basin_grid(region, 5, 5, coeffs, attractors, max_iter=max_iter)
     pts = grid_points(region, 5, 5)
     assert pts[2, 2] == 0j
     assert (grid.attractor_ids[2, 2], grid.iterations[2, 2]) == (-1, max_iter)
     assert (grid.attractor_ids[2, 0], grid.attractor_ids[2, 4]) == (1, 0)
 
-    coeffs = op.coefficients(varphi)
     for (i, j), z in np.ndenumerate(pts):
         want = (-1, max_iter)
         for k in range(max_iter):
@@ -388,15 +398,34 @@ def test_compacted_basin_loop_keeps_the_null_rule(operator):
         assert (grid.attractor_ids[i, j], grid.iterations[i, j]) == want
 
 
-def test_basin_needs_attractors_for_chaotic_angles():
-    with pytest.raises(ValueError):
-        basin_grid((-1, 1, -1, 1), 3, 3, varphi=1.15 * math.pi / 4.0)
+def test_success_floor_separates_the_steps_that_can_null():
+    # the runners compute p, and drop nulled points, only below twice the null threshold
+    for matrix in (_dark_state_only(), _null_at_zero_then_one(0.2375 * math.pi)):
+        assert success_floor(ExactStepOperator(matrix).coefficients(0.2375 * math.pi)) < 2e-14
+    for nbar in (2.0, 10.0, 100.0, 1400.0):
+        op = exact_step_operator(CoherentFieldSpec(nbar=nbar))
+        for varphi in (0.0, 0.2375 * math.pi, 1.666 * math.pi):
+            assert success_floor(op.coefficients(varphi)) > 1e-2
+
+
+def test_the_ideal_step_nulls_where_its_floor_does():
+    # cos^2 varphi / 4 < 2e-14: a label on a pole has p = 2.5e-19, a null outcome, not a step to infinity
+    varphi = math.acos(1e-9)
+    coeffs = MapParams(varphi).coefficients
+    pole = 1j * cmath.exp(-1j * varphi)
+    assert step_point(pole, coeffs)[1] < 1e-18
+    report = discrimination_run(pole, 0.5, sigma=0.0, samples=1, steps=3, coeffs=coeffs)
+    assert report.sample_counts.tolist() == [1, 0, 0, 0]
+    assert report.failures == 1
+    grid = basin_grid((pole.real - 1e-3, pole.real + 1e-3, pole.imag - 1e-3, pole.imag + 1e-3), 1, 1, coeffs,
+                      [[0.0]], tol=1e-6, max_iter=5)
+    assert (grid.attractor_ids[0, 0], grid.iterations[0, 0]) == (-1, 5)
 
 
 # ------------------------------------------------------------- blocked runs
 
-def _whole_array_discrimination(z1, z2, sigma, samples, steps, varphi, seed, exact_op):
-    # the one-pass loop over every sample that discrimination_run blocks
+def _whole_array_discrimination(z1, z2, sigma, samples, steps, coeffs, seed):
+    # the one-pass loop over every sample that discrimination_run blocks; it always computes p
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma, size=(4, samples)) if sigma > 0 else np.zeros((4, samples))
     za = complex(z1) + noise[0] + 1j * noise[1]
@@ -405,8 +434,6 @@ def _whole_array_discrimination(z1, z2, sigma, samples, steps, varphi, seed, exa
     counts = np.zeros(steps + 1, dtype=np.int64)
     alive = np.ones(samples, dtype=bool)
     failures = 0
-    params = MapParams(varphi)
-    coeffs = None if exact_op is None else exact_op.coefficients(varphi)
     for k in range(steps + 1):
         ov = overlap(za, zb)[alive]
         counts[k] = ov.size
@@ -415,24 +442,20 @@ def _whole_array_discrimination(z1, z2, sigma, samples, steps, varphi, seed, exa
             rms[k] = float(np.sqrt(np.mean((ov - mean[k]) ** 2)))
         if k == steps:
             break
-        if exact_op is None:
-            za, zb = quadratic_step(za, params.coefficients), quadratic_step(zb, params.coefficients)
-        else:
-            za, pa = quadratic_step(za, coeffs, with_p=True)
-            zb, pb = quadratic_step(zb, coeffs, with_p=True)
-            died = alive & ((pa < NULL_OUTCOME_EPS) | (pb < NULL_OUTCOME_EPS))
-            failures += int(np.count_nonzero(died))
-            alive &= ~died
+        za, pa = quadratic_step(za, coeffs, with_p=True)
+        zb, pb = quadratic_step(zb, coeffs, with_p=True)
+        died = alive & ((pa < NULL_OUTCOME_EPS) | (pb < NULL_OUTCOME_EPS))
+        failures += int(np.count_nonzero(died))
+        alive &= ~died
     return mean, rms, counts, failures
 
 
-def _whole_array_basin(region, width, height, varphi, cycle_points, exact_op, tol=0.1, max_iter=97):
-    # the compacted open-cell loop over the whole grid that basin_grid blocks
+def _whole_array_basin(region, width, height, coeffs, cycle_points, tol=0.1, max_iter=97):
+    # the compacted open-cell loop over the whole grid that basin_grid blocks; it always computes p
     z = grid_points(region, width, height).ravel()
     ids = np.full(z.size, -1, dtype=np.int64)
     iters = np.full(z.size, max_iter, dtype=np.int64)
     cells = np.arange(z.size)
-    coeffs = MapParams(varphi).coefficients if exact_op is None else exact_op.coefficients(varphi)
     for k in range(max_iter):
         if not cells.size:
             break
@@ -444,16 +467,17 @@ def _whole_array_basin(region, width, height, varphi, cycle_points, exact_op, to
             keep &= ~hit
         z, cells = z[keep], cells[keep]
         z, p_succ = quadratic_step(z, coeffs, with_p=True)
-        if exact_op is not None:
-            alive = p_succ >= NULL_OUTCOME_EPS
-            z, cells = z[alive], cells[alive]
+        alive = p_succ >= NULL_OUTCOME_EPS
+        z, cells = z[alive], cells[alive]
     return ids.reshape(height, width), iters.reshape(height, width)
 
 
 @pytest.fixture(scope="module")
 def block_operators():
-    dark = ExactStepOperator(matrix=_dark_state_only(), nbar=math.nan, gt=0.0)
-    return {"ideal": None, "nbar10": exact_step_operator(CoherentFieldSpec(nbar=10.0)), "dark": dark}
+    # the step coefficients of each operator at a gate angle
+    ops = {"nbar10": exact_step_operator(CoherentFieldSpec(nbar=10.0)), "dark": ExactStepOperator(_dark_state_only())}
+    ops = {name: op.coefficients for name, op in ops.items()}
+    return dict(ops, ideal=lambda varphi: MapParams(varphi).coefficients)
 
 
 DISCRIMINATION_CASES = [
@@ -474,9 +498,9 @@ def test_blocked_discrimination_matches_the_whole_array_loop(monkeypatch, block_
     monkeypatch.setattr(ex, "WORKERS", workers)
     samples, varphi, seed = 1000, 0.1, 11  # 15 full blocks and a ragged one of 40
     for name, z1, z2, sigma, steps in DISCRIMINATION_CASES:
-        op = block_operators[name]
-        got = discrimination_run(z1, z2, sigma, samples, steps, varphi=varphi, seed=seed, exact_op=op)
-        mean, rms, counts, failures = _whole_array_discrimination(z1, z2, sigma, samples, steps, varphi, seed, op)
+        coeffs = block_operators[name](varphi)
+        got = discrimination_run(z1, z2, sigma, samples, steps, coeffs, seed=seed)
+        mean, rms, counts, failures = _whole_array_discrimination(z1, z2, sigma, samples, steps, coeffs, seed)
         assert np.array_equal(got.mean_overlap, mean), name
         assert np.array_equal(got.rms_deviation, rms), name
         assert np.array_equal(got.sample_counts, counts), name
@@ -491,10 +515,10 @@ def test_blocked_basin_matches_the_whole_array_loop(monkeypatch, block_operators
     region, width, height = (-1.7, 1.9, -1.3, 1.6), 37, 29  # 10 full blocks and a ragged one of 73
     for name, varphi in [("ideal", 0.2375 * math.pi), ("ideal", 0.251953125 * math.pi),
                          ("nbar10", 0.2375 * math.pi), ("dark", 0.2375 * math.pi)]:
-        op = block_operators[name]
+        coeffs = block_operators[name](varphi)
         cycles = tuple(tuple(c.points) for c in find_attractive_cycles(MapParams(varphi)))
-        grid = basin_grid(region, width, height, varphi, exact_op=op)
-        ids, iters = _whole_array_basin(region, width, height, varphi, cycles, op)
+        grid = basin_grid(region, width, height, coeffs, cycles)
+        ids, iters = _whole_array_basin(region, width, height, coeffs, cycles)
         assert grid.attractors == cycles
         assert np.array_equal(grid.attractor_ids, ids), name
         assert np.array_equal(grid.iterations, iters), name
@@ -527,8 +551,8 @@ def test_a_failing_block_fails_the_discrimination_run(monkeypatch, block_operato
     noise = np.random.default_rng(seed).normal(0.0, sigma, size=(4, samples))
     _fail_on(monkeypatch, -0.2 + noise[0, 64] + 1j * noise[1, 64])  # z1 of the second block's first sample
     with pytest.raises(_BlockFailure):
-        discrimination_run(-0.2, 0.2, sigma, samples, 9, seed=seed,
-                           exact_op=block_operators["nbar10"] if exact else None)
+        discrimination_run(-0.2, 0.2, sigma, samples, 9, block_operators["nbar10" if exact else "ideal"](0.0),
+                           seed=seed)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -540,5 +564,6 @@ def test_a_failing_block_fails_the_basin_grid(monkeypatch, block_operators, work
     _fail_on(monkeypatch, grid_points(region, width, height).ravel()[100])  # the second block's first cell
     with pytest.raises(_BlockFailure):
         # no cell starts within tol of an attractor, so the second block's first step holds every cell
-        basin_grid(region, width, height, 0.2375 * math.pi, tol=1e-9,
-                   exact_op=block_operators["nbar10"] if exact else None)
+        varphi = 0.2375 * math.pi
+        basin_grid(region, width, height, block_operators["nbar10" if exact else "ideal"](varphi),
+                   ideal_attractors(varphi), tol=1e-9)

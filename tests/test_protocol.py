@@ -5,9 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import amplitude_step, product_state_vector, step_amplitudes
-from tcmap.experiments import basin_grid, discrimination_run
 from tcmap.protocol import (
-    NULL_OUTCOME_EPS,
     ExactStepOperator,
     default_interaction_time,
     exact_step_operator,
@@ -16,6 +14,7 @@ from tcmap.protocol import (
     write_step_operator,
 )
 from tcmap.rational_map import (
+    NULL_OUTCOME_EPS,
     DegenerateParameterError,
     MapParams,
     apply_map,
@@ -27,7 +26,7 @@ from tcmap.sphere import INFINITY, is_infinite
 from tcmap.tavis_cummings import CoherentFieldSpec, ideal_postselection_operator
 
 # the rank-two postselection projector as a step operator: the large-nbar limit of the exact step
-IDEAL = ExactStepOperator(matrix=ideal_postselection_operator(0.0), nbar=math.inf, gt=math.inf)
+IDEAL = ExactStepOperator(ideal_postselection_operator(0.0))
 
 
 def closed_form_success_probability(z, varphi):
@@ -291,19 +290,18 @@ def test_exact_step_single_step_accuracy_at_nbar_100():
 def test_exact_step_null_outcome():
     s = 1.0 / math.sqrt(2.0)
     psi_minus = np.array([0.0, -s, s, 0.0], dtype=complex)
-    only_dark = ExactStepOperator(matrix=np.outer(psi_minus, psi_minus.conj()), nbar=math.nan, gt=0.0)
+    only_dark = ExactStepOperator(np.outer(psi_minus, psi_minus.conj()))
     _, p = step_point(0j, only_dark.coefficients(0.0))
     assert p < NULL_OUTCOME_EPS
 
 
 def test_exact_step_rejects_degenerate_gate():
-    # the runners of the exact step build MapParams(varphi), the gate rule, before stepping
+    # the exact step's coefficients are built through MapParams(varphi), the gate rule,
+    # so no runner and no analysis receives the step at a degenerate angle
     op = exact_step_operator(CoherentFieldSpec(nbar=2.0), gt=1.0)
-    varphi = 3.0 * math.pi / 2.0
-    with pytest.raises(DegenerateParameterError):
-        discrimination_run(0.1, 0.2, sigma=0.0, samples=1, steps=1, varphi=varphi, exact_op=op)
-    with pytest.raises(DegenerateParameterError):
-        basin_grid((-1.0, 1.0, -1.0, 1.0), 2, 2, varphi, exact_op=op)
+    for varphi in (3.0 * math.pi / 2.0, math.pi / 2.0):
+        with pytest.raises(DegenerateParameterError):
+            op.coefficients(varphi)
 
 
 # -------------------------------------------------------------- serialization
@@ -312,9 +310,7 @@ def test_operator_csv_round_trip_is_exact(tmp_path):
     op = exact_step_operator(CoherentFieldSpec(nbar=7.0))
     path = tmp_path / "op.csv"
     write_step_operator(op, path)
-    back = read_step_operator(path, nbar=op.nbar, gt=op.gt)
-    assert np.array_equal(back.matrix, op.matrix)
-    assert back.nbar == op.nbar and back.gt == op.gt
+    assert np.array_equal(read_step_operator(path).matrix, op.matrix)
 
 
 def test_operator_file_is_validated_where_it_enters(tmp_path):

@@ -25,6 +25,7 @@ from tcmap.rational_map import (
     map_derivative,
     quadratic_step,
     step_point,
+    success_floor,
     two_cycle,
 )
 from tcmap.protocol import exact_step_operator
@@ -493,6 +494,33 @@ def test_escape_guard_grid():
     assert out[0] == 1.0 + 0j
     assert not np.isfinite(out[1])
     assert not np.isfinite(out[2])
+
+
+# ------------------------------------------------------------ success floor
+
+def test_success_floor_bounds_p_over_the_sphere():
+    # p's minimum over ~1e5 points at moduli 1e-6 to 1e6, and infinity, never falls below the floor;
+    # one tuple in three has a numerator and denominator sharing a near-root, where p nearly vanishes
+    rng = np.random.default_rng(17)
+    r = np.exp(rng.uniform(math.log(1e-6), math.log(1e6), 100_000))
+    z = np.append(r * np.exp(2j * math.pi * rng.uniform(size=r.size)), INFINITY)
+    for k in range(60):
+        a, d, root, s, t = rng.normal(size=5) + 1j * rng.normal(size=5)
+        if k % 3 == 0:
+            near = root + 10.0 ** rng.uniform(-8, -2) * cmath.exp(2j * math.pi * rng.uniform())
+            coeffs = (a, -a * (root + s), a * root * s, d, -d * (near + t), d * near * t)
+        else:
+            coeffs = tuple(rng.normal(size=6) + 1j * rng.normal(size=6))
+        coeffs = tuple(np.array(c) for c in coeffs)
+        _, p = quadratic_step(z, coeffs, with_p=True)
+        assert 0.0 < success_floor(coeffs) <= p.min()
+
+
+@pytest.mark.parametrize("varphi", [0.0, 0.2375 * math.pi, 0.4999999 * math.pi])
+def test_success_floor_of_the_ideal_map_is_its_minimum(varphi):
+    # p >= cos^2 varphi / 4, reached on the poles
+    want = math.cos(varphi) ** 2 / 4.0
+    assert abs(success_floor(MapParams(varphi).coefficients) - want) <= 1e-14 * want
 
 
 # ------------------------------------------------ the analyses on the exact step
