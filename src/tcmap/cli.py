@@ -170,14 +170,15 @@ def _build_parser() -> argparse.ArgumentParser:
             exact_step(p)
 
     p = command("discriminate", run_discriminate, "overlap Monte Carlo for two starting labels", varphi=False)
-    p.add_argument("--varphi", type=parse_gate_angle, default="0")
-    p.add_argument("--z1", type=parse_complex, default="-0.2,0")
-    p.add_argument("--z2", type=parse_complex, default="0.2,0")
-    p.add_argument("--sigma", type=_nonnegative, default=0.03)
-    p.add_argument("--samples", type=_positive_int, default=10_000)
-    p.add_argument("--steps", type=_count, default=7)
+    p.add_argument("--varphi", type=parse_gate_angle, default="0", help="gate angle (default 0)")
+    p.add_argument("--z1", type=parse_complex, default="-0.2,0", help="first label, re,im or inf (default -0.2,0)")
+    p.add_argument("--z2", type=parse_complex, default="0.2,0", help="second label, re,im or inf (default 0.2,0)")
+    p.add_argument("--sigma", type=_nonnegative, default=0.03,
+                   help="standard deviation of the Gaussian noise on each label's re and im (default 0.03)")
+    p.add_argument("--samples", type=_positive_int, default=10_000, help="noisy label pairs (default 10000)")
+    p.add_argument("--steps", type=_count, default=7, help="iterations after step 0 (default 7)")
     p.add_argument("--seed", **seed)
-    p.add_argument("--map-kind", choices=("ideal", "exact"), default="ideal")
+    p.add_argument("--map-kind", choices=("ideal", "exact"), default="ideal", help="step to iterate (default ideal)")
     exact_step(p)
 
     p = command("resources", run_resources, "pair count per iteration, N = ceil((8/cos^2 varphi)^n)")

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import rational_map as rm
-from .sphere import as_point, homogeneous, is_infinite
+from .sphere import HOMOGENEOUS_LIMIT, as_point, homogeneous, is_infinite
 
 DEFAULT_SEED = 12345
 
@@ -31,40 +31,55 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 WINDOW = 8
 
 
-def _run_blocks(n: int, run) -> None:
-    """Call run(lo, hi) on the consecutive blocks of range(n), spread over WORKERS threads.
+def _run_blocks(n: int, block: int, run) -> None:
+    """Call run(lo, hi) on the consecutive blocks of range(n), `block` long, spread over WORKERS threads.
 
     One block or one worker runs inline.  The first exception (in block order)
     is raised once the running blocks end; blocks not yet started are dropped.
     """
-    starts = range(0, n, BLOCK)
+    starts = range(0, n, block)
     workers = min(WORKERS, len(starts))
     if workers <= 1:
         for lo in starts:
-            run(lo, min(lo + BLOCK, n))
+            run(lo, min(lo + block, n))
         return
     # imported here so that `import tcmap.cli` stays lean
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(workers) as pool:
-        for _ in pool.map(lambda lo: run(lo, min(lo + BLOCK, n)), starts):
+        for _ in pool.map(lambda lo: run(lo, min(lo + block, n)), starts):
             pass
 
 
 def overlap(z1, z2):
     """|<psi(z1)|psi(z2)>| for the states |0> + z|1> (normalized).
 
-    Equals |1 + conj(z1) z2| / sqrt((1+|z1|^2)(1+|z2|^2)), evaluated on the
-    homogeneous coordinates [z:1] and [1:0] (the point at infinity), so
-    overlap(inf, z) = |z|/sqrt(1+|z|^2).  Sphere points give a float, complex
-    arrays (with any non-finite entry read as infinity) an array.
+    Equals |1 + conj(z1) z2| / sqrt((1+|z1|^2)(1+|z2|^2)) on the real and imaginary parts, or,
+    at an entry with a non-finite label (infinity) or one beyond HOMOGENEOUS_LIMIT, on the
+    homogeneous coordinates [z:1] and [1:0], so overlap(inf, z) = |z|/sqrt(1+|z|^2).  Each
+    entry depends on its own labels alone; sphere points give a float, complex arrays an array.
     """
-    (u1, v1), (u2, v2) = homogeneous(z1), homogeneous(z2)
-    # conj(u1) u2 + v1 v2 in real parts, so that swapping z1 and z2 only flips the sign of im
-    re = u1.real * u2.real + u1.imag * u2.imag + v1 * v2
-    im = u1.real * u2.imag - u1.imag * u2.real
-    out = np.hypot(re, im) / np.sqrt((np.abs(u1) ** 2 + v1 * v1) * (np.abs(u2) ** 2 + v2 * v2))
-    return out if out.ndim else float(out)
+    scalar = np.ndim(z1) == np.ndim(z2) == 0
+    z1, z2 = np.broadcast_arrays(*(np.atleast_1d(np.asarray(z, dtype=np.complex128)) for z in (z1, z2)))
+    x1, y1, x2, y2 = z1.real, z1.imag, z2.real, z2.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        re = x1 * x2 + y1 * y2 + 1.0
+        im = x1 * y2 - y1 * x2
+        n1 = x1 * x1 + y1 * y1 + 1.0
+        n2 = x2 * x2 + y2 * y2 + 1.0
+        near = np.maximum(n1, n2) <= HOMOGENEOUS_LIMIT**2  # false also at a non-finite label
+        re *= re
+        re += np.square(im, out=im)
+        re /= np.multiply(n1, n2, out=n1)
+        out = np.sqrt(re, out=re)
+    if not near.all():
+        far = ~near
+        # conj(u1) u2 + v1 v2 in real parts, so that swapping z1 and z2 only flips the sign of im
+        (u1, v1), (u2, v2) = homogeneous(z1[far]), homogeneous(z2[far])
+        re = u1.real * u2.real + u1.imag * u2.imag + v1 * v2
+        im = u1.real * u2.imag - u1.imag * u2.real
+        out[far] = np.hypot(re, im) / np.sqrt((np.abs(u1) ** 2 + v1 * v1) * (np.abs(u2) ** 2 + v2 * v2))
+    return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)
@@ -139,10 +154,14 @@ def discrimination_run(
         raise ValueError("steps must be >= 0")
     nulls = rm.success_floor(coeffs) < 2.0 * rm.NULL_OUTCOME_EPS  # else no step nulls, and p is skipped
     rng = np.random.default_rng(seed)
-    noise = rng.normal(0.0, sigma, size=(4, samples)) if sigma > 0 else np.zeros((4, samples))
-    za = complex(z1) + noise[0] + 1j * noise[1]
-    zb = complex(z2) + noise[2] + 1j * noise[3]
-    del noise
+    za, zb = np.zeros(samples, dtype=np.complex128), np.zeros(samples, dtype=np.complex128)
+    if sigma > 0:
+        # the stream of one (4, samples) draw, row by row; an overflowed draw makes its label infinite
+        for part in (za.real, za.imag, zb.real, zb.imag):
+            for lo in range(0, samples, BLOCK):
+                part[lo : lo + BLOCK] = rng.normal(0.0, sigma, size=min(BLOCK, samples - lo))
+    za += complex(z1)
+    zb += complex(z2)
 
     mean = np.zeros(steps + 1)
     rms = np.zeros(steps + 1)
@@ -170,13 +189,18 @@ def discrimination_run(
                     a, b = rm.quadratic_step(a, coeffs), rm.quadratic_step(b, coeffs)
             za[lo:hi], zb[lo:hi], live[lo:hi] = a, b, ok
 
-        _run_blocks(samples, run)
-        for j in range(rows):
-            k, row = k0 + j, ov[j][alive[j]]
+        _run_blocks(samples, BLOCK, run)
+
+        def stats(j, _):
+            # the row's overlaps are not needed after its mean, so its deviations overwrite it
+            k, row = k0 + j, ov[j] if alive[j].all() else ov[j][alive[j]]
             counts[k] = row.size
             if row.size:
                 mean[k] = float(np.mean(row))
-                rms[k] = float(np.sqrt(np.mean((row - mean[k]) ** 2)))
+                np.square(np.subtract(row, mean[k], out=row), out=row)
+                rms[k] = float(np.sqrt(np.mean(row)))
+
+        _run_blocks(rows, 1, stats)  # a row per block
     # a sample nulled at one step stays out, so the failures are the samples lost by the end
     failures = samples - int(counts[steps])
     return DiscriminationReport(
@@ -308,7 +332,7 @@ def basin_grid(
             else:
                 w = rm.quadratic_step(w, coeffs)
 
-    _run_blocks(z.size, run)
+    _run_blocks(z.size, BLOCK, run)
     return BasinGrid(
         region=tuple(float(v) for v in region),
         width=width,

@@ -4,8 +4,9 @@ The package computes each of these another way (or, for the ideal map's
 fixed points and the plane distance, not at all): the two-copy state and the
 postselection amplitudes are what `ExactStepOperator.coefficients` and the
 step kernel encode, the orbit and the basin loop are what `apply_map` and
-`basin_grid` run, and the block eigensystem is what `block_propagators`
-sums in closed form.  The tests compare the package against them.
+`basin_grid` run, the homogeneous overlap is what `overlap` evaluates in the
+plane chart, and the block eigensystem is what `block_propagators` sums in
+closed form.  The tests compare the package against them.
 """
 
 import cmath
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from tcmap.rational_map import CycleReport, apply_map
-from tcmap.sphere import INFINITY, as_point, is_infinite
+from tcmap.sphere import INFINITY, as_point, homogeneous, is_infinite
 from tcmap.tavis_cummings import AtomPairState
 
 
@@ -29,6 +30,19 @@ def fixed_points(params):
 def plane_distance(z, w):
     """Euclidean distance |z - w|; inf when exactly one point is infinite."""
     return 0.0 if is_infinite(z) and is_infinite(w) else abs(z - w)
+
+
+def homogeneous_overlap(z1, z2):
+    """|<psi(z1)|psi(z2)>| of complex arrays, every entry on the homogeneous coordinates [u:v].
+
+    |conj(u1) u2 + v1 v2| / (|[u1:v1]| |[u2:v2]|), with [z:1] for a finite
+    label, [1:0] for a non-finite one and the scaled chart of
+    `homogeneous` beyond its limit.
+    """
+    (u1, v1), (u2, v2) = homogeneous(z1), homogeneous(z2)
+    re = u1.real * u2.real + u1.imag * u2.imag + v1 * v2
+    im = u1.real * u2.imag - u1.imag * u2.real
+    return np.hypot(re, im) / np.sqrt((np.abs(u1) ** 2 + v1 * v1) * (np.abs(u2) ** 2 + v2 * v2))
 
 
 def product_state_vector(z):

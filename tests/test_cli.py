@@ -1,3 +1,4 @@
+import argparse
 import cmath
 import importlib.util
 import math
@@ -11,8 +12,8 @@ import numpy as np
 import pytest
 
 import tcmap
-from oracles import amplitude_step
-from tcmap.cli import main, parse_angle, parse_complex, parse_config, parse_region
+from oracles import amplitude_step, homogeneous_overlap
+from tcmap.cli import _build_parser, main, parse_angle, parse_complex, parse_config, parse_region
 from tcmap.output import format_value, read_csv, read_ppm
 from tcmap.rational_map import MapParams, apply_map, step_point
 
@@ -293,6 +294,32 @@ def test_discriminate_from_a_label_whose_square_overflows(tmp_path, z1):
     assert main(["discriminate", "--z1", z1, "--z2", "0.5,0", "--sigma", "0", "--samples", "1", "--steps", "1",
                  "--out", str(out)]) == 0
     assert out.read_text().splitlines()[1] == "0,0.44721359549995793,0,0"
+
+
+def test_discriminate_reads_overflowed_noise_as_infinity(tmp_path):
+    # sigma 1e308 overflows some draws to inf; the run must not meet a 0 * inf in building its labels
+    out = tmp_path / "disc.csv"
+    argv = ["discriminate", "--sigma", "1e308", "--samples", "5", "--seed", "12345", "--out", str(out)]
+    src = str(Path(tcmap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-m", "tcmap.cli", *argv], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert "RuntimeWarning" not in res.stderr
+    noise = np.random.default_rng(12345).normal(0.0, 1e308, size=(4, 5))
+    assert not np.isfinite(noise).all()
+    za, zb = (np.array([complex(z + x, y) for x, y in zip(noise[i], noise[i + 1])]) for z, i in ((-0.2, 0), (0.2, 2)))
+    ov = homogeneous_overlap(za, zb)  # reads each non-finite label as infinity
+    mean = float(np.mean(ov))
+    assert read_csv(out)[1][0] == [0, mean, float(np.sqrt(np.mean((ov - mean) ** 2))), 0]
+
+
+def test_every_discriminate_flag_has_help():
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for action in sub.choices["discriminate"]._actions:
+        assert action.help, action.option_strings
+        if action.default not in (None, argparse.SUPPRESS):
+            assert "default" in action.help, action.option_strings
 
 
 def test_importing_the_cli_loads_no_thread_pool():

@@ -1,10 +1,11 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from oracles import classify_basin_point, product_state_vector
+from oracles import classify_basin_point, homogeneous_overlap, product_state_vector
 from tcmap import experiments as ex
 from tcmap import rational_map as rm
 from tcmap.experiments import (
@@ -31,7 +32,7 @@ from tcmap.rational_map import (
     step_point,
     success_floor,
 )
-from tcmap.sphere import INFINITY
+from tcmap.sphere import HOMOGENEOUS_LIMIT, INFINITY
 from tcmap.tavis_cummings import CoherentFieldSpec
 
 
@@ -83,6 +84,38 @@ def test_overlap_of_labels_whose_square_overflows():
 def test_overlap_of_two_labels_beyond_the_chart_limit(z2):
     # both labels lie next to infinity, so the product of their norms must not overflow to an overlap of 0
     assert overlap(1e100, z2) == 1.0
+
+
+# one label of each kind: zero, tiny, ordinary, near the chart limit, beyond it, infinite and nan
+MIXED_LABELS = [0j, 1e-300 - 3e-310j, -0.2 + 0.03j, 1e70 - 2e69j, 3.0 * HOMOGENEOUS_LIMIT, 1e200j, INFINITY,
+                complex(math.nan, 0.0)]
+
+
+def test_overlap_of_each_entry_depends_on_its_labels_alone():
+    # every pair of labels, in arrays that mix plane-chart and homogeneous entries
+    z1, z2 = (np.array(v) for v in zip(*[(a, b) for a in MIXED_LABELS for b in MIXED_LABELS]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = overlap(z1, z2)
+        alone = [overlap(a, b) for a, b in zip(z1, z2)]
+        beyond = ~(np.abs(z1) <= HOMOGENEOUS_LIMIT) | ~(np.abs(z2) <= HOMOGENEOUS_LIMIT)
+        want = homogeneous_overlap(z1, z2)
+    assert all(type(v) is float for v in alone)
+    assert np.array_equal(got, alone)
+    assert np.array_equal(got[beyond], want[beyond])  # only these take the homogeneous coordinates
+    assert np.array_equal(got[::-1], overlap(z1[::-1], z2[::-1]))
+    assert np.max(np.abs(got - want)) < 1e-15
+
+
+def test_overlap_agrees_with_the_homogeneous_oracle():
+    rng = np.random.default_rng(3)
+    n = 100_000
+    z1, z2 = (10.0 ** rng.uniform(-8, 70, n) * np.exp(2j * math.pi * rng.random(n)) for _ in range(2))
+    z2[::2] = z1[::2] * (1 + 1e-3 * (rng.normal(size=n // 2) + 1j * rng.normal(size=n // 2)))  # near pairs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, want = overlap(z1, z2), homogeneous_overlap(z1, z2)
+    assert np.max(np.abs(got - want)) < 1e-15
 
 
 def test_overlap_symmetry_and_global_phase_invariance():
@@ -487,6 +520,9 @@ DISCRIMINATION_CASES = [
     ("ideal", 0.1 + 0.3j, -0.4, 0.2, 19),
     ("nbar10", -0.2, 0.2, 0.05, 19),
     ("nbar10", 0.3, -0.2j, 0.0, 0),
+    ("ideal", 0.1 + 0.3j, -0.4, 0.2, 0),  # the seeded start labels alone
+    ("ideal", 0j, 0j, 3e74, 2),  # a few labels beyond HOMOGENEOUS_LIMIT, in some blocks only
+    ("nbar10", 0.2, INFINITY, 0.03, 1),  # every z2 label at infinity
     ("dark", 0.3, -0.2j, 0.1, 2),  # every sample is nulled at the last step
     ("dark", -0.2, 0.2, 0.3, 9),
 ]
