@@ -6,7 +6,8 @@ can be overridden with --seed or the TCMAP_SEED environment variable, so a
 re-run with the same flags writes byte-identical CSV/PPM files.
 
 Each flag is checked by its argparse type, defaults included, so a bad value
-is a usage error (exit 2) that names the flag. Runtime and I/O errors exit 1.
+is a usage error (exit 2) that names the flag. Runtime and I/O errors, running
+out of memory included, exit 1.
 """
 
 from __future__ import annotations
@@ -131,43 +132,42 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def exact_step(p):
         p.add_argument("--nbar", type=_nonnegative, default=None, help="mean photon number")
-        p.add_argument("--gt", type=_finite, default=None, help="defaults to pi*sqrt(nbar)/2")
+        p.add_argument("--gt", type=_finite, default=None, help="interaction time (default pi*sqrt(nbar)/2)")
         p.add_argument("--op-file", type=str, default=None,
                        help="step operator dumped by exact-op; the file is the operator "
                             "and --nbar/--gt are not checked against it")
 
     p = command("map", run_map, "iterate one starting label, CSV trajectory")
     p.add_argument("--z", required=True, type=parse_complex, help="starting label, re,im or inf")
-    p.add_argument("--steps", type=_count, default=10)
+    p.add_argument("--steps", type=_count, default=10, help="iterations (default 10)")
 
     p = command("cycles", run_cycles, "attractive cycles from the critical orbits")
-    p.add_argument("--burn", type=_count, default=10_000)
-    p.add_argument("--max-period", type=_positive_int, default=64)
-    p.add_argument("--cycle-tol", type=_positive, default=1e-8)
+    p.add_argument("--burn", type=_count, default=10_000, help="critical-orbit steps (default 10000)")
+    p.add_argument("--max-period", type=_positive_int, default=64, help="longest period sought (default 64)")
+    p.add_argument("--cycle-tol", type=_positive, default=1e-8, help="chordal closure tolerance (default 1e-8)")
 
     p = command("sweep", run_sweep, "stability diagram over a gate-angle grid", varphi=False)
-    p.add_argument("--grid", type=_positive_int, default=512, help="number of angle samples")
-    p.add_argument("--phi-min", type=parse_angle, default="0")
-    p.add_argument("--phi-max", type=parse_angle, default="2pi")
-    p.add_argument("--burn", type=_count, default=10_000)
-    p.add_argument("--max-period", type=_positive_int, default=64)
+    p.add_argument("--grid", type=_positive_int, default=512, help="number of angle samples (default 512)")
+    p.add_argument("--phi-min", type=parse_angle, default="0", help="lower end of the angle range (default 0)")
+    p.add_argument("--phi-max", type=parse_angle, default="2pi", help="upper end of the angle range (default 2pi)")
+    p.add_argument("--burn", type=_count, default=10_000, help="critical-orbit steps (default 10000)")
+    p.add_argument("--max-period", type=_positive_int, default=64, help="longest period sought (default 64)")
 
     p = command("julia", run_julia, "backward-iteration sample of the Julia set")
-    p.add_argument("--points", type=_count, default=10_000)
+    p.add_argument("--points", type=_count, default=10_000, help="sample size (default 10000)")
     p.add_argument("--seed", **seed)
     p.add_argument("--image", type=str, default=None, help="optional PPM raster of the sample")
-    p.add_argument("--region", type=parse_region, default="-2,2,-2,2")
-    p.add_argument("--res", type=parse_resolution, default="800x800")
+    p.add_argument("--region", type=parse_region, default="-2,2,-2,2", help="plane window (default -2,2,-2,2)")
+    p.add_argument("--res", type=parse_resolution, default="800x800", help="pixels, WxH (default 800x800)")
 
-    for name, run in (("basin", run_basin), ("exact-basin", run_exact_basin)):
-        p = command(name, run, f"{name} classification image")
-        p.add_argument("--region", type=parse_region, default="-2,2,-2,2")
-        p.add_argument("--res", type=parse_resolution, default="800x800")
-        p.add_argument("--tol", type=_positive, default=0.1)
-        p.add_argument("--max-iter", type=_positive_int, default=97)
+    for name in ("basin", "exact-basin"):
+        p = command(name, run_basin, f"{name} classification image")
+        p.add_argument("--region", type=parse_region, default="-2,2,-2,2", help="plane window (default -2,2,-2,2)")
+        p.add_argument("--res", type=parse_resolution, default="800x800", help="pixels, WxH (default 800x800)")
+        p.add_argument("--tol", type=_positive, default=0.1, help="attractor capture radius (default 0.1)")
+        p.add_argument("--max-iter", type=_positive_int, default=97, help="steps per cell (default 97)")
         p.add_argument("--csv", type=str, default=None, help="optional CSV dump of the grid")
-        if name == "exact-basin":
-            exact_step(p)
+    exact_step(p)  # exact-basin's parser, the loop's last
 
     p = command("discriminate", run_discriminate, "overlap Monte Carlo for two starting labels", varphi=False)
     p.add_argument("--varphi", type=parse_gate_angle, default="0", help="gate angle (default 0)")
@@ -182,19 +182,19 @@ def _build_parser() -> argparse.ArgumentParser:
     exact_step(p)
 
     p = command("resources", run_resources, "pair count per iteration, N = ceil((8/cos^2 varphi)^n)")
-    p.add_argument("--n", type=_count, default=3, help="iterations (rows 0..n)")
+    p.add_argument("--n", type=_count, default=3, help="iterations, rows 0..n (default 3)")
 
     p = command("homodyne", run_homodyne, "quadrature densities of the field components", varphi=False)
-    p.add_argument("--nbar", type=_nonnegative, required=True)
-    p.add_argument("--phi", type=parse_angle, default="0", help="field phase")
-    p.add_argument("--theta", type=parse_angle, default="0", help="local-oscillator phase")
-    p.add_argument("--gt", type=_finite, default=None)
-    p.add_argument("--q-range", type=parse_q_range, default="-6,6,241", help="qmin,qmax,count")
+    p.add_argument("--nbar", type=_nonnegative, required=True, help="mean photon number")
+    p.add_argument("--phi", type=parse_angle, default="0", help="field phase (default 0)")
+    p.add_argument("--theta", type=parse_angle, default="0", help="local-oscillator phase (default 0)")
+    p.add_argument("--gt", type=_finite, default=None, help="interaction time (default pi*sqrt(nbar)/2)")
+    p.add_argument("--q-range", type=parse_q_range, default="-6,6,241", help="qmin,qmax,count (default -6,6,241)")
 
     p = command("exact-op", run_exact_op, "dump the exact 4x4 step operator as CSV", varphi=False)
-    p.add_argument("--nbar", type=_nonnegative, required=True)
-    p.add_argument("--gt", type=_finite, default=None)
-    p.add_argument("--phi", type=parse_angle, default="0", help="field phase")
+    p.add_argument("--nbar", type=_nonnegative, required=True, help="mean photon number")
+    p.add_argument("--gt", type=_finite, default=None, help="interaction time (default pi*sqrt(nbar)/2)")
+    p.add_argument("--phi", type=parse_angle, default="0", help="field phase (default 0)")
 
     return parser
 
@@ -230,19 +230,14 @@ def parse_config(argv) -> argparse.Namespace:
     return args
 
 
-def _exact_coefficients(args: argparse.Namespace) -> tuple:
-    """The exact step's six coefficients at --varphi, from --op-file or else built from --nbar and --gt."""
-    if args.op_file is not None:
+def _step_coefficients(args: argparse.Namespace) -> tuple:
+    """The six step coefficients at --varphi: the exact step's when parse_config let --op-file or
+    --nbar be set (read from the file, else built from --nbar and --gt), otherwise the ideal map's."""
+    if getattr(args, "op_file", None) is not None:
         return proto.read_step_operator(args.op_file).coefficients(args.varphi)
-    return proto.exact_step_operator(CoherentFieldSpec(nbar=args.nbar), gt=args.gt).coefficients(args.varphi)
-
-
-def _ideal_attractors(varphi: float) -> list[rm.CycleReport]:
-    """The ideal map's attractive cycles, which basins are classified toward; none is an error."""
-    cycles = rm.find_attractive_cycles(rm.MapParams(varphi))
-    if not cycles:
-        raise ValueError(f"no attractive cycles detected at varphi={varphi!r}")
-    return cycles
+    if getattr(args, "nbar", None) is not None:
+        return proto.exact_step_operator(CoherentFieldSpec(nbar=args.nbar), gt=args.gt).coefficients(args.varphi)
+    return rm.MapParams(args.varphi).coefficients
 
 
 def run_map(args: argparse.Namespace) -> None:
@@ -313,32 +308,30 @@ def _emit_basin(args: argparse.Namespace, grid: ex.BasinGrid) -> None:
 
 
 def run_basin(args: argparse.Namespace) -> None:
-    attractors = [c.points for c in _ideal_attractors(args.varphi)]
-    grid = ex.basin_grid(args.region, *args.res, rm.MapParams(args.varphi).coefficients, attractors,
-                         tol=args.tol, max_iter=args.max_iter)
-    _emit_basin(args, grid)
-
-
-def run_exact_basin(args: argparse.Namespace) -> None:
-    coeffs = _exact_coefficients(args)
-    ideal = _ideal_attractors(args.varphi)
-    # cells are classified toward the ideal attractors: each exact one must lie within --tol of them
-    exact = rm.attractive_cycle_batch([(coeffs, args.varphi)])[0]
-    if not exact:
-        raise ValueError("the exact step has no attracting cycle at this angle")
-    ideal_points = [p for cycle in ideal for p in cycle.points]
-    gaps = {cycle.points[0]: min(abs(p - q) for p in cycle.points for q in ideal_points) for cycle in exact}
-    point = max(gaps, key=gaps.get)
-    if not gaps[point] < args.tol:
-        raise ValueError(f"the exact step's attracting cycle through {point:.6g} lies {gaps[point]:.3g} "
-                         f"from the ideal attractors, beyond --tol {args.tol:g}")
+    """basin and exact-basin: the chosen step moves the cells, classified toward the ideal attractors."""
+    coeffs = _step_coefficients(args)
+    maps = [(rm.MapParams(args.varphi).coefficients, args.varphi)]
+    if args.subcommand == "exact-basin":
+        maps.append((coeffs, args.varphi))
+    ideal, *exact = rm.attractive_cycle_batch(maps)
+    if not ideal:
+        raise ValueError(f"no attractive cycles detected at varphi={args.varphi!r}")
+    if exact:  # each exact attractor must lie within --tol of the ideal ones
+        if not exact[0]:
+            raise ValueError("the exact step has no attracting cycle at this angle")
+        ideal_points = [p for cycle in ideal for p in cycle.points]
+        gaps = {c.points[0]: min(abs(p - q) for p in c.points for q in ideal_points) for c in exact[0]}
+        point = max(gaps, key=gaps.get)
+        if not gaps[point] < args.tol:
+            raise ValueError(f"the exact step's attracting cycle through {point:.6g} lies {gaps[point]:.3g} "
+                             f"from the ideal attractors, beyond --tol {args.tol:g}")
     grid = ex.basin_grid(args.region, *args.res, coeffs, [c.points for c in ideal],
                          tol=args.tol, max_iter=args.max_iter)
     _emit_basin(args, grid)
 
 
 def run_discriminate(args: argparse.Namespace) -> None:
-    coeffs = _exact_coefficients(args) if args.map_kind == "exact" else rm.MapParams(args.varphi).coefficients
+    coeffs = _step_coefficients(args)
     report = ex.discrimination_run(args.z1, args.z2, args.sigma, args.samples, args.steps, coeffs, seed=args.seed)
     rows = [
         (k, report.mean_overlap[k], report.rms_deviation[k],
@@ -395,7 +388,7 @@ def main(argv=None) -> int:
     args = parse_config(sys.argv[1:] if argv is None else argv)
     try:
         args.run(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"tcmap {args.subcommand}: {exc}", file=sys.stderr)
         return 1
     return 0

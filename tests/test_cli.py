@@ -314,12 +314,41 @@ def test_discriminate_reads_overflowed_noise_as_infinity(tmp_path):
     assert read_csv(out)[1][0] == [0, mean, float(np.sqrt(np.mean((ov - mean) ** 2))), 0]
 
 
-def test_every_discriminate_flag_has_help():
+def test_every_flag_has_help():
     sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    for action in sub.choices["discriminate"]._actions:
-        assert action.help, action.option_strings
-        if action.default not in (None, argparse.SUPPRESS):
-            assert "default" in action.help, action.option_strings
+    for name, parser in sub.choices.items():
+        for action in parser._actions:
+            assert action.help, (name, action.option_strings)
+            if action.default not in (None, argparse.SUPPRESS):
+                assert "default" in action.help, (name, action.option_strings)
+
+
+@pytest.mark.parametrize("argv", [["exact-op"], ["discriminate", "--map-kind", "exact"]])
+def test_running_out_of_memory_is_a_runtime_error(tmp_path, capsys, monkeypatch, argv):
+    # the error numpy raises when the Fock amplitudes of nbar 1e9 do not fit; nothing is allocated here
+    message = "Unable to allocate 7.45 GiB for an array with shape (1000222459,) and data type int64"
+
+    def no_memory(alpha, nmax):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(tcmap.tavis_cummings, "coherent_state_coefficients", no_memory)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--nbar", "10", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"tcmap {argv[0]}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, batches", [
+    (["basin"], [1]),
+    (["exact-basin", "--nbar", "10"], [2]),  # the ideal map's and the exact step's attractors in one burn
+])
+def test_one_critical_orbit_burn_per_basin(tmp_path, monkeypatch, argv, batches):
+    calls = []
+    batch = tcmap.rational_map.attractive_cycle_batch
+    monkeypatch.setattr(tcmap.rational_map, "attractive_cycle_batch",
+                        lambda maps, **kw: calls.append(len(maps)) or batch(maps, **kw))
+    assert main(argv + ["--varphi", "0.2375pi", "--res", "8x8", "--out", str(tmp_path / "b.ppm")]) == 0
+    assert calls == batches
 
 
 def test_importing_the_cli_loads_no_thread_pool():
