@@ -50,19 +50,28 @@ def quadratic_step(z: np.ndarray, coeffs: tuple, with_p: bool = False):
     squared norm of the image of the normalized two-copy state (|a|^2 + |d|^2
     at infinity): the success probability of an exact protocol step.
     """
-    a, b, c, d, e, f = coeffs
     z = np.asarray(z, dtype=np.complex128)
     with np.errstate(all="ignore"):
-        r = np.abs(z)
-        far = r > ESCAPE_RADIUS
-        zz = z * z
-        num = a * zz + b * z + c
-        den = d * zz + e * z + f
-        if with_p:
-            p = (np.abs(num) ** 2 + np.abs(den) ** 2) / (1.0 + r * r) ** 2
-            np.copyto(p, np.abs(a) ** 2 + np.abs(d) ** 2, where=far)
-        np.divide(num, den, out=num)
-        np.copyto(num, a / d, where=far)
+        return _step_body(z, coeffs, coeffs[0] / coeffs[3], with_p)
+
+
+def _step_body(z: np.ndarray, coeffs: tuple, inf_image, with_p: bool = False):
+    """quadratic_step on a complex128 array under the caller's error state; inf_image is a / d.
+
+    A loop that steps the same coefficients many times enters np.errstate and
+    divides a / d once, outside the loop.
+    """
+    a, b, c, d, e, f = coeffs
+    r = np.abs(z)
+    far = r > ESCAPE_RADIUS
+    zz = z * z
+    num = a * zz + b * z + c
+    den = d * zz + e * z + f
+    if with_p:
+        p = (np.abs(num) ** 2 + np.abs(den) ** 2) / (1.0 + r * r) ** 2
+        np.copyto(p, np.abs(a) ** 2 + np.abs(d) ** 2, where=far)
+    np.divide(num, den, out=num)
+    np.copyto(num, inf_image, where=far)
     num[~np.isfinite(num)] = INFINITY
     return (num, p) if with_p else num
 
@@ -168,10 +177,20 @@ def two_cycle(params: MapParams) -> tuple[complex, complex]:
 
 def critical_points(coeffs: tuple, varphi: float) -> tuple[complex, complex]:
     """Zeros of f', roots of (ae-bd) z^2 + 2(af-cd) z + (bf-ce), the one nearer e^{-i varphi} first."""
-    a, b, c, d, e, f = (complex(k) for k in coeffs)
-    roots = _quadratic_roots(a * e - b * d, 2.0 * (a * f - c * d), b * f - c * e)
-    dist = chordal_distance(np.array(roots), cmath.exp(-1j * varphi))
-    return roots if dist[0] <= dist[1] else roots[::-1]
+    roots = _critical_roots(tuple(complex(k) for k in coeffs))
+    return roots[::-1] if _second_nearer(np.array([roots]), [varphi])[0] else roots
+
+
+def _critical_roots(coeffs: tuple[complex, ...]) -> tuple[complex, complex]:
+    a, b, c, d, e, f = coeffs
+    return _quadratic_roots(a * e - b * d, 2.0 * (a * f - c * d), b * f - c * e)
+
+
+def _second_nearer(roots: np.ndarray, varphis: Sequence[float]) -> np.ndarray:
+    """For each row of critical points (one map per row), whether the second is nearer e^{-i varphi}."""
+    centre = np.array([cmath.exp(-1j * v) for v in varphis])
+    dist = chordal_distance(roots, centre[:, None])
+    return ~(dist[:, 0] <= dist[:, 1])
 
 
 def classify_multiplier(multiplier: complex) -> str:
@@ -220,12 +239,6 @@ def _cycle_report(pts: Sequence[complex], coeffs: tuple) -> CycleReport:
     return CycleReport(tuple(pts), len(pts), lam, classify_multiplier(lam))
 
 
-def _same_cycle(a: CycleReport, b: CycleReport, match_tol: float = 1e-6) -> bool:
-    if a.period != b.period:
-        return False
-    return bool((chordal_distance(np.array(a.points)[:, None], np.array(b.points)).min(axis=1) < match_tol).all())
-
-
 def attractive_cycle_batch(
     maps: Sequence[tuple[tuple, float]],
     burn: int = 10_000,
@@ -242,7 +255,8 @@ def attractive_cycle_batch(
     An orbit leaves the burn once it repeats one of its last `max_period` states
     bit for bit (checked at 2, 4, 8, ... times max_period steps), so only open
     orbits are stepped: the step is elementwise, so the state after `burn`
-    steps is read off each loop, exactly.
+    steps is read off each loop, exactly.  All steps run in one error state,
+    and a / d is divided again only when the open orbits change.
     """
     if burn < 0:
         raise ValueError("burn must be >= 0")
@@ -251,50 +265,69 @@ def attractive_cycle_batch(
     n = len(maps)
     if n == 0:
         return []
-    all_coeffs = tuple(np.array(k * 2) for k in zip(*(c for c, _ in maps)))
-    # the first critical point of every map, then the second one
-    z = np.array([critical_points(*m) for m in maps]).T.ravel()
+    scalar = [tuple(complex(k) for k in coeffs) for coeffs, _ in maps]
+    roots = np.array([_critical_roots(s) for s in scalar])
+    swap = _second_nearer(roots, [v for _, v in maps])
+    roots[swap] = roots[swap, ::-1]
+    z = roots.T.ravel()  # the first critical point of every map, then the second one
+    all_coeffs = tuple(np.array(k * 2) for k in zip(*scalar))
     end = np.empty_like(z)  # each orbit's state after the burn
     live, coeffs = np.arange(z.size), all_coeffs  # the open orbits and their coefficients
     history = deque([z], maxlen=max_period + 1)
     check = 2 * max_period
-    for step in range(1, burn + 1):
-        z = quadratic_step(z, coeffs)
-        history.append(z)
-        if step == check:
-            check *= 2
-            states = np.array(history)
-            bits = states.view(np.int64)
-            same = (bits[:-1] == bits[-1]).reshape(max_period, z.size, 2).all(axis=2)
-            done = same.any(axis=0)
-            last = max_period - 1 - same[::-1, done].argmax(axis=0)  # the latest earlier copy of z
-            end[live[done]] = states[last + (burn - step) % (max_period - last), np.flatnonzero(done)]
-            live, z, states = live[~done], z[~done], states[:, ~done]
-            coeffs = tuple(k[~done] for k in coeffs)
-            history = deque(states, maxlen=max_period + 1)
-            if not live.size:
-                break
-    end[live] = z
-    # an orbit decaying to the fixed point 0 ends the burn on a subnormal or signed zero: read it as 0
-    z = np.where(np.abs(end) < np.finfo(float).tiny, 0j, end)
-    orbit = [z]
-    for _ in range(max_period):
-        orbit.append(quadratic_step(orbit[-1], all_coeffs))
+    with np.errstate(all="ignore"):
+        inf_image = coeffs[0] / coeffs[3]
+        for step in range(1, burn + 1):
+            z = _step_body(z, coeffs, inf_image)
+            history.append(z)
+            if step == check:
+                check *= 2
+                states = np.array(history)
+                bits = states.view(np.int64)
+                same = (bits[:-1] == bits[-1]).reshape(max_period, z.size, 2).all(axis=2)
+                done = same.any(axis=0)
+                last = max_period - 1 - same[::-1, done].argmax(axis=0)  # the latest earlier copy of z
+                end[live[done]] = states[last + (burn - step) % (max_period - last), np.flatnonzero(done)]
+                live, z, states = live[~done], z[~done], states[:, ~done]
+                coeffs = tuple(k[~done] for k in coeffs)
+                inf_image = inf_image[~done]
+                history = deque(states, maxlen=max_period + 1)
+                if not live.size:
+                    break
+        end[live] = z
+        # an orbit decaying to the fixed point 0 ends the burn on a subnormal or signed zero: read it as 0
+        z = np.where(np.abs(end) < np.finfo(float).tiny, 0j, end)
+        orbit = [z]
+        inf_image = all_coeffs[0] / all_coeffs[3]
+        for _ in range(max_period):
+            orbit.append(_step_body(orbit[-1], all_coeffs, inf_image))
     orbit = np.array(orbit)
     close = chordal_distance(orbit[1:], orbit[0]) < tol
     periods = np.where(close.any(axis=0), close.argmax(axis=0) + 1, 0)
 
-    found: list[list[CycleReport]] = [[] for _ in range(n)]
-    for j in np.flatnonzero(periods):
+    attracting = {}
+    for j in np.flatnonzero(periods).tolist():
         # rows are the step's images and the period is the near-return, so the points close
         try:
-            report = _cycle_report([complex(p) for p in orbit[: periods[j], j]], maps[j % n][0])
+            report = _cycle_report(orbit[: periods[j], j].tolist(), scalar[j % n])
         except ValueError:  # through infinity, beyond the escape radius or at a pole
             continue
-        attracting = report.stability in ("attractive", "superattractive")
-        if attracting and not any(_same_cycle(report, other) for other in found[j % n]):
-            found[j % n].append(report)
-    return found
+        if report.stability in ("attractive", "superattractive"):
+            attracting[j] = report
+    # the second critical orbit's cycle counts only where it is not the first one's: every
+    # point of it at chordal distance below match_tol from a point of the first cycle
+    match_tol = 1e-6
+    by_period: dict[int, list[int]] = {}
+    for i in range(n):
+        if i in attracting and i + n in attracting and periods[i] == periods[i + n]:
+            by_period.setdefault(int(periods[i]), []).append(i)
+    for period, group in by_period.items():
+        i = np.array(group)
+        second, first = orbit[:period, i + n].T, orbit[:period, i].T
+        same = (chordal_distance(second[:, :, None], first[:, None, :]).min(axis=2) < match_tol).all(axis=1)
+        for k in i[same].tolist():
+            del attracting[k + n]
+    return [[attracting[j] for j in (i, i + n) if j in attracting] for i in range(n)]
 
 
 def find_attractive_cycles(

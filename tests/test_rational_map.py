@@ -319,43 +319,44 @@ def full_burn_cycles(step_coeffs, varphi, burn, max_period=64, tol=1e-8):
     return found
 
 
+@pytest.fixture
+def step_inputs(monkeypatch):
+    """A copy of the array each call of the step body receives, in call order."""
+    inputs = []
+    step_body = rational_map._step_body
+
+    def recorded(z, coeffs, inf_image, with_p=False):
+        inputs.append(z.copy())
+        return step_body(z, coeffs, inf_image, with_p)
+
+    monkeypatch.setattr(rational_map, "_step_body", recorded)
+    return inputs
+
+
 @pytest.mark.parametrize("varphi, settles", [
     (0.2375 * math.pi, True), (1.01 * math.pi / 4.0, True), (0.45 * math.pi, True),
     (0.1 * math.pi, False),  # the orbit drifts by ulps and never repeats exactly
     (0.3 * math.pi, False),  # chaotic
 ])
-def test_early_stopped_burn_equals_the_full_burn(monkeypatch, varphi, settles):
+def test_early_stopped_burn_equals_the_full_burn(step_inputs, varphi, settles):
     params = MapParams(varphi)
-    steps = []
-
-    def counted(z, coeffs, with_p=False):
-        steps.append(1)
-        return quadratic_step(z, coeffs, with_p)
-
-    monkeypatch.setattr(rational_map, "quadratic_step", counted)
     for burn in (0, 1, 777, 10_000):
-        steps.clear()
+        step_inputs.clear()
         got = attractive_cycle_batch([(params.coefficients, params.varphi)], burn=burn)[0]
+        batch_steps = len(step_inputs)  # full_burn_cycles steps through the same body
         want = full_burn_cycles(params.coefficients, params.varphi, burn)
         assert [c.points for c in got] == [c.points for c in want]
         assert [c.multiplier for c in got] == [c.multiplier for c in want]
         if burn == 10_000:
-            assert (len(steps) < 2000) == settles
+            assert (batch_steps < 2000) == settles
     if settles:
         assert want
 
 
-def test_settled_orbits_leave_the_burn(monkeypatch):
-    sizes = []
-
-    def counted(z, coeffs, with_p=False):
-        sizes.append(np.size(z))
-        return quadratic_step(z, coeffs, with_p)
-
-    monkeypatch.setattr(rational_map, "quadratic_step", counted)
+def test_settled_orbits_leave_the_burn(step_inputs):
     maps = [(p.coefficients, p.varphi) for p in (MapParams(0.2375 * math.pi), MapParams(0.3 * math.pi))]
     attractive_cycle_batch(maps)
-    burned = sum(sizes[:-64])  # the last max_period steps trace the orbits after the burn
+    burned = sum(z.size for z in step_inputs[:-64])  # the last max_period steps trace the orbits after the burn
     # the chaotic pair runs the whole burn; the settled pair leaves at the check where it repeats alone
     assert 2 * 10_000 <= burned <= 2 * 10_000 + 2 * 512
 
@@ -586,6 +587,33 @@ def test_a_critical_point_at_infinity():
     assert critical_points(coeffs, 0.0) == (INFINITY, -1.0)
     assert inverse_branches(-1.0, coeffs) == (-1.0, -1.0)
     assert inverse_branches(INFINITY, coeffs) == (INFINITY, INFINITY)
+
+
+def test_the_batch_starts_every_orbit_at_its_critical_point(step_inputs):
+    ideal = MapParams(EXACT_VARPHI)
+    exact = exact_step_operator(CoherentFieldSpec(nbar=2.0)).coefficients(EXACT_VARPHI)
+    polynomial = (1.0, 2.0, 0.0, 0.0, 0.0, 1.0)  # z^2 + 2z, a critical point at infinity
+    maps = [(ideal.coefficients, ideal.varphi), (exact, EXACT_VARPHI), (polynomial, 0.0), (polynomial, math.pi)]
+    attractive_cycle_batch(maps, burn=1, max_period=1)
+    points = [critical_points(coeffs, varphi) for coeffs, varphi in maps]
+    # the first critical point of every map, then the second one, bit for bit
+    want = np.array([p[0] for p in points] + [p[1] for p in points])
+    assert np.array_equal(step_inputs[0].view(np.int64), want.view(np.int64))
+    assert want[2] == want[7] == INFINITY
+
+
+def test_the_batch_steps_infinity_to_a_over_d(step_inputs):
+    # (z^2 + z) / (z^2 + z + 1) has critical points infinity and -1/2, and f(infinity) = a/d = 1
+    rational = (1.0, 1.0, 0.0, 1.0, 1.0, 1.0)
+    ideal = MapParams(EXACT_VARPHI)
+    maps = [(rational, 0.0), (ideal.coefficients, ideal.varphi)]
+    per_orbit = tuple(np.array([complex(c[k]) for c, _ in maps] * 2) for k in range(6))
+    for burn in (0, 1):  # the first step of the post-burn orbit, then of the burn
+        step_inputs.clear()
+        attractive_cycle_batch(maps, burn=burn, max_period=2)
+        first, second = step_inputs[:2]
+        assert first[0] == INFINITY and second[0] == 1.0
+        assert np.array_equal(second.view(np.int64), quadratic_step(first, per_orbit).view(np.int64))
 
 
 @pytest.fixture(scope="module")

@@ -1,16 +1,28 @@
-"""CLI outputs held against stored sha256 digests.
+"""CLI outputs held against stored references.
 
-Each command runs in process and its files must hash to the digests recorded
-before the basin runners were merged into one. These commands write the same
-bytes with and without FMA in numpy's dispatch; `sweep` and `discriminate`
-do not (their last digits move), so they are left out.
+Each digest command runs in process and its files must hash to the digests
+recorded before the basin runners were merged into one. These commands write
+the same bytes with and without FMA in numpy's dispatch. `sweep` does not
+(the last digits of its multipliers move), so its table is stored in
+tests/reference/ and held to tolerances instead; `discriminate` is left out.
 """
 
 import hashlib
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tcmap
 from tcmap.cli import main
+from tcmap.output import read_csv
+
+SWEEP_64 = Path(__file__).parent / "reference" / "sweep-64.csv"
+# numpy's dispatch without the targets that carry FMA: baseline x86-64-v2
+NO_FMA = "AVX512_SPR AVX512_ICL X86_V4 X86_V3"
 
 EXACT_BASIN_10 = "29a059a5992e3b36503086b9d02cd2d900ba36c124b916dd06dc212b20fb2a93"
 EXACT_OP_10 = "6eb3d4a232052853bacd90d4ad46af3c51c97e28ade4f5d240c479cece842824"
@@ -57,3 +69,40 @@ def test_exact_basin_refusal_line(tmp_path, capsys):
         "tcmap exact-basin: the exact step's attracting cycle through -1.3556+0.488022j lies 0.604 "
         "from the ideal attractors, beyond --tol 0.1\n")
     assert not out.exists()
+
+
+def assert_sweep_matches_reference(path):
+    """The sweep gate: angles to 1e-12, the analytic moduli to 1e-12 relative, periods
+    exactly and the detected |multiplier| to 1e-9; raw orbit bits are not compared."""
+    header, rows = read_csv(path)
+    want_header, want_rows = read_csv(SWEEP_64)
+    assert header == want_header
+    assert len(rows) == len(want_rows)
+    for got, want in zip(rows, want_rows):
+        varphi, *moduli, period, abs_lambda = got
+        assert abs(varphi - want[0]) <= 1e-12
+        assert all(math.isclose(g, w, rel_tol=1e-12) for g, w in zip(moduli, want[1:4]))
+        assert period == want[4]
+        assert abs(abs_lambda - want[5]) <= 1e-9
+
+
+def test_sweep_matches_the_stored_table(tmp_path):
+    """`tcmap sweep --grid 64 --out tests/reference/sweep-64.csv` regenerates the table."""
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--grid", "64", "--out", str(out)]) == 0
+    assert_sweep_matches_reference(out)
+
+
+def test_sweep_matches_the_stored_table_without_fma(tmp_path):
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_FMA)
+    probe = subprocess.run([sys.executable, "-W", "error::ImportWarning", "-c", "import numpy"], env=env,
+                           capture_output=True, text=True, timeout=60)
+    if probe.returncode != 0:  # a numpy build or CPU without these dispatch targets
+        pytest.skip(f"numpy rejects NPY_DISABLE_CPU_FEATURES={NO_FMA!r}: {probe.stderr.strip().splitlines()[-1]}")
+    src = str(Path(tcmap.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = tmp_path / "sweep.csv"
+    res = subprocess.run([sys.executable, "-m", "tcmap.cli", "sweep", "--grid", "64", "--out", str(out)],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    assert_sweep_matches_reference(out)
