@@ -13,6 +13,7 @@ out of memory included, exit 1.
 from __future__ import annotations
 
 import argparse
+import cmath
 import ctypes
 import functools
 import math
@@ -26,7 +27,7 @@ from . import output
 from . import protocol as proto
 from . import rational_map as rm
 from .sphere import as_point
-from .tavis_cummings import CoherentFieldSpec, f_state_lo_phases, homodyne_density
+from .tavis_cummings import f_state_lo_phases, homodyne_density
 
 SEED_ENV_VAR = "TCMAP_SEED"
 
@@ -234,9 +235,9 @@ def _step_coefficients(args: argparse.Namespace) -> tuple:
     """The six step coefficients at --varphi: the exact step's when parse_config let --op-file or
     --nbar be set (read from the file, else built from --nbar and --gt), otherwise the ideal map's."""
     if getattr(args, "op_file", None) is not None:
-        return proto.read_step_operator(args.op_file).coefficients(args.varphi)
+        return proto.step_coefficients(proto.read_step_operator(args.op_file), args.varphi)
     if getattr(args, "nbar", None) is not None:
-        return proto.exact_step_operator(CoherentFieldSpec(nbar=args.nbar), gt=args.gt).coefficients(args.varphi)
+        return proto.step_coefficients(proto.exact_step_operator(args.nbar, gt=args.gt), args.varphi)
     return rm.MapParams(args.varphi).coefficients
 
 
@@ -348,7 +349,7 @@ def run_resources(args: argparse.Namespace) -> None:
 
 
 def run_homodyne(args: argparse.Namespace) -> None:
-    alpha = CoherentFieldSpec(nbar=args.nbar, phi=args.phi).alpha
+    alpha = math.sqrt(args.nbar) * cmath.exp(1j * args.phi)
     gt = args.gt if args.gt is not None else proto.default_interaction_time(args.nbar)
     thetas = (args.theta, *f_state_lo_phases(args.theta, args.nbar, gt))
     rows = [(q, *(homodyne_density(q, theta, alpha) for theta in thetas))
@@ -357,8 +358,7 @@ def run_homodyne(args: argparse.Namespace) -> None:
 
 
 def run_exact_op(args: argparse.Namespace) -> None:
-    field = CoherentFieldSpec(nbar=args.nbar, phi=args.phi)
-    proto.write_step_operator(proto.exact_step_operator(field, gt=args.gt), args.out)
+    proto.write_step_operator(proto.exact_step_operator(args.nbar, gt=args.gt, phi=args.phi), args.out)
 
 
 # glibc's mallopt parameters (malloc.h)

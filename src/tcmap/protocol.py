@@ -14,15 +14,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .rational_map import MapParams
 from .tavis_cummings import (
     BELL_TO_PRODUCT,
-    CoherentFieldSpec,
     block_inputs,
     block_propagators,
     evolve_exact,  # noqa: F401  not called here; the benchmark's tracer wraps protocol.evolve_exact
@@ -38,28 +36,23 @@ def gate_unitary(varphi: float) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class ExactStepOperator:
-    """4x4 compression <alpha| e^{-iHt} |alpha> in the product atomic basis."""
+def exchange_symmetric_defect(matrix: np.ndarray) -> float:
+    """Max deviation of a 4x4 step operator from A<->B exchange symmetry (swap of |1,0>, |0,1>)."""
+    perm = [0, 2, 1, 3]
+    swapped = matrix[np.ix_(perm, perm)]
+    return float(np.max(np.abs(matrix - swapped)))
 
-    matrix: np.ndarray
 
-    def exchange_symmetric_defect(self) -> float:
-        """Max deviation from A<->B exchange symmetry (swap of |1,0>, |0,1>)."""
-        perm = [0, 2, 1, 3]
-        swapped = self.matrix[np.ix_(perm, perm)]
-        return float(np.max(np.abs(self.matrix - swapped)))
+def step_coefficients(matrix: np.ndarray, varphi: float) -> tuple:
+    """quadratic_step coefficients (a, b, c, d, e, f) of the 4x4 step operator at gate angle varphi.
 
-    def coefficients(self, varphi: float) -> tuple:
-        """quadratic_step coefficients (a, b, c, d, e, f) of the step at gate angle varphi.
-
-        The two-copy state of z is (z^2, z, z, 1) up to normalization, so the
-        |1,0> and |0,0> rows of A = M diag(gate) give (a, b, c) and (d, e, f),
-        with the two uv columns summed.  A degenerate angle raises DegenerateParameterError.
-        """
-        MapParams(varphi)  # the gate rule
-        a = self.matrix * np.tile(np.diag(gate_unitary(varphi)), 2)  # the gate on atom B
-        return tuple(np.array(k) for r in (1, 3) for k in (a[r, 0], a[r, 1] + a[r, 2], a[r, 3]))
+    The two-copy state of z is (z^2, z, z, 1) up to normalization, so the
+    |1,0> and |0,0> rows of A = M diag(gate) give (a, b, c) and (d, e, f),
+    with the two uv columns summed.  A degenerate angle raises DegenerateParameterError.
+    """
+    MapParams(varphi)  # the gate rule
+    a = matrix * np.tile(np.diag(gate_unitary(varphi)), 2)  # the gate on atom B
+    return tuple(np.array(k) for r in (1, 3) for k in (a[r, 0], a[r, 1] + a[r, 2], a[r, 3]))
 
 
 def default_interaction_time(nbar: float) -> float:
@@ -67,36 +60,36 @@ def default_interaction_time(nbar: float) -> float:
     return math.pi * math.sqrt(nbar) / 2.0
 
 
-def exact_step_operator(field: CoherentFieldSpec, gt: Optional[float] = None) -> ExactStepOperator:
-    """Exact 4x4 step operator for the given field, as one sum over excitation blocks.
+def exact_step_operator(nbar: float, gt: Optional[float] = None, phi: float = 0.0) -> np.ndarray:
+    """Exact 4x4 step operator <alpha| e^{-iHt} |alpha>, alpha = sqrt(nbar) e^{i phi}, in the
+    product atomic basis, as one sum over excitation blocks.
 
     With q_n = (p_{n-2}, p_{n-1}, p_n) the truncated |alpha> amplitudes in
     block n, <alpha| e^{-iHt} |alpha> on (|1,1>, |Psi+>, |0,0>) is
     sum_n q_n^H U_n q_n, plus |p_0|^2 on |0,0> from the uncoupled block 0;
     |Psi-> never couples and keeps <alpha|alpha> (unity up to the tail).
     """
+    p = poisson_amplitudes(nbar, phi)
     if gt is None:
-        gt = default_interaction_time(field.nbar)
-    p = poisson_amplitudes(field)
+        gt = default_interaction_time(nbar)
     q = block_inputs(p)
     m = np.zeros((4, 4), dtype=np.complex128)
-    m[:3, :3] = np.einsum("ni,nij,nj->ij", q.conj(), block_propagators(field.nmax + 2, gt), q)
+    m[:3, :3] = np.einsum("ni,nij,nj->ij", q.conj(), block_propagators(len(p) + 1, gt), q)
     m[2, 2] += abs(p[0]) ** 2
     m[3, 3] = np.vdot(p, p)
-    return ExactStepOperator(BELL_TO_PRODUCT @ m @ BELL_TO_PRODUCT.T)
+    return BELL_TO_PRODUCT @ m @ BELL_TO_PRODUCT.T
 
 
-def write_step_operator(op: Union[ExactStepOperator, np.ndarray], path) -> None:
+def write_step_operator(matrix: np.ndarray, path) -> None:
     """Serialize the 16 complex entries, row-major, one matrix row per line.
 
     Format: four lines of eight comma-separated floats (re,im per entry),
     17 significant digits, basis order (|1,1>, |1,0>, |0,1>, |0,0>).
     """
-    m = op.matrix if isinstance(op, ExactStepOperator) else np.asarray(op)
-    if m.shape != (4, 4):
+    if matrix.shape != (4, 4):
         raise ValueError("expected a 4x4 operator")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        for row in m:
+        for row in matrix:
             cells = []
             for entry in row:
                 cells.append(f"{entry.real:.17g}")
@@ -104,7 +97,7 @@ def write_step_operator(op: Union[ExactStepOperator, np.ndarray], path) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def read_step_operator(path) -> ExactStepOperator:
+def read_step_operator(path) -> np.ndarray:
     """Load a serialized step operator.
 
     Rejects non-finite entries, a spectral norm above 1 + 1e-9 (a step
@@ -127,8 +120,7 @@ def read_step_operator(path) -> ExactStepOperator:
     norm = np.linalg.norm(m, 2)
     if not norm <= 1.0 + 1e-9:
         raise ValueError(f"{path}: step operator norm {norm:.6g} exceeds 1, so it is no compression of a unitary")
-    op = ExactStepOperator(m)
-    defect = op.exchange_symmetric_defect()
+    defect = exchange_symmetric_defect(m)
     if defect > 1e-12:
         raise ValueError(f"{path}: step operator breaks the exchange symmetry of the atoms (defect {defect:.6g})")
-    return op
+    return m

@@ -134,11 +134,6 @@ class MapParams:
         object.__setattr__(self, "coefficients", tuple(np.array(k, dtype=np.complex128) for k in coeffs))
 
 
-def apply_map(z: complex, params: MapParams) -> complex:
-    """One application of the map with exact sphere semantics (f(INFINITY) = 0, poles go to INFINITY)."""
-    return step_point(z, params.coefficients)[0]
-
-
 def _quadratic_roots(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
     """Both roots of a z^2 + b z + c on the sphere: INFINITY for each degree the form drops."""
     if a == 0:
@@ -386,7 +381,7 @@ def julia_backward_sample(
 
 
 def apply_map_grid(z: np.ndarray, params: MapParams) -> np.ndarray:
-    """Vectorized apply_map on a complex array; no runner calls it, bench/tracing.py wraps it by name."""
+    """The ideal map on a complex array; no runner calls it, bench/tracing.py wraps it by name."""
     return quadratic_step(z, params.coefficients)
 
 

@@ -20,7 +20,6 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -31,10 +30,6 @@ _S = 1.0 / math.sqrt(2.0)
 BELL_TO_PRODUCT = np.array(
     [[1.0, 0.0, 0.0, 0.0], [0.0, _S, 0.0, -_S], [0.0, _S, 0.0, _S], [0.0, 0.0, 1.0, 0.0]]
 )
-
-
-class TruncationError(ValueError):
-    """Raised when a Fock cutoff leaves more than the allowed Poisson tail."""
 
 
 class ApproximationValidityWarning(UserWarning):
@@ -68,32 +63,10 @@ def poisson_tail_mass(nbar: float, nmax: int) -> float:
 
 def default_truncation(nbar: float) -> int:
     """Smallest cutoff with Poisson tail below POISSON_TAIL_BOUND."""
+    if not 0.0 <= nbar < math.inf:
+        raise ValueError(f"nbar must be finite and >= 0, got {nbar!r}")
     n = int(nbar)
     return n + int(np.argmax(_poisson_tails(nbar, n + 1) < POISSON_TAIL_BOUND))
-
-
-@dataclass(frozen=True)
-class CoherentFieldSpec:
-    """Coherent field |alpha>, alpha = sqrt(nbar) e^{i phi}, with Fock cutoff."""
-
-    nbar: float
-    phi: float = 0.0
-    nmax: Optional[int] = None
-
-    def __post_init__(self):
-        if self.nbar < 0:
-            raise ValueError("mean photon number must be >= 0")
-        if self.nmax is None:
-            object.__setattr__(self, "nmax", default_truncation(self.nbar))
-        elif poisson_tail_mass(self.nbar, self.nmax) >= POISSON_TAIL_BOUND:
-            raise TruncationError(
-                f"nmax={self.nmax} leaves a Poisson tail >= {POISSON_TAIL_BOUND:g} "
-                f"for nbar={self.nbar}"
-            )
-
-    @property
-    def alpha(self) -> complex:
-        return math.sqrt(self.nbar) * cmath.exp(1j * self.phi)
 
 
 def coherent_state_coefficients(alpha: complex, nmax: int) -> np.ndarray:
@@ -110,9 +83,10 @@ def coherent_state_coefficients(alpha: complex, nmax: int) -> np.ndarray:
     return np.exp(log_mag + 1j * cmath.phase(alpha) * n)
 
 
-def poisson_amplitudes(spec: CoherentFieldSpec) -> np.ndarray:
-    """Coefficients of the truncated coherent state."""
-    return coherent_state_coefficients(spec.alpha, spec.nmax)
+def poisson_amplitudes(nbar: float, phi: float = 0.0) -> np.ndarray:
+    """Coefficients of |alpha>, alpha = sqrt(nbar) e^{i phi}, up to the cutoff default_truncation(nbar)."""
+    nmax = default_truncation(nbar)  # first, so that a negative nbar fails there by name
+    return coherent_state_coefficients(math.sqrt(nbar) * cmath.exp(1j * phi), nmax)
 
 
 @dataclass
@@ -203,24 +177,25 @@ def block_inputs(p: np.ndarray) -> np.ndarray:
     return np.stack((pad[:-2], pad[1:-1], pad[2:]), axis=1)
 
 
-def evolve_exact(atom: AtomPairState, field: CoherentFieldSpec, gt: float) -> JointState:
-    """Exact evolution of atom x coherent field for a dimensionless time gt.
+def evolve_exact(atom: AtomPairState, nbar: float, gt: float, phi: float = 0.0) -> JointState:
+    """Exact evolution of atom x coherent field |sqrt(nbar) e^{i phi}> for a dimensionless time gt.
 
     Each excitation block evolves by block_propagators.  Blocks up to
-    N+2 = field.nmax+2 receive population from the truncated initial state,
-    so all channel arrays have length N+3 and the evolution is exactly unitary
-    on the truncated input (total norm equals the input norm to rounding).
+    N+2 receive population from the initial state truncated at N =
+    default_truncation(nbar), so all channel arrays have length N+3 and the
+    evolution is exactly unitary on the truncated input (total norm equals
+    the input norm to rounding).
     """
-    p = poisson_amplitudes(field)
+    p = poisson_amplitudes(nbar, phi)
     x = block_inputs(p) * np.array([atom.c1, atom.cplus, atom.c0])
-    y = np.einsum("nij,nj->ni", block_propagators(field.nmax + 2, gt), x)
+    y = np.einsum("nij,nj->ni", block_propagators(len(p) + 1, gt), x)
     return JointState(
         channel_00=np.concatenate(([atom.c0 * p[0]], y[:, 2])),
         channel_psi_plus=np.append(y[:, 1], 0.0),
         channel_11=np.concatenate((y[1:, 0], [0.0, 0.0])),
         channel_psi_minus=atom.cminus * np.append(p, [0.0, 0.0]),
-        nbar=field.nbar,
-        phi=field.phi,
+        nbar=nbar,
+        phi=phi,
         gt=gt,
     )
 
@@ -249,7 +224,7 @@ class ApproxChannels:
         return vec
 
 
-def coherent_approx_fields(atom: AtomPairState, field: CoherentFieldSpec, gt: float) -> ApproxChannels:
+def coherent_approx_fields(atom: AtomPairState, nbar: float, gt: float, phi: float = 0.0) -> ApproxChannels:
     """High-photon-number approximation of the evolved field channels.
 
     Linearizing the block frequencies around nbar+1 turns each channel into
@@ -257,7 +232,6 @@ def coherent_approx_fields(atom: AtomPairState, field: CoherentFieldSpec, gt: fl
     2gt/sqrt(4 nbar + 2) carrying phase factors exp(+-2i gt (nbar+1+k)/sqrt(4 nbar+2)),
     plus the undisplaced |alpha> term on the k = +-1 channels.
     """
-    nbar, phi = field.nbar, field.phi
     if gt >= nbar:
         warnings.warn(
             f"coherent-state approximation assumes gt << nbar (gt={gt}, nbar={nbar})",
@@ -274,7 +248,7 @@ def coherent_approx_fields(atom: AtomPairState, field: CoherentFieldSpec, gt: fl
     d_minus = (cmath.exp(1j * phi) * atom.c0 - cmath.exp(-1j * phi) * atom.c1) / math.sqrt(2.0)
     eta_minus = (atom.cplus + d_plus) / 2.0
     eta_plus = (atom.cplus - d_plus) / 2.0
-    alpha = field.alpha
+    alpha = math.sqrt(nbar) * cmath.exp(1j * phi)
     root = math.sqrt(4.0 * nbar + 2.0)
     rot = cmath.exp(2j * gt / root)
     terms = {}
@@ -298,18 +272,6 @@ def coherent_approx_fields(atom: AtomPairState, field: CoherentFieldSpec, gt: fl
         phi=phi,
         gt=gt,
     )
-
-
-def ideal_postselection_operator(phi: float) -> np.ndarray:
-    """Rank-two projector |Psi-><Psi-| + |Phi-_phi><Phi-_phi| on the atoms.
-
-    |Phi-_phi> = (e^{-i phi}|0,0> - e^{i phi}|1,1>)/sqrt(2); matrix in the
-    product basis (|1,1>, |1,0>, |0,1>, |0,0>).
-    """
-    s = 1.0 / math.sqrt(2.0)
-    psi_minus = np.array([0.0, -s, s, 0.0], dtype=np.complex128)
-    phi_minus = np.array([-s * cmath.exp(1j * phi), 0.0, 0.0, s * cmath.exp(-1j * phi)], dtype=np.complex128)
-    return np.outer(psi_minus, psi_minus.conj()) + np.outer(phi_minus, phi_minus.conj())
 
 
 def quadrature_mean(alpha: complex, theta: float) -> float:

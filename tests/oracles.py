@@ -2,11 +2,13 @@
 
 The package computes each of these another way (or, for the ideal map's
 fixed points and the plane distance, not at all): the two-copy state and the
-postselection amplitudes are what `ExactStepOperator.coefficients` and the
-step kernel encode, the orbit and the basin loop are what `apply_map` and
-`basin_grid` run, the homogeneous overlap is what `overlap` evaluates in the
-plane chart, and the block eigensystem is what `block_propagators` sums in
-closed form.  The tests compare the package against them.
+postselection amplitudes are what `protocol.step_coefficients` and the step
+kernel encode, the rank-two postselection projector is the large-nbar limit
+of `exact_step_operator`, the orbit and the basin loop are what `basin_grid`
+runs, the homogeneous overlap is what `overlap` evaluates in the plane chart,
+and the block eigensystem is what `block_propagators` sums in closed form.
+The tests compare the package against them.  `apply_map` is no second
+coding: it is `step_point` at the ideal map's coefficients, in scalar form.
 """
 
 import cmath
@@ -16,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from tcmap.rational_map import CycleReport, apply_map
+from tcmap.rational_map import CycleReport, step_point
 from tcmap.sphere import INFINITY, as_point, homogeneous, is_infinite
 from tcmap.tavis_cummings import AtomPairState
 
@@ -61,6 +63,18 @@ def product_state_vector(z):
     return np.array([1.0, w, w, w * w], dtype=np.complex128) / (1.0 + abs(w) ** 2)
 
 
+def ideal_postselection_operator(phi: float) -> np.ndarray:
+    """Rank-two projector |Psi-><Psi-| + |Phi-_phi><Phi-_phi| on the atoms.
+
+    |Phi-_phi> = (e^{-i phi}|0,0> - e^{i phi}|1,1>)/sqrt(2); matrix in the
+    product basis (|1,1>, |1,0>, |0,1>, |0,0>).
+    """
+    s = 1.0 / math.sqrt(2.0)
+    psi_minus = np.array([0.0, -s, s, 0.0], dtype=np.complex128)
+    phi_minus = np.array([-s * cmath.exp(1j * phi), 0.0, 0.0, s * cmath.exp(-1j * phi)], dtype=np.complex128)
+    return np.outer(psi_minus, psi_minus.conj()) + np.outer(phi_minus, phi_minus.conj())
+
+
 def step_amplitudes(z, varphi, phi=0.0):
     """Atomic amplitudes after the gate on atom B, before the field interaction.
 
@@ -96,6 +110,11 @@ def amplitude_step(z, varphi):
     if abs(amp0) <= 1e-14 * abs(amp1):
         return INFINITY, p_success
     return amp1 / amp0, p_success
+
+
+def apply_map(z, params):
+    """One application of the map with exact sphere semantics (f(INFINITY) = 0, poles go to INFINITY)."""
+    return step_point(z, params.coefficients)[0]
 
 
 def iterate_map(z0, params, n):

@@ -9,12 +9,11 @@ import math
 
 import numpy as np
 
-from oracles import block_eigensystem, iterate_map
+from oracles import apply_map, block_eigensystem, ideal_postselection_operator, iterate_map
 from tcmap.experiments import discrimination_run, overlap, resource_estimate
-from tcmap.protocol import exact_step_operator
+from tcmap.protocol import exact_step_operator, step_coefficients
 from tcmap.rational_map import (
     MapParams,
-    apply_map,
     classify_multiplier,
     critical_points,
     cycle_multiplier,
@@ -27,10 +26,8 @@ from tcmap.rational_map import (
 from tcmap.sphere import is_infinite
 from tcmap.tavis_cummings import (
     AtomPairState,
-    CoherentFieldSpec,
     evolve_exact,
     homodyne_density,
-    ideal_postselection_operator,
     poisson_amplitudes,
 )
 
@@ -153,7 +150,7 @@ def test_criterion_04_noise_robustness():
 def test_criterion_05_exact_map_fixed_points():
     results = {}
     for nbar in (10.0, 100.0):
-        coeffs = exact_step_operator(CoherentFieldSpec(nbar=nbar)).coefficients(0.0)
+        coeffs = step_coefficients(exact_step_operator(nbar), 0.0)
         for z0 in (0.5, -0.5):
             z = complex(z0)
             for _ in range(97):
@@ -176,7 +173,7 @@ def test_criterion_06_exact_to_ideal_convergence():
     grid9 = [complex(x, y) for x in (-0.6, 0.0, 0.6) for y in (-0.6, 0.0, 0.6)]
     discrepancy = {}
     for nbar in (10.0, 50.0, 100.0):
-        coeffs = exact_step_operator(CoherentFieldSpec(nbar=nbar)).coefficients(varphi)
+        coeffs = step_coefficients(exact_step_operator(nbar), varphi)
         worst = 0.0
         for z in grid9:
             z_exact, _ = step_point(z, coeffs)
@@ -261,8 +258,7 @@ def test_criterion_10_physics_invariant_suite():
     # norm conservation
     norm_worst = 0.0
     for i in range(100):
-        field = CoherentFieldSpec(nbar=(5.0, 10.0, 50.0)[i % 3])
-        joint = evolve_exact(random_atom(), field, rng.uniform(0.0, 8.0))
+        joint = evolve_exact(random_atom(), (5.0, 10.0, 50.0)[i % 3], rng.uniform(0.0, 8.0))
         norm_worst = max(norm_worst, abs(joint.total_norm() - 1.0))
     norm_ok = norm_worst < 1e-10
 
@@ -274,12 +270,11 @@ def test_criterion_10_physics_invariant_suite():
     proj_ok = proj_worst < 1e-14
 
     # dark channel: bit-level proportionality to the input coherent coefficients
-    field = CoherentFieldSpec(nbar=12.0, phi=0.3)
     atom = AtomPairState(c0=0j, cminus=0.6 - 0.2j, cplus=0j, c1=0j)
-    p = poisson_amplitudes(field)
+    p = poisson_amplitudes(12.0, 0.3)
     dark_ok = True
     for gt in (0.7, 3.1, 9.4):
-        joint = evolve_exact(atom, field, gt)
+        joint = evolve_exact(atom, 12.0, gt, 0.3)
         expected = np.zeros_like(joint.channel_psi_minus)
         expected[: len(p)] = atom.cminus * p
         dark_ok = dark_ok and np.array_equal(joint.channel_psi_minus, expected)

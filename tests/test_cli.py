@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import tcmap
-from oracles import amplitude_step, homogeneous_overlap
+from oracles import amplitude_step, apply_map, homogeneous_overlap
+from tcmap import tavis_cummings
 from tcmap.cli import _build_parser, main, parse_angle, parse_complex, parse_config, parse_region
 from tcmap.output import format_value, read_csv, read_ppm
-from tcmap.rational_map import MapParams, apply_map, step_point
+from tcmap.rational_map import MapParams, step_point
 
 
 # ------------------------------------------------------------------- parsing
@@ -247,6 +248,14 @@ def test_exact_op_dump_and_reuse(tmp_path):
     assert main(args + ["--op-file", str(op_path), "--out", str(file_only)]) == 0
     assert direct.read_bytes() == cached.read_bytes() == file_only.read_bytes()
 
+    # the 17-digit entries read back to the same bits, so discriminate writes the same table too
+    args = ["discriminate", "--map-kind", "exact", "--samples", "2000"]
+    for name, step in (("direct", ["--nbar", "10"]), ("cached", ["--nbar", "10", "--op-file", str(op_path)]),
+                       ("file-only", ["--op-file", str(op_path)])):
+        assert main(args + step + ["--out", str(tmp_path / f"{name}.csv")]) == 0
+    tables = [(tmp_path / f"{name}.csv").read_bytes() for name in ("direct", "cached", "file-only")]
+    assert tables[0] == tables[1] == tables[2]
+
 
 # the dark-state projector |Psi-><Psi-|, a valid step operator that sends every label to infinity
 DARK_OPERATOR = ["0,0,0,0,0,0,0,0", "0,0,0.5,0,-0.5,0,0,0", "0,0,-0.5,0,0.5,0,0,0", "0,0,0,0,0,0,0,0"]
@@ -437,6 +446,15 @@ def test_homodyne_table(tmp_path):
         assert abs(np.trapezoid(vals, qs) - 1.0) < 1e-6
 
 
+def test_homodyne_builds_no_fock_cutoff(tmp_path, monkeypatch):
+    # the densities need alpha only; a cutoff at nbar = 1e12 would take seconds and about 1 GB
+    def no_cutoff(nbar):
+        raise AssertionError("homodyne asked for a Fock cutoff")
+
+    monkeypatch.setattr(tavis_cummings, "default_truncation", no_cutoff)
+    assert main(["homodyne", "--nbar", "1e12", "--q-range", "-6,6,11", "--out", str(tmp_path / "hd.csv")]) == 0
+
+
 def test_reruns_are_byte_identical(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -566,6 +584,8 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
     assert tcmap.cli.main is main
     metrics = {name: value for name, (value, _) in tracing.layer_metrics(tracer).items()}
     assert metrics["experiments.basin_grid_s"] > 0
+    assert metrics["tavis_cummings.poisson_amplitudes_calls"] > 0
+    assert metrics["protocol.exact_step_operator_s"] > 0
     assert metrics["experiments.discrimination_sample_steps"] == 10 * 2 + 10 * 3
     assert metrics["output.ppm_bytes"] > 0
     assert metrics["output.csv_rows"] > 0

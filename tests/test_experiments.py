@@ -1,11 +1,12 @@
 import cmath
+import functools
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from oracles import classify_basin_point, homogeneous_overlap, product_state_vector
+from oracles import apply_map, classify_basin_point, homogeneous_overlap, product_state_vector
 from tcmap import experiments as ex
 from tcmap import rational_map as rm
 from tcmap.experiments import (
@@ -18,14 +19,13 @@ from tcmap.experiments import (
     resource_estimate,
 )
 from tcmap.protocol import (
-    ExactStepOperator,
     exact_step_operator,
     gate_unitary,
+    step_coefficients,
 )
 from tcmap.rational_map import (
     NULL_OUTCOME_EPS,
     MapParams,
-    apply_map,
     cycle_multiplier,
     find_attractive_cycles,
     quadratic_step,
@@ -33,7 +33,6 @@ from tcmap.rational_map import (
     success_floor,
 )
 from tcmap.sphere import HOMOGENEOUS_LIMIT, INFINITY
-from tcmap.tavis_cummings import CoherentFieldSpec
 
 
 IDEAL_0 = MapParams(0.0).coefficients
@@ -228,8 +227,8 @@ def test_noise_grows_then_collapses():
 
 
 def test_exact_map_decreases_faster_then_plateaus():
-    op = exact_step_operator(CoherentFieldSpec(nbar=10.0))
-    exact = discrimination_run(-0.2, 0.2, sigma=0.0, samples=1, steps=7, coeffs=op.coefficients(0.0), seed=3)
+    coeffs = step_coefficients(exact_step_operator(10.0), 0.0)
+    exact = discrimination_run(-0.2, 0.2, sigma=0.0, samples=1, steps=7, coeffs=coeffs, seed=3)
     ideal = discrimination_run(-0.2, 0.2, sigma=0.0, samples=1, steps=7, coeffs=IDEAL_0, seed=3)
     # faster early orthogonalization, larger late plateau
     assert exact.mean_overlap[2] < ideal.mean_overlap[2]
@@ -239,19 +238,19 @@ def test_exact_map_decreases_faster_then_plateaus():
 
 
 def test_exact_map_matches_scalar_steps():
-    op = exact_step_operator(CoherentFieldSpec(nbar=10.0))
-    report = discrimination_run(0.1 + 0.2j, 0.3, sigma=0.0, samples=1, steps=4, coeffs=op.coefficients(0.0), seed=5)
+    coeffs = step_coefficients(exact_step_operator(10.0), 0.0)
+    report = discrimination_run(0.1 + 0.2j, 0.3, sigma=0.0, samples=1, steps=4, coeffs=coeffs, seed=5)
     z1, z2 = 0.1 + 0.2j, 0.3 + 0j
     for k in range(5):
         assert abs(report.mean_overlap[k] - overlap(z1, z2)) < 1e-12
         if k < 4:
-            z1, _ = step_point(z1, op.coefficients(0.0))
-            z2, _ = step_point(z2, op.coefficients(0.0))
+            z1, _ = step_point(z1, coeffs)
+            z2, _ = step_point(z2, coeffs)
 
 
 def test_vectorized_exact_step_equals_the_scalar_one():
     # the kernel with exact coefficients against the explicit matrix product, point by point
-    op = exact_step_operator(CoherentFieldSpec(nbar=8.0))
+    op = exact_step_operator(8.0)
     varphi = 0.4
     gate_b = np.kron(np.ones(2), np.diag(gate_unitary(varphi)))  # identity on A, gate on B
     rng = np.random.default_rng(9)
@@ -262,9 +261,9 @@ def test_vectorized_exact_step_equals_the_scalar_one():
             np.array([complex(np.inf, 0.0)]),
         ]
     )
-    got, p = quadratic_step(z, op.coefficients(varphi), with_p=True)
+    got, p = quadratic_step(z, step_coefficients(op, varphi), with_p=True)
     for zi, gi, pi in zip(z, got, p):
-        u = op.matrix @ (gate_b * product_state_vector(zi))
+        u = op @ (gate_b * product_state_vector(zi))
         amp1, amp0 = u[1], u[3]  # |1,0> and |0,0>: atom B found in |0>
         want_z = amp1 / amp0
         assert abs(gi - want_z) < 1e-12 * max(1.0, abs(want_z))
@@ -274,8 +273,8 @@ def test_vectorized_exact_step_equals_the_scalar_one():
     # every image is the point at infinity (its |0,0> amplitude vanishes)
     s = 1.0 / math.sqrt(2.0)
     psi_minus = np.array([0.0, -s, s, 0.0], dtype=complex)
-    dark = ExactStepOperator(np.outer(psi_minus, psi_minus.conj()))
-    got, p = quadratic_step(np.array([0j, 0.3 + 0.1j]), dark.coefficients(0.0), with_p=True)
+    dark = np.outer(psi_minus, psi_minus.conj())
+    got, p = quadratic_step(np.array([0j, 0.3 + 0.1j]), step_coefficients(dark, 0.0), with_p=True)
     assert p[0] < NULL_OUTCOME_EPS < p[1]
     assert not np.any(np.isfinite(got))
 
@@ -382,8 +381,7 @@ def test_exact_basin_approaches_the_ideal_with_photon_number():
     ideal = basin_grid(region, 9, 9, MapParams(varphi).coefficients, cycles)
     agree = {}
     for nbar in (10.0, 100.0):
-        op = exact_step_operator(CoherentFieldSpec(nbar=nbar))
-        ex = basin_grid(region, 9, 9, op.coefficients(varphi), cycles)
+        ex = basin_grid(region, 9, 9, step_coefficients(exact_step_operator(nbar), varphi), cycles)
         agree[nbar] = float(np.mean(ex.attractor_ids == ideal.attractor_ids))
     assert agree[100.0] >= agree[10.0]
     assert agree[100.0] > 0.8
@@ -410,7 +408,7 @@ def _null_at_zero_then_one(varphi):
 def test_compacted_basin_loop_keeps_the_null_rule(operator):
     varphi, region, attractors, max_iter = 0.2375 * math.pi, (-1.25, 1.25, -1.25, 1.25), [[1.0], [-1.0]], 97
     matrix = _dark_state_only() if operator == "dark" else _null_at_zero_then_one(varphi)
-    coeffs = ExactStepOperator(matrix).coefficients(varphi)
+    coeffs = step_coefficients(matrix, varphi)
     grid = basin_grid(region, 5, 5, coeffs, attractors, max_iter=max_iter)
     pts = grid_points(region, 5, 5)
     assert pts[2, 2] == 0j
@@ -434,11 +432,11 @@ def test_compacted_basin_loop_keeps_the_null_rule(operator):
 def test_success_floor_separates_the_steps_that_can_null():
     # the runners compute p, and drop nulled points, only below twice the null threshold
     for matrix in (_dark_state_only(), _null_at_zero_then_one(0.2375 * math.pi)):
-        assert success_floor(ExactStepOperator(matrix).coefficients(0.2375 * math.pi)) < 2e-14
+        assert success_floor(step_coefficients(matrix, 0.2375 * math.pi)) < 2e-14
     for nbar in (2.0, 10.0, 100.0, 1400.0):
-        op = exact_step_operator(CoherentFieldSpec(nbar=nbar))
+        op = exact_step_operator(nbar)
         for varphi in (0.0, 0.2375 * math.pi, 1.666 * math.pi):
-            assert success_floor(op.coefficients(varphi)) > 1e-2
+            assert success_floor(step_coefficients(op, varphi)) > 1e-2
 
 
 def test_the_ideal_step_nulls_where_its_floor_does():
@@ -508,8 +506,8 @@ def _whole_array_basin(region, width, height, coeffs, cycle_points, tol=0.1, max
 @pytest.fixture(scope="module")
 def block_operators():
     # the step coefficients of each operator at a gate angle
-    ops = {"nbar10": exact_step_operator(CoherentFieldSpec(nbar=10.0)), "dark": ExactStepOperator(_dark_state_only())}
-    ops = {name: op.coefficients for name, op in ops.items()}
+    ops = {"nbar10": exact_step_operator(10.0), "dark": _dark_state_only()}
+    ops = {name: functools.partial(step_coefficients, op) for name, op in ops.items()}
     return dict(ops, ideal=lambda varphi: MapParams(varphi).coefficients)
 
 

@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from oracles import BasinCell, classify_basin_point, fixed_points, iterate_map
+from oracles import BasinCell, apply_map, classify_basin_point, fixed_points, iterate_map
 from tcmap import rational_map
 from tcmap.rational_map import (
     DegenerateParameterError,
     MapParams,
     NotACycleError,
     PoleError,
-    apply_map,
     apply_map_grid,
     attractive_cycle_batch,
     classify_multiplier,
@@ -28,9 +27,8 @@ from tcmap.rational_map import (
     success_floor,
     two_cycle,
 )
-from tcmap.protocol import exact_step_operator
+from tcmap.protocol import exact_step_operator, step_coefficients
 from tcmap.sphere import INFINITY, chordal_distance, is_infinite
-from tcmap.tavis_cummings import CoherentFieldSpec
 
 
 def random_angles(rng, n):
@@ -531,7 +529,7 @@ EXACT_VARPHI = 0.2375 * math.pi
 
 @pytest.fixture(scope="module", params=[2.0, 10.0, 100.0], ids=lambda nbar: f"nbar{nbar:g}")
 def exact_coefficients(request):
-    return exact_step_operator(CoherentFieldSpec(nbar=request.param)).coefficients(EXACT_VARPHI)
+    return step_coefficients(exact_step_operator(request.param), EXACT_VARPHI)
 
 
 def test_exact_derivative_matches_finite_differences(exact_coefficients):
@@ -572,7 +570,7 @@ def test_exact_inverse_branches_map_back(exact_coefficients):
     (100.0, [1.00273 - 0.00254j, -1.00273 + 0.00254j]),
 ])
 def test_exact_step_attractors(nbar, attractors):
-    coeffs = exact_step_operator(CoherentFieldSpec(nbar=nbar)).coefficients(EXACT_VARPHI)
+    coeffs = step_coefficients(exact_step_operator(nbar), EXACT_VARPHI)
     cycles = attractive_cycle_batch([(coeffs, EXACT_VARPHI)])[0]
     assert [c.period for c in cycles] == [1, 1]
     assert all(c.stability == "attractive" for c in cycles)
@@ -591,7 +589,7 @@ def test_a_critical_point_at_infinity():
 
 def test_the_batch_starts_every_orbit_at_its_critical_point(step_inputs):
     ideal = MapParams(EXACT_VARPHI)
-    exact = exact_step_operator(CoherentFieldSpec(nbar=2.0)).coefficients(EXACT_VARPHI)
+    exact = step_coefficients(exact_step_operator(2.0), EXACT_VARPHI)
     polynomial = (1.0, 2.0, 0.0, 0.0, 0.0, 1.0)  # z^2 + 2z, a critical point at infinity
     maps = [(ideal.coefficients, ideal.varphi), (exact, EXACT_VARPHI), (polynomial, 0.0), (polynomial, math.pi)]
     attractive_cycle_batch(maps, burn=1, max_period=1)

@@ -43,9 +43,14 @@ def _digest(path):
      {"e.ppm": EXACT_BASIN_10}),
     (["exact-op", "--nbar", "100", "--out", "op.csv"],
      {"op.csv": "693e0d324b08cf59521dcfd448209ab90d3dc4db9c0e2c023a043ca3790752d2"}),
+    (["exact-op", "--nbar", "10", "--phi", "0.3pi", "--gt", "2.5", "--out", "op.csv"],
+     {"op.csv": "801aa7ceeef1f55529d2a2a9abfc72e539d8865ff48088d3955884393453a6e3"}),
     (["cycles", "--varphi", "1.666pi", "--out", "c.csv"],
      {"c.csv": "66279ca8624d16610fc35e21084fe8a10954e72afcf0f54641d52f25f87b84fa"}),
-], ids=["basin-120-csv", "basin-4-cycle", "exact-basin-nbar10", "exact-op-100", "cycles-1.666pi"])
+    (["homodyne", "--nbar", "10", "--theta", "0.5pi", "--out", "q.csv"],
+     {"q.csv": "3d53678dc4652e56790f21ce97fdbd355586a1d6923b82a635eefcac48ff3fba"}),
+], ids=["basin-120-csv", "basin-4-cycle", "exact-basin-nbar10", "exact-op-100", "exact-op-phase-time",
+        "cycles-1.666pi", "homodyne-readme"])
 def test_output_digests(tmp_path, argv, digests):
     assert main([str(tmp_path / a) if a in digests else a for a in argv]) == 0
     assert {name: _digest(tmp_path / name) for name in digests} == digests

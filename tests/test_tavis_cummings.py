@@ -4,12 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oracles import block_eigensystem
+from oracles import block_eigensystem, ideal_postselection_operator
 from tcmap.tavis_cummings import (
     ApproximationValidityWarning,
     AtomPairState,
-    CoherentFieldSpec,
-    TruncationError,
     block_propagators,
     coherent_approx_fields,
     coherent_state_coefficients,
@@ -17,7 +15,6 @@ from tcmap.tavis_cummings import (
     evolve_exact,
     f_state_lo_phases,
     homodyne_density,
-    ideal_postselection_operator,
     poisson_amplitudes,
     poisson_tail_mass,
     quadrature_mean,
@@ -42,9 +39,10 @@ def block_hamiltonian(n):
     return np.array([[0.0, a, 0.0], [a, 0.0, b], [0.0, b, 0.0]])
 
 
-def brute_force_channels(atom, field, gt, extra=12):
+def brute_force_channels(atom, nbar, phi, gt, extra=12):
     """Oracle: dense expm of the truncated Hamiltonian in the product basis."""
-    F = field.nmax + extra
+    p0 = poisson_amplitudes(nbar, phi)
+    F = len(p0) - 1 + extra
     a = np.diag(np.sqrt(np.arange(1, F + 1)), 1)
     ad = a.conj().T
     I2 = np.eye(2)
@@ -57,7 +55,7 @@ def brute_force_channels(atom, field, gt, extra=12):
     H = k3(sp, I2, a) + k3(sm, I2, ad) + k3(I2, sp, a) + k3(I2, sm, ad)
     at = atom.to_product_basis()
     p = np.zeros(F + 1, dtype=complex)
-    p[: field.nmax + 1] = poisson_amplitudes(field)
+    p[: len(p0)] = p0
     psi = np.kron(at, p)
     psi_t = (expm(-1j * H * gt) @ psi).reshape(4, F + 1)
     s = math.sqrt(2.0)
@@ -72,20 +70,20 @@ def brute_force_channels(atom, field, gt, extra=12):
 # ------------------------------------------------------------------ Poisson
 
 def test_poisson_vacuum():
-    p = poisson_amplitudes(CoherentFieldSpec(nbar=0.0))
+    p = poisson_amplitudes(0.0)
     assert p.shape == (1,)
     assert p[0] == 1.0
 
 
 def test_poisson_mode_weight_at_nbar_ten():
-    p = poisson_amplitudes(CoherentFieldSpec(nbar=10.0))
+    p = poisson_amplitudes(10.0)
     expected = math.exp(-10.0) * 10.0**10 / math.factorial(10)
     assert abs(abs(p[10]) ** 2 - expected) < 1e-14
 
 
 def test_poisson_mass_is_normalized_up_to_the_tail():
     for nbar in (0.3, 2.0, 25.0, 130.0):
-        p = poisson_amplitudes(CoherentFieldSpec(nbar=nbar))
+        p = poisson_amplitudes(nbar)
         total = float(np.sum(np.abs(p) ** 2))
         assert total <= 1.0 + 1e-15
         assert total >= 1.0 - 1e-12
@@ -100,14 +98,18 @@ def test_truncation_tail_bound():
     assert default_truncation(1e6) == 1007043
 
 
-def test_rejects_undersized_truncation():
-    with pytest.raises(TruncationError):
-        CoherentFieldSpec(nbar=10.0, nmax=12)
+@pytest.mark.parametrize("nbar", [-1.0, -1e-300, math.inf, math.nan])
+def test_default_truncation_rejects_a_bad_nbar(nbar):
+    with pytest.raises(ValueError, match="nbar"):
+        default_truncation(nbar)
+    with pytest.raises(ValueError, match="nbar"):
+        poisson_amplitudes(nbar)
 
 
 def test_alpha_reconstruction():
-    spec = CoherentFieldSpec(nbar=9.0, phi=0.5)
-    assert abs(spec.alpha - 3.0 * np.exp(0.5j)) < 1e-15
+    # p_1 / p_0 = alpha = sqrt(nbar) e^{i phi}
+    p = poisson_amplitudes(9.0, 0.5)
+    assert abs(p[1] / p[0] - 3.0 * np.exp(0.5j)) < 1e-15
 
 
 def test_coherent_amplitudes_stay_normalized_at_large_nbar():
@@ -156,9 +158,8 @@ def test_evolution_matches_dense_expm_oracle():
     rng = np.random.default_rng(0)
     for nbar, phi, gt in ((0.5, 0.0, 0.3), (3.0, 0.7, 1.7), (8.0, 2.1, 4.0)):
         atom = random_atom(rng)
-        field = CoherentFieldSpec(nbar=nbar, phi=phi)
-        joint = evolve_exact(atom, field, gt)
-        oracle = brute_force_channels(atom, field, gt)
+        joint = evolve_exact(atom, nbar, gt, phi)
+        oracle = brute_force_channels(atom, nbar, phi, gt)
         for name, got in (
             ("00", joint.channel_00),
             ("psi_plus", joint.channel_psi_plus),
@@ -174,9 +175,8 @@ def test_evolution_matches_dense_expm_oracle():
 def test_identity_evolution_reproduces_the_input():
     rng = np.random.default_rng(1)
     atom = random_atom(rng)
-    field = CoherentFieldSpec(nbar=6.0, phi=1.1)
-    joint = evolve_exact(atom, field, 0.0)
-    p = poisson_amplitudes(field)
+    joint = evolve_exact(atom, 6.0, 0.0, 1.1)
+    p = poisson_amplitudes(6.0, 1.1)
     proj = joint.project_field(p)
     mass = float(np.sum(np.abs(p) ** 2))
     assert abs(proj.c0 - atom.c0 * mass) < 1e-12
@@ -186,11 +186,10 @@ def test_identity_evolution_reproduces_the_input():
 
 
 def test_dark_channel_is_exactly_proportional():
-    field = CoherentFieldSpec(nbar=7.0, phi=0.9)
     atom = AtomPairState(c0=0j, cminus=0.4 + 0.3j, cplus=0j, c1=0j)
     for gt in (0.0, 2.0, 11.0):
-        joint = evolve_exact(atom, field, gt)
-        p = poisson_amplitudes(field)
+        joint = evolve_exact(atom, 7.0, gt, 0.9)
+        p = poisson_amplitudes(7.0, 0.9)
         expected = np.zeros_like(joint.channel_psi_minus)
         expected[: len(p)] = atom.cminus * p
         # bit-for-bit: the dark channel never couples
@@ -205,16 +204,14 @@ def test_norm_conservation_over_random_inputs():
     nbars = (5.0, 10.0, 50.0)
     for i in range(100):
         atom = random_atom(rng)
-        field = CoherentFieldSpec(nbar=nbars[i % 3])
         gt = rng.uniform(0.0, 8.0)
-        joint = evolve_exact(atom, field, gt)
+        joint = evolve_exact(atom, nbars[i % 3], gt)
         assert abs(joint.total_norm() - 1.0) < 1e-10
 
 
 def test_excited_input_norm_at_protocol_time():
     atom = AtomPairState(c0=1.0 + 0j, cminus=0j, cplus=0j, c1=0j)
-    field = CoherentFieldSpec(nbar=10.0)
-    joint = evolve_exact(atom, field, math.pi * math.sqrt(10.0) / 2.0)
+    joint = evolve_exact(atom, 10.0, math.pi * math.sqrt(10.0) / 2.0)
     assert abs(joint.total_norm() - 1.0) < 1e-10
 
 
@@ -223,48 +220,41 @@ def test_excited_input_norm_at_protocol_time():
 def test_eta_weights_reconstruct_cplus():
     rng = np.random.default_rng(3)
     atom = random_atom(rng)
-    field = CoherentFieldSpec(nbar=50.0, phi=0.2)
     with pytest.warns(ApproximationValidityWarning):
-        ch = coherent_approx_fields(atom, field, gt=0.5)
+        ch = coherent_approx_fields(atom, 50.0, gt=0.5, phi=0.2)
     assert abs((ch.eta_minus + ch.eta_plus) - atom.cplus) < 1e-14
 
 
 def test_approximation_overlaps_with_the_exact_channels():
     rng = np.random.default_rng(4)
     atom = random_atom(rng)
-    field = CoherentFieldSpec(nbar=100.0, phi=0.4)
+    nmax = default_truncation(100.0)
     for gt, floor in ((2.5, 0.99), (5.0, 0.98)):
-        joint = evolve_exact(atom, field, gt)
-        approx = coherent_approx_fields(atom, field, gt)
+        joint = evolve_exact(atom, 100.0, gt, 0.4)
+        approx = coherent_approx_fields(atom, 100.0, gt, 0.4)
         exact = {
             -1: joint.channel_00,
             0: joint.channel_psi_plus,
             1: joint.channel_11,
         }
         for k in (-1, 0, 1):
-            a = approx.channel_coefficients(k, field.nmax)
-            e = exact[k][: field.nmax + 1]
+            a = approx.channel_coefficients(k, nmax)
+            e = exact[k][: nmax + 1]
             ov = abs(np.vdot(a, e)) / (np.linalg.norm(a) * np.linalg.norm(e))
             assert ov > floor, (k, gt, ov)
 
 
 def test_validity_warnings():
     atom = AtomPairState(c0=1.0 + 0j, cminus=0j, cplus=0j, c1=0j)
-    field = CoherentFieldSpec(nbar=4.0)
     with pytest.warns(ApproximationValidityWarning):
-        coherent_approx_fields(atom, field, gt=5.0)  # gt >= nbar
+        coherent_approx_fields(atom, 4.0, gt=5.0)  # gt >= nbar
     with pytest.warns(ApproximationValidityWarning):
-        coherent_approx_fields(atom, field, gt=0.5)  # gt <= 1
+        coherent_approx_fields(atom, 4.0, gt=0.5)  # gt <= 1
     import warnings as _w
 
     with _w.catch_warnings():
         _w.simplefilter("error")
-        coherent_approx_fields(atom, field, gt=2.0)  # inside the window: silent
-
-
-def _wide_spec(nbar):
-    # explicit generous cutoff, skips the default truncation scan
-    return CoherentFieldSpec(nbar=nbar, nmax=int(nbar + 14.0 * math.sqrt(nbar) + 30))
+        coherent_approx_fields(atom, 4.0, gt=2.0)  # inside the window: silent
 
 
 @pytest.mark.filterwarnings("ignore::tcmap.tavis_cummings.ApproximationValidityWarning")
@@ -273,7 +263,7 @@ def test_displaced_components_decouple_from_alpha_like_a_gaussian():
     nbar = 1e4
     atom = AtomPairState(c0=1.0 + 0j, cminus=0j, cplus=0j, c1=0j)
     for gt in (1.0, 2.0, 3.0):
-        ch = coherent_approx_fields(atom, _wide_spec(nbar), gt)
+        ch = coherent_approx_fields(atom, nbar, gt)
         alpha = math.sqrt(nbar)
         for weight, a in ch.terms[0]:
             theta = np.angle(a / alpha)
