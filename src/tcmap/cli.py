@@ -93,6 +93,8 @@ def parse_region(text: str) -> tuple[float, float, float, float]:
     xmin, xmax, ymin, ymax = parts
     if not (xmax > xmin and ymax > ymin):
         raise BadValue("region must have positive extent")
+    if not (math.isfinite(xmax - xmin) and math.isfinite(ymax - ymin)):
+        raise BadValue("region extent overflows a float")
     return (xmin, xmax, ymin, ymax)
 
 
@@ -238,11 +240,11 @@ def _step_coefficients(args: argparse.Namespace) -> tuple:
         return proto.step_coefficients(proto.read_step_operator(args.op_file), args.varphi)
     if getattr(args, "nbar", None) is not None:
         return proto.step_coefficients(proto.exact_step_operator(args.nbar, gt=args.gt), args.varphi)
-    return rm.MapParams(args.varphi).coefficients
+    return rm.ideal_coefficients(args.varphi)
 
 
 def run_map(args: argparse.Namespace) -> None:
-    z, coeffs = as_point(args.z), rm.MapParams(args.varphi).coefficients
+    z, coeffs = as_point(args.z), _step_coefficients(args)
     rows = [(0, z.real, z.imag, math.nan)]
     for k in range(1, args.steps + 1):
         z, p = rm.step_point(z, coeffs)
@@ -252,7 +254,7 @@ def run_map(args: argparse.Namespace) -> None:
 
 def run_cycles(args: argparse.Namespace) -> None:
     cycles = rm.find_attractive_cycles(
-        rm.MapParams(args.varphi), burn=args.burn, max_period=args.max_period, tol=args.cycle_tol
+        _step_coefficients(args), args.varphi, burn=args.burn, max_period=args.max_period, tol=args.cycle_tol
     )
     rows = [
         (cid, rep.period, pidx, pt.real, pt.imag,
@@ -275,13 +277,9 @@ def run_sweep(args: argparse.Namespace) -> None:
         raise ValueError(f"no usable angle: every grid angle in [{args.phi_min!r}, {args.phi_max!r}] "
                          "is degenerate (cos varphi ~ 0)")
     rows_out = []
-    for row in ex.phi_sweep(grid, burn=args.burn, max_period=args.max_period):
-        base = (row.varphi, row.abs_lambda_zero, row.abs_lambda_plus_one, row.abs_lambda_minus_one)
-        if row.cycles:
-            for rep in row.cycles:
-                rows_out.append(base + (rep.period, abs(rep.multiplier)))
-        else:
-            rows_out.append(base + (0, 0.0))
+    for v, cycles in zip(grid, ex.phi_sweep(grid, burn=args.burn, max_period=args.max_period)):
+        base = (v, *ex.fixed_point_multiplier_moduli(v))
+        rows_out += [base + (rep.period, abs(rep.multiplier)) for rep in cycles] or [base + (0, 0.0)]
     output.write_csv(
         rows_out,
         ("varphi", "abs_lambda_0", "abs_lambda_plus1", "abs_lambda_minus1",
@@ -291,27 +289,23 @@ def run_sweep(args: argparse.Namespace) -> None:
 
 
 def run_julia(args: argparse.Namespace) -> None:
-    params = rm.MapParams(args.varphi)
-    pts = rm.julia_backward_sample(params, args.points, seed=args.seed)
-    rows = [(p.real, p.imag) for p in pts]
-    output.write_csv(rows, ("z_re", "z_im"), args.out)
+    pts = rm.julia_backward_sample(args.varphi, args.points, seed=args.seed)
+    output.write_csv([(p.real, p.imag) for p in pts], ("z_re", "z_im"), args.out)
     if args.image is not None:
-        img = output.point_cloud_image(pts, args.region, *args.res)
-        output.write_ppm(img, args.image)
+        output.write_ppm(output.point_cloud_image(pts, args.region, *args.res), args.image)
 
 
 def _emit_basin(args: argparse.Namespace, grid: ex.BasinGrid) -> None:
-    img = output.render_basin_image(grid.attractor_ids, grid.iterations, grid.max_iter)
-    output.write_ppm(img, args.out)
+    output.write_ppm(output.render_basin_image(grid.attractor_ids, grid.iterations, args.max_iter), args.out)
     if args.csv is not None:
-        xs, ys = ex.grid_axes(grid.region, grid.width, grid.height)
+        xs, ys = ex.grid_axes(args.region, *args.res)
         output.write_basin_csv(xs, ys, grid.attractor_ids, grid.iterations, args.csv)
 
 
 def run_basin(args: argparse.Namespace) -> None:
     """basin and exact-basin: the chosen step moves the cells, classified toward the ideal attractors."""
     coeffs = _step_coefficients(args)
-    maps = [(rm.MapParams(args.varphi).coefficients, args.varphi)]
+    maps = [(rm.ideal_coefficients(args.varphi), args.varphi)]
     if args.subcommand == "exact-basin":
         maps.append((coeffs, args.varphi))
     ideal, *exact = rm.attractive_cycle_batch(maps)
@@ -333,18 +327,14 @@ def run_basin(args: argparse.Namespace) -> None:
 
 def run_discriminate(args: argparse.Namespace) -> None:
     coeffs = _step_coefficients(args)
-    report = ex.discrimination_run(args.z1, args.z2, args.sigma, args.samples, args.steps, coeffs, seed=args.seed)
-    rows = [
-        (k, report.mean_overlap[k], report.rms_deviation[k],
-         int(report.samples - report.sample_counts[k]))
-        for k in range(args.steps + 1)
-    ]
+    mean, rms, counts = ex.discrimination_run(args.z1, args.z2, args.sigma, args.samples, args.steps, coeffs,
+                                              seed=args.seed)
+    rows = [(k, mean[k], rms[k], int(args.samples - counts[k])) for k in range(args.steps + 1)]
     output.write_csv(rows, ("step", "mean_overlap", "rms", "failures"), args.out)
 
 
 def run_resources(args: argparse.Namespace) -> None:
-    estimates = (ex.resource_estimate(n, args.varphi) for n in range(args.n + 1))
-    rows = [(est.iterations, est.varphi, est.pairs) for est in estimates]
+    rows = [(n, args.varphi, ex.resource_estimate(n, args.varphi)) for n in range(args.n + 1)]
     output.write_csv(rows, ("n", "varphi", "pairs"), args.out)
 
 

@@ -82,17 +82,6 @@ def overlap(z1, z2):
     return float(out[0]) if scalar else out
 
 
-@dataclass(frozen=True)
-class StabilityRow:
-    """Analytic fixed-point multiplier moduli plus detected critical-orbit cycles."""
-
-    varphi: float
-    abs_lambda_zero: float
-    abs_lambda_plus_one: float
-    abs_lambda_minus_one: float
-    cycles: tuple[rm.CycleReport, ...]
-
-
 def fixed_point_multiplier_moduli(varphi: float) -> tuple[float, float, float]:
     """(|lambda(0)|, |lambda(+1)|, |lambda(-1)|) = (|2 cos|, |tan|, |tan|)."""
     t = abs(math.tan(varphi))
@@ -104,29 +93,13 @@ def phi_sweep(
     burn: int = 10_000,
     max_period: int = 64,
     tol: float = 1e-8,
-) -> list[StabilityRow]:
-    """Stability diagram rows, in grid order; degenerate angles are rejected.
+) -> list[list[rm.CycleReport]]:
+    """The ideal map's attractive cycles at each angle, in grid order; degenerate angles are rejected.
 
     The critical orbits of all angles are searched as one batch.
     """
-    varphis = [float(v) for v in varphis]
-    maps = [(p.coefficients, p.varphi) for p in map(rm.MapParams, varphis)]
-    found = rm.attractive_cycle_batch(maps, burn=burn, max_period=max_period, tol=tol)
-    return [StabilityRow(v, *fixed_point_multiplier_moduli(v), tuple(c)) for v, c in zip(varphis, found)]
-
-
-@dataclass(frozen=True)
-class DiscriminationReport:
-    """Per-step overlap statistics of the perturbed state pair."""
-
-    mean_overlap: np.ndarray
-    rms_deviation: np.ndarray
-    sample_counts: np.ndarray
-    failures: int
-    sigma: float
-    samples: int
-    steps: int
-    seed: int
+    maps = [(rm.ideal_coefficients(v), v) for v in varphis]
+    return rm.attractive_cycle_batch(maps, burn=burn, max_period=max_period, tol=tol)
 
 
 def discrimination_run(
@@ -137,14 +110,16 @@ def discrimination_run(
     steps: int,
     coeffs: tuple,
     seed: int = DEFAULT_SEED,
-) -> DiscriminationReport:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Monte Carlo of the pairwise overlap under `steps` iterations of the step on coeffs.
 
-    Each sample perturbs the real and imaginary parts of both starting
-    labels with independent Gaussians of standard deviation sigma (sample i
-    of z1 is paired with sample i of z2).  A sample whose postselection
-    nulls in either state is excluded from that step onward and counted as
-    a failure.  Identical seeds give bit-identical reports, on any number of cores.
+    Returns the mean overlap, its rms deviation and the live sample count at
+    steps 0..steps.  Each sample perturbs the real and imaginary parts of
+    both starting labels with independent Gaussians of standard deviation
+    sigma (sample i of z1 is paired with sample i of z2).  A sample whose
+    postselection nulls in either state is excluded from that step onward,
+    so the failures at step k are samples - sample_counts[k].  Identical
+    seeds give bit-identical results, on any number of cores.
     """
     if not sigma >= 0:
         raise ValueError("sigma must be >= 0")
@@ -201,39 +176,19 @@ def discrimination_run(
                 rms[k] = float(np.sqrt(np.mean(row)))
 
         _run_blocks(rows, 1, stats)  # a row per block
-    # a sample nulled at one step stays out, so the failures are the samples lost by the end
-    failures = samples - int(counts[steps])
-    return DiscriminationReport(
-        mean_overlap=mean,
-        rms_deviation=rms,
-        sample_counts=counts,
-        failures=failures,
-        sigma=sigma,
-        samples=samples,
-        steps=steps,
-        seed=seed,
-    )
+    return mean, rms, counts
 
 
-@dataclass(frozen=True)
-class ResourceEstimate:
+def resource_estimate(n: int, varphi: float) -> int:
     """Qubit pairs needed for n iterations, N = ceil((8/cos^2 varphi)^n)."""
-
-    iterations: int
-    varphi: float
-    pairs: int
-
-
-def resource_estimate(n: int, varphi: float) -> ResourceEstimate:
     if n < 0:
         raise ValueError("iteration count must be >= 0")
-    rm.MapParams(varphi)  # the gate rule: raises DegenerateParameterError
+    rm.ideal_coefficients(varphi)  # the gate rule: raises DegenerateParameterError
     base = 8.0 / math.cos(varphi) ** 2
     try:
-        pairs = math.ceil(base**n)
+        return math.ceil(base**n)
     except OverflowError:
         raise ValueError(f"pair count (8/cos^2 varphi)^n overflows a float at n={n}, varphi={varphi!r}") from None
-    return ResourceEstimate(iterations=n, varphi=varphi, pairs=pairs)
 
 
 @dataclass(frozen=True)
@@ -244,13 +199,8 @@ class BasinGrid:
     holds -1 for unresolved cells, iterations the count needed (or max_iter).
     """
 
-    region: tuple[float, float, float, float]
-    width: int
-    height: int
     attractor_ids: np.ndarray
     iterations: np.ndarray
-    attractors: tuple[tuple[complex, ...], ...]
-    max_iter: int
 
 
 def grid_axes(region: tuple[float, float, float, float], width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
@@ -260,15 +210,13 @@ def grid_axes(region: tuple[float, float, float, float], width: int, height: int
         raise ValueError("region must have positive extent")
     if width < 1 or height < 1:
         raise ValueError("resolution must be at least 1x1")
-    xs = xmin + (np.arange(width) + 0.5) * (xmax - xmin) / width
-    ys = ymax - (np.arange(height) + 0.5) * (ymax - ymin) / height
+    with np.errstate(over="ignore"):
+        xs = xmin + (np.arange(width) + 0.5) * (xmax - xmin) / width
+        ys = ymax - (np.arange(height) + 0.5) * (ymax - ymin) / height
+    # an infinite extent, or a finite one whose (k + 0.5) multiples overflow
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("region extent or midpoints overflow a float")
     return xs, ys
-
-
-def grid_points(region: tuple[float, float, float, float], width: int, height: int) -> np.ndarray:
-    """Complex midpoints, shape (height, width), top row = max imaginary part."""
-    xs, ys = grid_axes(region, width, height)
-    return xs[None, :] + 1j * ys[:, None]
 
 
 def _attractor_cycles(attractors: Sequence[Sequence[complex]]) -> tuple[tuple[complex, ...], ...]:
@@ -304,7 +252,8 @@ def basin_grid(
     cycle_points = _attractor_cycles(attractors)
     nulls = rm.success_floor(coeffs) < 2.0 * rm.NULL_OUTCOME_EPS  # else no step nulls, and p is skipped
 
-    z = grid_points(region, width, height).ravel()
+    xs, ys = grid_axes(region, width, height)
+    z = (xs[None, :] + 1j * ys[:, None]).ravel()
     ids = np.full(z.size, -1, dtype=np.int64)
     iters = np.full(z.size, max_iter, dtype=np.int64)
 
@@ -333,12 +282,4 @@ def basin_grid(
                 w = rm.quadratic_step(w, coeffs)
 
     _run_blocks(z.size, BLOCK, run)
-    return BasinGrid(
-        region=tuple(float(v) for v in region),
-        width=width,
-        height=height,
-        attractor_ids=ids.reshape(height, width),
-        iterations=iters.reshape(height, width),
-        attractors=cycle_points,
-        max_iter=max_iter,
-    )
+    return BasinGrid(ids.reshape(height, width), iters.reshape(height, width))

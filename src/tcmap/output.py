@@ -1,12 +1,12 @@
 """Deterministic file emission: CSV tables and binary PPM images.
 
 Everything here is a pure function of its inputs, so re-running a command
-with the same configuration reproduces output files byte for byte.
+with the same configuration reproduces output files byte for byte.  An image
+is a (height, width, 3) uint8 array of RGB pixels, row 0 at the top.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, Sequence
 
@@ -89,19 +89,6 @@ def read_csv(path) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-@dataclass(frozen=True)
-class ImageBuffer:
-    """8-bit RGB pixels, row-major top to bottom."""
-
-    width: int
-    height: int
-    pixels: bytes
-
-    def __post_init__(self):
-        if len(self.pixels) != 3 * self.width * self.height:
-            raise ValueError("pixel buffer size does not match width x height")
-
-
 UNRESOLVED_RGB = (255, 255, 0)
 # fixed hues for attractor ids >= 2, cycled
 EXTRA_HUES = ((200, 80, 80), (80, 120, 200), (200, 140, 60), (140, 80, 200))
@@ -122,7 +109,7 @@ def _cell_rgb(attractor_id: int, iterations: int, max_iter: int) -> tuple[int, i
     return tuple((b * (2 * span - it)) // (2 * span) for b in base)
 
 
-def render_basin_image(attractor_ids: np.ndarray, iterations: np.ndarray, max_iter: int) -> ImageBuffer:
+def render_basin_image(attractor_ids: np.ndarray, iterations: np.ndarray, max_iter: int) -> np.ndarray:
     """Color a basin classification: per-attractor ramp by iteration count.
 
     id 0 renders on a grey ramp from 200, id 1 on a dark ramp from 40,
@@ -132,13 +119,12 @@ def render_basin_image(attractor_ids: np.ndarray, iterations: np.ndarray, max_it
     its = np.asarray(iterations)
     if ids.shape != its.shape or ids.ndim != 2:
         raise ValueError("attractor_ids and iterations must be equal-shape 2D arrays")
-    height, width = ids.shape
     # _cell_rgb tabulated by id (-1 for all unresolved, 0, 1, one per extra hue) and clipped k
     row = np.where(ids < 2, np.maximum(ids, -1), 2 + (ids - 2) % len(EXTRA_HUES)) + 1
     k = np.where(ids < 0, 0, np.clip(its, 0, max_iter))
     table = np.array([[_cell_rgb(i, j, max_iter) for j in range(int(k.max(initial=0)) + 1)]
                       for i in range(-1, 2 + len(EXTRA_HUES))], dtype=np.uint8)
-    return ImageBuffer(width=width, height=height, pixels=table[row, k].tobytes())
+    return table[row, k]
 
 
 def point_cloud_image(
@@ -146,35 +132,37 @@ def point_cloud_image(
     region: tuple[float, float, float, float],
     width: int,
     height: int,
-) -> ImageBuffer:
+) -> np.ndarray:
     """Black-on-white raster of complex samples (out-of-region points dropped)."""
     xmin, xmax, ymin, ymax = region
     img = np.full((height, width), 255, dtype=np.uint8)
     pts = np.asarray(points)
-    finite = np.isfinite(pts.real) & np.isfinite(pts.imag)
-    xs = pts.real[finite]
-    ys = pts.imag[finite]
-    cols = np.floor((xs - xmin) / (xmax - xmin) * width).astype(np.int64)
-    rows = np.floor((ymax - ys) / (ymax - ymin) * height).astype(np.int64)
+    with np.errstate(over="ignore"):  # a sample far outside a tiny window
+        cols = (pts.real - xmin) / (xmax - xmin) * width
+        rows = (ymax - pts.imag) / (ymax - ymin) * height
+    # dropped while still floats, so that no non-finite position reaches the integer cast
     keep = (cols >= 0) & (cols < width) & (rows >= 0) & (rows < height)
-    img[rows[keep], cols[keep]] = 0
-    rgb = np.repeat(img[:, :, None], 3, axis=2)
-    return ImageBuffer(width=width, height=height, pixels=rgb.tobytes())
+    img[np.floor(rows[keep]).astype(np.int64), np.floor(cols[keep]).astype(np.int64)] = 0
+    return np.repeat(img[:, :, None], 3, axis=2)
 
 
-def write_ppm(img: ImageBuffer, path) -> None:
-    """Binary PPM (P6): ASCII header then exactly 3*w*h bytes, nothing else."""
-    header = f"P6\n{img.width} {img.height}\n255\n".encode("ascii")
+def write_ppm(pixels: np.ndarray, path) -> None:
+    """Binary PPM (P6) of a (height, width, 3) uint8 image: ASCII header then exactly 3*w*h bytes."""
+    pixels = np.asarray(pixels)
+    if pixels.dtype != np.uint8 or pixels.ndim != 3 or pixels.shape[2] != 3:
+        raise ValueError(f"expected a (height, width, 3) uint8 image, got shape {pixels.shape} of {pixels.dtype}")
+    height, width, _ = pixels.shape
+    header = f"P6\n{width} {height}\n255\n".encode("ascii")
     try:
         with open(path, "wb") as fh:
             fh.write(header)
-            fh.write(img.pixels)
+            fh.write(pixels.tobytes())
     except OSError as exc:
         raise OSError(f"cannot write PPM to {path}: {exc}") from exc
 
 
-def read_ppm(path) -> ImageBuffer:
-    """Read back a binary PPM produced by write_ppm."""
+def read_ppm(path) -> np.ndarray:
+    """Read back a binary PPM produced by write_ppm as a (height, width, 3) uint8 image."""
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(b"P6\n"):
@@ -186,5 +174,4 @@ def read_ppm(path) -> ImageBuffer:
     nl = rest.index(b"\n")
     if rest[:nl] != b"255":
         raise ValueError("expected maxval 255")
-    pixels = rest[nl + 1 :]
-    return ImageBuffer(width=w, height=h, pixels=pixels)
+    return np.frombuffer(rest[nl + 1 :], dtype=np.uint8).reshape(h, w, 3)

@@ -6,8 +6,8 @@ pair interact with the coherent field, projects the field back onto |alpha>
 and atom B onto |0>, and reads off the new label z' of atom A.  The exact
 step compresses the full truncated field evolution into a 4x4 operator; its
 coefficients drive rational_map.step_point and quadratic_step, and it
-reproduces the ideal map (MapParams.coefficients) in the limit of large mean
-photon number.
+reproduces the ideal map (rational_map.ideal_coefficients) in the limit of
+large mean photon number.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .rational_map import MapParams
+from .rational_map import ideal_coefficients
 from .tavis_cummings import (
     BELL_TO_PRODUCT,
     block_inputs,
@@ -50,7 +50,7 @@ def step_coefficients(matrix: np.ndarray, varphi: float) -> tuple:
     |1,0> and |0,0> rows of A = M diag(gate) give (a, b, c) and (d, e, f),
     with the two uv columns summed.  A degenerate angle raises DegenerateParameterError.
     """
-    MapParams(varphi)  # the gate rule
+    ideal_coefficients(varphi)  # the gate rule
     a = matrix * np.tile(np.diag(gate_unitary(varphi)), 2)  # the gate on atom B
     return tuple(np.array(k) for r in (1, 3) for k in (a[r, 0], a[r, 1] + a[r, 2], a[r, 3]))
 

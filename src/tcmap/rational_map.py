@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -100,7 +100,7 @@ def step_point(z: complex, coeffs: tuple) -> tuple[complex, float]:
 
 
 class DegenerateParameterError(ValueError):
-    """Raised by MapParams at a degenerate gate angle (cos varphi ~ 0)."""
+    """Raised by ideal_coefficients at a degenerate gate angle (cos varphi ~ 0)."""
 
 
 class PoleError(ValueError):
@@ -116,22 +116,17 @@ def is_degenerate(varphi: float) -> bool:
     return abs(math.cos(float(varphi) % (2.0 * math.pi))) < DEGENERACY_EPS
 
 
-@dataclass(frozen=True)
-class MapParams:
-    """Gate angle and the map's step coefficients; a degenerate angle raises DegenerateParameterError."""
+def ideal_coefficients(varphi: float) -> tuple:
+    """The ideal map's quadratic_step coefficients (0, cos varphi, 0, e^{i varphi}/2, 0, e^{-i varphi}/2).
 
-    varphi: float
-    # quadratic_step coefficients (0, cos varphi, 0, e^{i varphi}/2, 0, e^{-i varphi}/2): the ideal
-    # projector's up to sign, so the step's p is the ideal success probability
-    coefficients: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        v = float(self.varphi) % (2.0 * math.pi)
-        if is_degenerate(v):
-            raise DegenerateParameterError(f"map is identically zero at varphi={v!r} (cos varphi ~ 0)")
-        object.__setattr__(self, "varphi", v)
-        coeffs = (0.0, math.cos(v), 0.0, 0.5 * cmath.exp(1j * v), 0.0, 0.5 * cmath.exp(-1j * v))
-        object.__setattr__(self, "coefficients", tuple(np.array(k, dtype=np.complex128) for k in coeffs))
+    They are the ideal projector's up to sign, so the step's p is the ideal
+    success probability.  A degenerate angle raises DegenerateParameterError.
+    """
+    v = float(varphi) % (2.0 * math.pi)
+    if is_degenerate(v):
+        raise DegenerateParameterError(f"map is identically zero at varphi={v!r} (cos varphi ~ 0)")
+    coeffs = (0.0, math.cos(v), 0.0, 0.5 * cmath.exp(1j * v), 0.0, 0.5 * cmath.exp(-1j * v))
+    return tuple(np.array(k, dtype=np.complex128) for k in coeffs)
 
 
 def _quadratic_roots(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
@@ -159,13 +154,13 @@ def map_derivative(z: complex, coeffs: tuple) -> complex:
     return (((a * e - b * d) * z + 2.0 * (a * f - c * d)) * z + (b * f - c * e)) / (den * den)
 
 
-def two_cycle(params: MapParams) -> tuple[complex, complex]:
-    """The single nontrivial two-cycle +-i sqrt(1 + 2 e^{-2 i varphi}).
+def two_cycle(varphi: float) -> tuple[complex, complex]:
+    """The ideal map's single nontrivial two-cycle +-i sqrt(1 + 2 e^{-2 i varphi}), varphi taken mod 2pi.
 
     The map swaps the two points (it reduces to z -> -z on them); the cycle
     is repelling for every gate angle.
     """
-    em = cmath.exp(-1j * params.varphi)
+    em = cmath.exp(-1j * (float(varphi) % (2.0 * math.pi)))
     root = 1j * cmath.sqrt(1.0 + 2.0 * em * em)
     return (root, -root)
 
@@ -326,19 +321,19 @@ def attractive_cycle_batch(
 
 
 def find_attractive_cycles(
-    params: MapParams,
+    coeffs: tuple,
+    varphi: float,
     burn: int = 10_000,
     max_period: int = 64,
     tol: float = 1e-8,
 ) -> list[CycleReport]:
-    """All attractive cycles of the ideal map, found by following the two critical orbits.
+    """All attractive cycles of the step on coeffs, found by following the two critical orbits.
 
     A degree-2 rational map has at most two attractive cycles and each one
-    attracts a critical point.  Orbits that never settle (neutral or chaotic
-    parameter values) contribute nothing.
+    attracts a critical point; varphi orders the two.  Orbits that never
+    settle (neutral or chaotic parameter values) contribute nothing.
     """
-    maps = [(params.coefficients, params.varphi)]
-    return attractive_cycle_batch(maps, burn=burn, max_period=max_period, tol=tol)[0]
+    return attractive_cycle_batch([(coeffs, varphi)], burn=burn, max_period=max_period, tol=tol)[0]
 
 
 def inverse_branches(w: complex, coeffs: tuple) -> tuple[complex, complex]:
@@ -355,12 +350,12 @@ def inverse_branches(w: complex, coeffs: tuple) -> tuple[complex, complex]:
 
 
 def julia_backward_sample(
-    params: MapParams,
+    varphi: float,
     n_points: int,
     seed: int,
     transient: int = 50,
 ) -> np.ndarray:
-    """Backward-orbit sample of the Julia set, seeded and deterministic.
+    """Backward-orbit sample of the ideal map's Julia set, seeded and deterministic.
 
     Starts from one point of the repelling two-cycle and at each step jumps
     to a uniformly chosen inverse branch; the first `transient` points are
@@ -371,18 +366,19 @@ def julia_backward_sample(
         raise ValueError("n_points must be >= 0")
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=transient + n_points)
-    z = two_cycle(params)[0]
+    coeffs = ideal_coefficients(varphi)
+    z = two_cycle(varphi)[0]
     out = np.empty(n_points, dtype=np.complex128)
     for i, bit in enumerate(bits):
-        z = inverse_branches(z, params.coefficients)[bit]
+        z = inverse_branches(z, coeffs)[bit]
         if i >= transient:
             out[i - transient] = z
     return out
 
 
-def apply_map_grid(z: np.ndarray, params: MapParams) -> np.ndarray:
+def apply_map_grid(z: np.ndarray, varphi: float) -> np.ndarray:
     """The ideal map on a complex array; no runner calls it, bench/tracing.py wraps it by name."""
-    return quadratic_step(z, params.coefficients)
+    return quadratic_step(z, ideal_coefficients(varphi))
 
 
 def escape_guard_grid(z: np.ndarray) -> np.ndarray:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +29,6 @@ _S = 1.0 / math.sqrt(2.0)
 BELL_TO_PRODUCT = np.array(
     [[1.0, 0.0, 0.0, 0.0], [0.0, _S, 0.0, -_S], [0.0, _S, 0.0, _S], [0.0, 0.0, 1.0, 0.0]]
 )
-
-
-class ApproximationValidityWarning(UserWarning):
-    """Emitted when the coherent-state approximation is used outside 1 << gt << nbar."""
 
 
 def _log_factorials(n: np.ndarray) -> np.ndarray:
@@ -194,80 +189,6 @@ def evolve_exact(atom: AtomPairState, nbar: float, gt: float, phi: float = 0.0) 
         channel_psi_plus=np.append(y[:, 1], 0.0),
         channel_11=np.concatenate((y[1:, 0], [0.0, 0.0])),
         channel_psi_minus=atom.cminus * np.append(p, [0.0, 0.0]),
-        nbar=nbar,
-        phi=phi,
-        gt=gt,
-    )
-
-
-@dataclass(frozen=True)
-class ApproxChannels:
-    """Coherent-state decomposition of the evolved field channels.
-
-    Each channel k in {-1, 0, +1} (atomic states |0,0>, |Psi+>, |1,1>) is a
-    short superposition sum_j w_j |coherent(a_j)>, valid for 1 << gt << nbar.
-    """
-
-    terms: dict
-    eta_minus: complex
-    eta_plus: complex
-    d_minus: complex
-    d_plus: complex
-    nbar: float
-    phi: float
-    gt: float
-
-    def channel_coefficients(self, k: int, nmax: int) -> np.ndarray:
-        vec = np.zeros(nmax + 1, dtype=np.complex128)
-        for weight, a in self.terms[k]:
-            vec += weight * coherent_state_coefficients(a, nmax)
-        return vec
-
-
-def coherent_approx_fields(atom: AtomPairState, nbar: float, gt: float, phi: float = 0.0) -> ApproxChannels:
-    """High-photon-number approximation of the evolved field channels.
-
-    Linearizing the block frequencies around nbar+1 turns each channel into
-    a superposition of at most three coherent states: two counter-rotated by
-    2gt/sqrt(4 nbar + 2) carrying phase factors exp(+-2i gt (nbar+1+k)/sqrt(4 nbar+2)),
-    plus the undisplaced |alpha> term on the k = +-1 channels.
-    """
-    if gt >= nbar:
-        warnings.warn(
-            f"coherent-state approximation assumes gt << nbar (gt={gt}, nbar={nbar})",
-            ApproximationValidityWarning,
-            stacklevel=2,
-        )
-    elif gt <= 1.0:
-        warnings.warn(
-            f"residual overlaps decay like exp(-(gt)^2/2); gt={gt} is not >> 1",
-            ApproximationValidityWarning,
-            stacklevel=2,
-        )
-    d_plus = (cmath.exp(1j * phi) * atom.c0 + cmath.exp(-1j * phi) * atom.c1) / math.sqrt(2.0)
-    d_minus = (cmath.exp(1j * phi) * atom.c0 - cmath.exp(-1j * phi) * atom.c1) / math.sqrt(2.0)
-    eta_minus = (atom.cplus + d_plus) / 2.0
-    eta_plus = (atom.cplus - d_plus) / 2.0
-    alpha = math.sqrt(nbar) * cmath.exp(1j * phi)
-    root = math.sqrt(4.0 * nbar + 2.0)
-    rot = cmath.exp(2j * gt / root)
-    terms = {}
-    for k in (-1, 0, 1):
-        pref = cmath.exp(1j * k * phi) / math.sqrt(1.0 + abs(k))
-        drift = cmath.exp(2j * gt * (nbar + 1.0 + k) / root)
-        chan = [
-            (pref * eta_minus / drift, alpha / rot),
-            (pref * ((-1) ** k) * eta_plus * drift, alpha * rot),
-        ]
-        if k != 0:
-            chan.append((pref * (-k) * d_minus, alpha))
-        terms[k] = chan
-    return ApproxChannels(
-        terms=terms,
-        eta_minus=eta_minus,
-        eta_plus=eta_plus,
-        d_minus=d_minus,
-        d_plus=d_plus,
         nbar=nbar,
         phi=phi,
         gt=gt,

@@ -7,26 +7,37 @@ kernel encode, the rank-two postselection projector is the large-nbar limit
 of `exact_step_operator`, the orbit and the basin loop are what `basin_grid`
 runs, the homogeneous overlap is what `overlap` evaluates in the plane chart,
 and the block eigensystem is what `block_propagators` sums in closed form.
+The paper's coherent-state approximation of the evolved field channels is a
+second physics model of the step that `exact_step_operator` sums exactly.
 The tests compare the package against them.  `apply_map` is no second
-coding: it is `step_point` at the ideal map's coefficients, in scalar form.
+coding: it is `step_point` at the ideal map's coefficients, in scalar form,
+and `grid_points` is the basin grid's midpoints as one complex array.
 """
 
 import cmath
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from tcmap.rational_map import CycleReport, step_point
+from tcmap.experiments import grid_axes
+from tcmap.rational_map import CycleReport, ideal_coefficients, step_point
 from tcmap.sphere import INFINITY, as_point, homogeneous, is_infinite
-from tcmap.tavis_cummings import AtomPairState
+from tcmap.tavis_cummings import AtomPairState, coherent_state_coefficients
 
 
-def fixed_points(params):
+def fixed_points(varphi):
     """The ideal map's three fixed points -1, 0, +1, independent of the gate angle."""
-    del params
+    del varphi
     return (-1.0 + 0j, 0j, 1.0 + 0j)
+
+
+def grid_points(region, width, height):
+    """Complex midpoints, shape (height, width), top row = max imaginary part."""
+    xs, ys = grid_axes(region, width, height)
+    return xs[None, :] + 1j * ys[:, None]
 
 
 def plane_distance(z, w):
@@ -112,18 +123,18 @@ def amplitude_step(z, varphi):
     return amp1 / amp0, p_success
 
 
-def apply_map(z, params):
-    """One application of the map with exact sphere semantics (f(INFINITY) = 0, poles go to INFINITY)."""
-    return step_point(z, params.coefficients)[0]
+def apply_map(z, varphi):
+    """One application of the ideal map with exact sphere semantics (f(INFINITY) = 0, poles go to INFINITY)."""
+    return step_point(z, ideal_coefficients(varphi))[0]
 
 
-def iterate_map(z0, params, n):
+def iterate_map(z0, varphi, n):
     """Orbit [z0, f(z0), ..., f^n(z0)] of length n+1."""
     if n < 0:
         raise ValueError("iteration count must be >= 0")
     orbit = [as_point(z0)]
     for _ in range(n):
-        orbit.append(apply_map(orbit[-1], params))
+        orbit.append(apply_map(orbit[-1], varphi))
     return orbit
 
 
@@ -135,7 +146,7 @@ class BasinCell:
     iterations: int
 
 
-def classify_basin_point(z, params, attractors, tol=0.1, max_iter=97):
+def classify_basin_point(z, varphi, attractors, tol=0.1, max_iter=97):
     """Iterations until the orbit of z comes within tol of an attractor point.
 
     `attractors` is a sequence of cycles (CycleReport, point list, or a bare
@@ -152,8 +163,86 @@ def classify_basin_point(z, params, attractors, tol=0.1, max_iter=97):
         for idx, pts in enumerate(cycles):
             if any(plane_distance(z, p) < tol for p in pts):
                 return BasinCell(idx, k)
-        z = apply_map(z, params)
+        z = apply_map(z, varphi)
     return BasinCell(None, max_iter)
+
+
+class ApproximationValidityWarning(UserWarning):
+    """Emitted when the coherent-state approximation is used outside 1 << gt << nbar."""
+
+
+@dataclass(frozen=True)
+class ApproxChannels:
+    """Coherent-state decomposition of the evolved field channels.
+
+    Each channel k in {-1, 0, +1} (atomic states |0,0>, |Psi+>, |1,1>) is a
+    short superposition sum_j w_j |coherent(a_j)>, valid for 1 << gt << nbar.
+    """
+
+    terms: dict
+    eta_minus: complex
+    eta_plus: complex
+    d_minus: complex
+    d_plus: complex
+    nbar: float
+    phi: float
+    gt: float
+
+    def channel_coefficients(self, k: int, nmax: int) -> np.ndarray:
+        vec = np.zeros(nmax + 1, dtype=np.complex128)
+        for weight, a in self.terms[k]:
+            vec += weight * coherent_state_coefficients(a, nmax)
+        return vec
+
+
+def coherent_approx_fields(atom: AtomPairState, nbar: float, gt: float, phi: float = 0.0) -> ApproxChannels:
+    """High-photon-number approximation of the evolved field channels.
+
+    Linearizing the block frequencies around nbar+1 turns each channel into
+    a superposition of at most three coherent states: two counter-rotated by
+    2gt/sqrt(4 nbar + 2) carrying phase factors exp(+-2i gt (nbar+1+k)/sqrt(4 nbar+2)),
+    plus the undisplaced |alpha> term on the k = +-1 channels.
+    """
+    if gt >= nbar:
+        warnings.warn(
+            f"coherent-state approximation assumes gt << nbar (gt={gt}, nbar={nbar})",
+            ApproximationValidityWarning,
+            stacklevel=2,
+        )
+    elif gt <= 1.0:
+        warnings.warn(
+            f"residual overlaps decay like exp(-(gt)^2/2); gt={gt} is not >> 1",
+            ApproximationValidityWarning,
+            stacklevel=2,
+        )
+    d_plus = (cmath.exp(1j * phi) * atom.c0 + cmath.exp(-1j * phi) * atom.c1) / math.sqrt(2.0)
+    d_minus = (cmath.exp(1j * phi) * atom.c0 - cmath.exp(-1j * phi) * atom.c1) / math.sqrt(2.0)
+    eta_minus = (atom.cplus + d_plus) / 2.0
+    eta_plus = (atom.cplus - d_plus) / 2.0
+    alpha = math.sqrt(nbar) * cmath.exp(1j * phi)
+    root = math.sqrt(4.0 * nbar + 2.0)
+    rot = cmath.exp(2j * gt / root)
+    terms = {}
+    for k in (-1, 0, 1):
+        pref = cmath.exp(1j * k * phi) / math.sqrt(1.0 + abs(k))
+        drift = cmath.exp(2j * gt * (nbar + 1.0 + k) / root)
+        chan = [
+            (pref * eta_minus / drift, alpha / rot),
+            (pref * ((-1) ** k) * eta_plus * drift, alpha * rot),
+        ]
+        if k != 0:
+            chan.append((pref * (-k) * d_minus, alpha))
+        terms[k] = chan
+    return ApproxChannels(
+        terms=terms,
+        eta_minus=eta_minus,
+        eta_plus=eta_plus,
+        d_minus=d_minus,
+        d_plus=d_plus,
+        nbar=nbar,
+        phi=phi,
+        gt=gt,
+    )
 
 
 def block_eigensystem(n):

@@ -13,11 +13,11 @@ from oracles import apply_map, block_eigensystem, ideal_postselection_operator, 
 from tcmap.experiments import discrimination_run, overlap, resource_estimate
 from tcmap.protocol import exact_step_operator, step_coefficients
 from tcmap.rational_map import (
-    MapParams,
     classify_multiplier,
     critical_points,
     cycle_multiplier,
     find_attractive_cycles,
+    ideal_coefficients,
     julia_backward_sample,
     map_derivative,
     step_point,
@@ -54,13 +54,11 @@ def test_criterion_01_fixed_points_and_two_cycle():
     rng = np.random.default_rng(101)
     worst = 0.0
     for v in _random_angles(rng, 100):
-        params = MapParams(v)
         for j in (-1.0, 0.0, 1.0):
-            worst = max(worst, abs(apply_map(j, params) - j))
-    params0 = MapParams(0.0)
-    a, b = two_cycle(params0)
+            worst = max(worst, abs(apply_map(j, v) - j))
+    a, b = two_cycle(0.0)
     cyc_ok = abs(a - 1j * math.sqrt(3.0)) < 1e-12 and abs(b + 1j * math.sqrt(3.0)) < 1e-12
-    rep = cycle_multiplier([a, b], params0.coefficients)
+    rep = cycle_multiplier([a, b], ideal_coefficients(0.0))
     rep_ok = rep.stability == "repelling" and abs(abs(rep.multiplier) - 4.0) < 1e-10
     _report(
         1,
@@ -76,15 +74,15 @@ def test_criterion_02_stability_diagram_structure():
     worst_fd_rel = 0.0
     h = 1e-6
     for v in grid:
-        params = MapParams(v)
+        coeffs = ideal_coefficients(v)
         targets = (
             (0j, abs(2.0 * math.cos(v))),
             (1.0 + 0j, abs(math.tan(v))),
             (-1.0 + 0j, abs(math.tan(v))),
         )
         for z, lam in targets:
-            worst_closed = max(worst_closed, abs(abs(map_derivative(z, params.coefficients)) - lam))
-            fd = (apply_map(z + h, params) - apply_map(z - h, params)) / (2.0 * h)
+            worst_closed = max(worst_closed, abs(abs(map_derivative(z, coeffs)) - lam))
+            fd = (step_point(z + h, coeffs)[0] - step_point(z - h, coeffs)[0]) / (2.0 * h)
             worst_fd_rel = max(worst_fd_rel, abs(abs(fd) - lam) / max(1.0, lam))
 
     # class transitions of the +-1 pair at pi/4 and of 0 at pi/3
@@ -99,7 +97,7 @@ def test_criterion_02_stability_diagram_structure():
     t1 = transition(lambda v: abs(math.tan(v)), math.pi / 4.0)
     t0 = transition(lambda v: abs(2.0 * math.cos(v)), math.pi / 3.0)
 
-    cycles = find_attractive_cycles(MapParams(1.01 * math.pi / 4.0))
+    cycles = find_attractive_cycles(ideal_coefficients(1.01 * math.pi / 4.0), 1.01 * math.pi / 4.0)
     four = [c for c in cycles if c.period == 4 and c.stability == "attractive"]
 
     _report(
@@ -112,38 +110,37 @@ def test_criterion_02_stability_diagram_structure():
 
 
 def test_criterion_03_discrimination_headline():
-    report = discrimination_run(-0.2, 0.2, sigma=0.0, samples=1, steps=3, coeffs=MapParams(0.0).coefficients, seed=1)
+    mean, _, _ = discrimination_run(-0.2, 0.2, sigma=0.0, samples=1, steps=3, coeffs=ideal_coefficients(0.0), seed=1)
     # independent re-derivation: direct scalar iteration plus the overlap formula
     z1, z2 = -0.2 + 0j, 0.2 + 0j
     direct = []
-    params = MapParams(0.0)
     for _ in range(4):
         direct.append(overlap(z1, z2))
-        z1, z2 = apply_map(z1, params), apply_map(z2, params)
+        z1, z2 = apply_map(z1, 0.0), apply_map(z2, 0.0)
     ok = (
-        abs(report.mean_overlap[0] - 0.9231) < 1e-4
-        and report.mean_overlap[3] <= 0.085
-        and abs(report.mean_overlap[3] - direct[3]) < 1e-3
-        and abs(report.mean_overlap[3] - 0.0779) < 1e-3
+        abs(mean[0] - 0.9231) < 1e-4
+        and mean[3] <= 0.085
+        and abs(mean[3] - direct[3]) < 1e-3
+        and abs(mean[3] - 0.0779) < 1e-3
     )
     _report(
         3,
         "noiseless pair -0.2/0.2: overlap 0.9231 at step 0, <= 0.085 at step 3, matches re-derivation",
         ok,
-        f"sequence {np.round(report.mean_overlap, 4)}",
+        f"sequence {np.round(mean, 4)}",
     )
 
 
 def test_criterion_04_noise_robustness():
-    report = discrimination_run(-0.2, 0.2, sigma=0.03, samples=10_000, steps=6, coeffs=MapParams(0.0).coefficients,
-                                seed=12345)
-    ok = report.rms_deviation[5] < report.rms_deviation[2] and report.mean_overlap[6] < 0.05
+    mean, rms, _ = discrimination_run(-0.2, 0.2, sigma=0.03, samples=10_000, steps=6, coeffs=ideal_coefficients(0.0),
+                                      seed=12345)
+    ok = rms[5] < rms[2] and mean[6] < 0.05
     _report(
         4,
         "sigma=0.03, 10^4 samples: rms at step 5 below rms at step 2, mean overlap at step 6 below 0.05",
         ok,
-        f"rms2={report.rms_deviation[2]:.4f}, rms5={report.rms_deviation[5]:.6f}, "
-        f"mean6={report.mean_overlap[6]:.2e}",
+        f"rms2={rms[2]:.4f}, rms5={rms[5]:.6f}, "
+        f"mean6={mean[6]:.2e}",
     )
 
 
@@ -169,7 +166,6 @@ def test_criterion_05_exact_map_fixed_points():
 
 def test_criterion_06_exact_to_ideal_convergence():
     varphi = 0.95 * math.pi / 4.0
-    params = MapParams(varphi)
     grid9 = [complex(x, y) for x in (-0.6, 0.0, 0.6) for y in (-0.6, 0.0, 0.6)]
     discrepancy = {}
     for nbar in (10.0, 50.0, 100.0):
@@ -177,7 +173,7 @@ def test_criterion_06_exact_to_ideal_convergence():
         worst = 0.0
         for z in grid9:
             z_exact, _ = step_point(z, coeffs)
-            z_ideal = apply_map(z, params)
+            z_ideal = apply_map(z, varphi)
             worst = max(worst, abs(z_exact - z_ideal))
         discrepancy[nbar] = worst
     ok = discrepancy[10.0] > discrepancy[50.0] > discrepancy[100.0]
@@ -191,22 +187,22 @@ def test_criterion_06_exact_to_ideal_convergence():
 
 def test_criterion_07_julia_structure():
     # totally disconnected case: both critical orbits reach the same fixed point 0
-    params_a = MapParams(1.666 * math.pi)
-    ends_a = [iterate_map(zc, params_a, 3000)[-1] for zc in critical_points(params_a.coefficients, params_a.varphi)]
-    merged = find_attractive_cycles(params_a)
+    varphi_a = 1.666 * math.pi
+    ends_a = [iterate_map(zc, varphi_a, 3000)[-1] for zc in critical_points(ideal_coefficients(varphi_a), varphi_a)]
+    merged = find_attractive_cycles(ideal_coefficients(varphi_a), varphi_a)
     case_a = (
         all((not is_infinite(e)) and abs(e) < 1e-3 for e in ends_a)
         and len(merged) == 1
         and abs(merged[0].points[0]) < 1e-6
     )
     # connected case: the critical orbits split between +1 and -1
-    params_b = MapParams(0.95 * math.pi / 4.0)
-    zc_plus, zc_minus = critical_points(params_b.coefficients, params_b.varphi)
-    end_plus = iterate_map(zc_plus, params_b, 3000)[-1]
-    end_minus = iterate_map(zc_minus, params_b, 3000)[-1]
+    varphi_b = 0.95 * math.pi / 4.0
+    zc_plus, zc_minus = critical_points(ideal_coefficients(varphi_b), varphi_b)
+    end_plus = iterate_map(zc_plus, varphi_b, 3000)[-1]
+    end_minus = iterate_map(zc_minus, varphi_b, 3000)[-1]
     case_b = abs(end_plus - 1.0) < 1e-6 and abs(end_minus + 1.0) < 1e-6
     # the line case: backward samples at varphi=0 stay on the imaginary axis
-    pts = julia_backward_sample(MapParams(0.0), 1000, seed=2024)
+    pts = julia_backward_sample(0.0, 1000, seed=2024)
     case_c = float(np.max(np.abs(pts.real))) < 1e-6
     _report(
         7,
@@ -225,13 +221,13 @@ def test_criterion_08_success_probability_bound():
         if abs(math.cos(varphi)) < 1e-9:
             continue
         z = complex(rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0))
-        _, p = step_point(z, MapParams(varphi).coefficients)
+        _, p = step_point(z, ideal_coefficients(varphi))
         gap = p - math.cos(varphi) ** 2 / 4.0
         worst_gap = min(worst_gap, gap)
         if gap < -1e-12:
             ok_bound = False
     varphi = 0.77
-    _, p_min = step_point(1j * cmath.exp(-1j * varphi), MapParams(varphi).coefficients)
+    _, p_min = step_point(1j * cmath.exp(-1j * varphi), ideal_coefficients(varphi))
     eq_err = abs(p_min - math.cos(varphi) ** 2 / 4.0)
     _report(
         8,
@@ -242,7 +238,7 @@ def test_criterion_08_success_probability_bound():
 
 
 def test_criterion_09_resource_formula():
-    ok = resource_estimate(3, 0.0).pairs == 512 and resource_estimate(2, math.pi / 4.0).pairs == 256
+    ok = resource_estimate(3, 0.0) == 512 and resource_estimate(2, math.pi / 4.0) == 256
     _report(9, "resource counts: (n=3, varphi=0) -> 512 pairs, (n=2, pi/4) -> 256 pairs", ok)
 
 

@@ -16,7 +16,7 @@ from oracles import amplitude_step, apply_map, homogeneous_overlap
 from tcmap import tavis_cummings
 from tcmap.cli import _build_parser, main, parse_angle, parse_complex, parse_config, parse_region
 from tcmap.output import format_value, read_csv, read_ppm
-from tcmap.rational_map import MapParams, step_point
+from tcmap.rational_map import ideal_coefficients, step_point
 
 
 # ------------------------------------------------------------------- parsing
@@ -129,8 +129,8 @@ def test_map_rows_are_the_apply_map_orbit(angle, tmp_path):
         assert len(rows) == 41
         for prev, row in zip(rows, rows[1:]):
             z = complex(prev[1], prev[2])  # inf,0 is the point at infinity
-            w = apply_map(z, MapParams(varphi))
-            want = (w.real, w.imag, step_point(z, MapParams(varphi).coefficients)[1])
+            w = apply_map(z, varphi)
+            want = (w.real, w.imag, step_point(z, ideal_coefficients(varphi))[1])
             assert [format_value(v) for v in row[1:]] == [format_value(v) for v in want]
 
 
@@ -196,8 +196,16 @@ def test_julia_csv_and_image(tmp_path):
     _, rows = read_csv(out)
     assert len(rows) == 200
     assert max(abs(r[0]) for r in rows) < 1e-6  # imaginary axis
-    buf = read_ppm(img)
-    assert (buf.width, buf.height) == (32, 32)
+    assert read_ppm(img).shape == (32, 32, 3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_julia_image_of_a_tiny_window(tmp_path):
+    # every sample lies far outside the window, so the image is white and no position is cast to int
+    img = tmp_path / "julia.ppm"
+    assert main(["julia", "--varphi", "1.666pi", "--points", "50", "--region", "-1e-300,1e-300,-1e-300,1e-300",
+                 "--res", "16x16", "--out", str(tmp_path / "julia.csv"), "--image", str(img)]) == 0
+    assert np.all(read_ppm(img) == 255)
 
 
 def test_basin_render_structure_at_phi_zero(tmp_path):
@@ -206,8 +214,8 @@ def test_basin_render_structure_at_phi_zero(tmp_path):
         ["basin", "--varphi", "0", "--region", "-2,2,-2,2", "--res", "5x5",
          "--max-iter", "30", "--out", str(out)]
     ) == 0
-    img = read_ppm(out)
-    raster = np.frombuffer(img.pixels, dtype=np.uint8).reshape(5, 5, 3)
+    raster = read_ppm(out)
+    assert raster.shape == (5, 5, 3)
     # middle column sits on the Julia line: yellow
     assert np.all(raster[:, 2] == (255, 255, 0))
     # right half is the grey basin of +1, left half the dark basin of -1
@@ -491,6 +499,9 @@ def test_runner_reports_io_errors(tmp_path, capsys):
         (["sweep", "--grid", "4", "--phi-min", "abc"], "--phi-min", None),
         (["homodyne", "--nbar", "4", "--q-range", "-8,8,x"], "--q-range", None),
         (["discriminate", "--samples", "10", "--nbar", "10"], "--nbar", None),
+        # a finite region whose width or height overflows a float
+        (["basin", "--varphi", "0.2375pi", "--res", "4x4", "--region", "-1e308,1e308,-1,1"], "--region", None),
+        (["julia", "--varphi", "0.2375pi", "--region", "-1,1,-1e308,1e308"], "--region", None),
     ],
 )
 def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, flag, seed_env):
@@ -577,6 +588,8 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
             ["exact-basin", "--varphi", "0.2375pi", "--res", "8x8", "--op-file", op],
             ["discriminate", "--samples", "10", "--steps", "2"],
             ["discriminate", "--map-kind", "exact", "--op-file", op, "--samples", "10", "--steps", "3"],
+            ["sweep", "--grid", "8", "--burn", "100"],
+            ["cycles", "--varphi", "0.2375pi"],
         ):
             assert tcmap.cli.main(argv + ["--out", op if argv[0] == "exact-op" else str(tmp_path / "out")]) == 0
     finally:
@@ -584,6 +597,8 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
     assert tcmap.cli.main is main
     metrics = {name: value for name, (value, _) in tracing.layer_metrics(tracer).items()}
     assert metrics["experiments.basin_grid_s"] > 0
+    assert metrics["experiments.phi_sweep_s"] > 0
+    assert metrics["rational_map.find_attractive_cycles_calls"] == 1
     assert metrics["tavis_cummings.poisson_amplitudes_calls"] > 0
     assert metrics["protocol.exact_step_operator_s"] > 0
     assert metrics["experiments.discrimination_sample_steps"] == 10 * 2 + 10 * 3

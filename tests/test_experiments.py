@@ -6,14 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import apply_map, classify_basin_point, homogeneous_overlap, product_state_vector
+from oracles import apply_map, classify_basin_point, grid_points, homogeneous_overlap, product_state_vector
 from tcmap import experiments as ex
 from tcmap import rational_map as rm
 from tcmap.experiments import (
     basin_grid,
     discrimination_run,
     fixed_point_multiplier_moduli,
-    grid_points,
+    grid_axes,
     overlap,
     phi_sweep,
     resource_estimate,
@@ -25,9 +25,9 @@ from tcmap.protocol import (
 )
 from tcmap.rational_map import (
     NULL_OUTCOME_EPS,
-    MapParams,
     cycle_multiplier,
     find_attractive_cycles,
+    ideal_coefficients,
     quadratic_step,
     step_point,
     success_floor,
@@ -35,17 +35,16 @@ from tcmap.rational_map import (
 from tcmap.sphere import HOMOGENEOUS_LIMIT, INFINITY
 
 
-IDEAL_0 = MapParams(0.0).coefficients
+IDEAL_0 = ideal_coefficients(0.0)
 
 
 def ideal_attractors(varphi):
-    return [c.points for c in find_attractive_cycles(MapParams(varphi))]
+    return [c.points for c in find_attractive_cycles(ideal_coefficients(varphi), varphi)]
 
 
 def iterate_ideal(z, varphi, n):
-    params = MapParams(varphi)
     for _ in range(n):
-        z = apply_map(z, params)
+        z = apply_map(z, varphi)
     return z
 
 
@@ -154,25 +153,24 @@ def test_analytic_multiplier_moduli():
 def test_sweep_emits_rows_in_grid_order():
     grid = [0.0, 0.1, 0.2]
     rows = phi_sweep(grid, burn=500)
-    assert [r.varphi for r in rows] == grid
-    row0 = rows[0]
-    assert row0.abs_lambda_zero == 2.0
-    assert row0.abs_lambda_plus_one == 0.0
-    assert len(row0.cycles) == 2
-    assert all(c.period == 1 and abs(c.multiplier) < 1e-9 for c in row0.cycles)
+    # the attracting fixed points +-1 have |multiplier| = |tan varphi|, which tells the angles apart
+    assert [abs(r[0].multiplier) for r in rows] == pytest.approx([abs(math.tan(v)) for v in grid], abs=1e-9)
+    assert fixed_point_multiplier_moduli(grid[0])[:2] == (2.0, 0.0)
+    assert len(rows[0]) == 2
+    assert all(c.period == 1 and abs(c.multiplier) < 1e-9 for c in rows[0])
 
 
 def test_sweep_finds_a_four_cycle_between_the_neutral_angles():
     rows = phi_sweep([1.01 * math.pi / 4.0])
-    assert any(c.period == 4 for c in rows[0].cycles)
+    assert any(c.period == 4 for c in rows[0])
 
 
 def test_sweep_reports_match_cycle_multiplier():
     varphis = [(k + 0.5) * 2.0 * math.pi / 64 for k in range(64)]
     reports = 0
-    for v, row in zip(varphis, phi_sweep(varphis)):
-        for rep in row.cycles:
-            assert rep == cycle_multiplier(rep.points, MapParams(v).coefficients)
+    for v, cycles in zip(varphis, phi_sweep(varphis)):
+        for rep in cycles:
+            assert rep == cycle_multiplier(rep.points, ideal_coefficients(v))
             reports += 1
     assert reports >= 32
 
@@ -181,10 +179,10 @@ def test_batched_sweep_matches_one_angle_at_a_time():
     varphis = [(k + 0.5) * 2.0 * math.pi / 64 for k in range(64)]
     rows = phi_sweep(varphis, burn=1000)
     detected = 0
-    for v, row in zip(varphis, rows):
-        alone = find_attractive_cycles(MapParams(v), burn=1000)
-        assert [c.period for c in row.cycles] == [c.period for c in alone]
-        for c, d in zip(row.cycles, alone):
+    for v, cycles in zip(varphis, rows):
+        alone = find_attractive_cycles(ideal_coefficients(v), v, burn=1000)
+        assert [c.period for c in cycles] == [c.period for c in alone]
+        for c, d in zip(cycles, alone):
             assert abs(abs(c.multiplier) - abs(d.multiplier)) < 1e-9
         detected += bool(alone)
     assert detected >= 32
@@ -193,56 +191,55 @@ def test_batched_sweep_matches_one_angle_at_a_time():
 # --------------------------------------------------------- discrimination MC
 
 def test_noiseless_run_reproduces_direct_iteration():
-    report = discrimination_run(-0.2, 0.2, sigma=0.0, samples=3, steps=3, coeffs=IDEAL_0, seed=1)
+    mean, rms, _ = discrimination_run(-0.2, 0.2, sigma=0.0, samples=3, steps=3, coeffs=IDEAL_0, seed=1)
     # oracle: direct scalar iteration and the overlap formula
     z1, z2 = -0.2, 0.2
     for k in range(4):
-        assert abs(report.mean_overlap[k] - overlap(z1, z2)) < 1e-13
-        assert report.rms_deviation[k] < 1e-13
+        assert abs(mean[k] - overlap(z1, z2)) < 1e-13
+        assert rms[k] < 1e-13
         z1 = iterate_ideal(z1, 0.0, 1)
         z2 = iterate_ideal(z2, 0.0, 1)
     # frozen from exact rational iteration of 2z/(1+z^2) starting at 1/5
     expected = [0.9230769230769231, 0.7422680412371134, 0.3802259058236761, 0.07791825883762012]
     for k, e in enumerate(expected):
-        assert abs(report.mean_overlap[k] - e) < 1e-12
+        assert abs(mean[k] - e) < 1e-12
 
 
 def test_run_is_deterministic_for_a_fixed_seed():
     a = discrimination_run(-0.2, 0.2, sigma=0.03, samples=500, steps=5, coeffs=IDEAL_0, seed=42)
     b = discrimination_run(-0.2, 0.2, sigma=0.03, samples=500, steps=5, coeffs=IDEAL_0, seed=42)
-    assert np.array_equal(a.mean_overlap, b.mean_overlap)
-    assert np.array_equal(a.rms_deviation, b.rms_deviation)
+    assert np.array_equal(a[0], b[0])
+    assert np.array_equal(a[1], b[1])
     c = discrimination_run(-0.2, 0.2, sigma=0.03, samples=500, steps=5, coeffs=IDEAL_0, seed=43)
-    assert not np.array_equal(a.mean_overlap, c.mean_overlap)
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_noise_grows_then_collapses():
-    report = discrimination_run(-0.2, 0.2, sigma=0.03, samples=2000, steps=6, coeffs=IDEAL_0, seed=7)
-    rms = report.rms_deviation
+    mean, rms, counts = discrimination_run(-0.2, 0.2, sigma=0.03, samples=2000, steps=6, coeffs=IDEAL_0, seed=7)
     assert rms[1] > rms[0]
     assert rms[5] < rms[2]
-    assert report.mean_overlap[6] < 0.05
-    assert np.all(report.sample_counts == 2000)
-    assert report.failures == 0
+    assert mean[6] < 0.05
+    assert np.all(counts == 2000)
+    assert 2000 - counts[6] == 0
 
 
 def test_exact_map_decreases_faster_then_plateaus():
     coeffs = step_coefficients(exact_step_operator(10.0), 0.0)
-    exact = discrimination_run(-0.2, 0.2, sigma=0.0, samples=1, steps=7, coeffs=coeffs, seed=3)
-    ideal = discrimination_run(-0.2, 0.2, sigma=0.0, samples=1, steps=7, coeffs=IDEAL_0, seed=3)
+    exact, _, _ = discrimination_run(-0.2, 0.2, sigma=0.0, samples=1, steps=7, coeffs=coeffs, seed=3)
+    ideal, _, _ = discrimination_run(-0.2, 0.2, sigma=0.0, samples=1, steps=7, coeffs=IDEAL_0, seed=3)
     # faster early orthogonalization, larger late plateau
-    assert exact.mean_overlap[2] < ideal.mean_overlap[2]
-    assert exact.mean_overlap[3] < ideal.mean_overlap[3]
-    assert exact.mean_overlap[7] > ideal.mean_overlap[7]
-    assert exact.mean_overlap[7] > 0.01
+    assert exact[2] < ideal[2]
+    assert exact[3] < ideal[3]
+    assert exact[7] > ideal[7]
+    assert exact[7] > 0.01
 
 
 def test_exact_map_matches_scalar_steps():
     coeffs = step_coefficients(exact_step_operator(10.0), 0.0)
-    report = discrimination_run(0.1 + 0.2j, 0.3, sigma=0.0, samples=1, steps=4, coeffs=coeffs, seed=5)
+    mean, _, _ = discrimination_run(0.1 + 0.2j, 0.3, sigma=0.0, samples=1, steps=4, coeffs=coeffs, seed=5)
     z1, z2 = 0.1 + 0.2j, 0.3 + 0j
     for k in range(5):
-        assert abs(report.mean_overlap[k] - overlap(z1, z2)) < 1e-12
+        assert abs(mean[k] - overlap(z1, z2)) < 1e-12
         if k < 4:
             z1, _ = step_point(z1, coeffs)
             z2, _ = step_point(z2, coeffs)
@@ -287,14 +284,19 @@ def test_invalid_arguments():
     for tol, max_iter in ((math.nan, 97), (0.0, 97), (-0.1, 97), (0.1, -5)):
         with pytest.raises(ValueError):
             basin_grid(region, 3, 3, IDEAL_0, attractors, tol=tol, max_iter=max_iter)
+    # an empty or reversed extent, one that overflows a float, and one whose midpoints do
+    for region in ((1.0, -1.0, -1.0, 1.0), (-1.0, 1.0, 0.0, 0.0), (-1e308, 1e308, -1.0, 1.0),
+                   (-1.0, 1.0, -1e308, 1e308), (-8e307, 8e307, -1.0, 1.0)):
+        with pytest.raises(ValueError, match="region"):
+            grid_axes(region, 3, 3)
 
 
 # ------------------------------------------------------------------ resources
 
 def test_resource_formula_values():
-    assert resource_estimate(3, 0.0).pairs == 512
-    assert resource_estimate(0, 1.23).pairs == 1
-    assert resource_estimate(2, math.pi / 4.0).pairs == 256
+    assert resource_estimate(3, 0.0) == 512
+    assert resource_estimate(0, 1.23) == 1
+    assert resource_estimate(2, math.pi / 4.0) == 256
     for varphi in (0.0, 0.49 * math.pi):
         with pytest.raises(ValueError, match=r"n=400, varphi="):
             resource_estimate(400, varphi)
@@ -302,7 +304,7 @@ def test_resource_formula_values():
 
 def test_resource_powers_of_eight_are_exact():
     for n in range(11):
-        assert resource_estimate(n, 0.0).pairs == 8**n
+        assert resource_estimate(n, 0.0) == 8**n
 
 
 def test_resource_rejects_degenerate_angle():
@@ -323,25 +325,26 @@ def test_grid_points_layout():
 
 
 def test_basin_halves_at_phi_zero():
-    grid = basin_grid((-2.0, 2.0, -2.0, 2.0), 5, 5, IDEAL_0, ideal_attractors(0.0))
+    attractors = ideal_attractors(0.0)
+    grid = basin_grid((-2.0, 2.0, -2.0, 2.0), 5, 5, IDEAL_0, attractors)
     # discovery order: the + critical orbit lands on +1 first
-    assert abs(grid.attractors[0][0] - 1.0) < 1e-12
-    assert abs(grid.attractors[1][0] + 1.0) < 1e-12
+    assert abs(attractors[0][0] - 1.0) < 1e-12
+    assert abs(attractors[1][0] + 1.0) < 1e-12
     ids = grid.attractor_ids
     assert np.all(ids[:, 3:] == 0)      # right half converges to +1
     assert np.all(ids[:, :2] == 1)      # left half converges to -1
     assert np.all(ids[:, 2] == -1)      # the imaginary axis never resolves
-    assert np.all(grid.iterations[:, 2] == grid.max_iter)
+    assert np.all(grid.iterations[:, 2] == 97)  # basin_grid's default max_iter
 
 
 def test_basin_grid_agrees_with_scalar_classification():
-    params = MapParams(0.95 * math.pi / 4.0)
-    cycles = find_attractive_cycles(params)
-    grid = basin_grid((-1.5, 1.5, -1.0, 1.0), 7, 5, params.coefficients, [c.points for c in cycles])
-    pts = grid_points(grid.region, grid.width, grid.height)
-    for i in range(grid.height):
-        for j in range(grid.width):
-            cell = classify_basin_point(pts[i, j], params, cycles, tol=0.1, max_iter=97)
+    varphi, region, width, height = 0.95 * math.pi / 4.0, (-1.5, 1.5, -1.0, 1.0), 7, 5
+    cycles = find_attractive_cycles(ideal_coefficients(varphi), varphi)
+    grid = basin_grid(region, width, height, ideal_coefficients(varphi), [c.points for c in cycles])
+    pts = grid_points(region, width, height)
+    for i in range(height):
+        for j in range(width):
+            cell = classify_basin_point(pts[i, j], varphi, cycles, tol=0.1, max_iter=97)
             want = -1 if cell.attractor_id is None else cell.attractor_id
             assert grid.attractor_ids[i, j] == want
             assert grid.iterations[i, j] == cell.iterations
@@ -353,7 +356,7 @@ def test_basin_grid_reads_every_attractor_form():
     want = basin_grid(region, 6, 6, IDEAL_0, cycles)
     for attractors in ([[1.0], (-1.0,)], [np.array([1.0]), cycles[1]], np.array([[1.0], [-1.0]])):
         got = basin_grid(region, 6, 6, IDEAL_0, attractors)
-        assert got.attractors == ((1.0 + 0j,), (-1.0 + 0j,))
+        assert ex._attractor_cycles(attractors) == ((1.0 + 0j,), (-1.0 + 0j,))
         assert np.array_equal(got.attractor_ids, want.attractor_ids)
         assert np.array_equal(got.iterations, want.iterations)
     for attractors, message in (([[1.0], [INFINITY]], "finite"), ([], "empty"), ([[1.0], []], "empty")):
@@ -378,7 +381,7 @@ def test_exact_basin_approaches_the_ideal_with_photon_number():
     varphi = 0.95 * math.pi / 4.0
     region = (-1.5, 1.5, -1.5, 1.5)
     cycles = ideal_attractors(varphi)
-    ideal = basin_grid(region, 9, 9, MapParams(varphi).coefficients, cycles)
+    ideal = basin_grid(region, 9, 9, ideal_coefficients(varphi), cycles)
     agree = {}
     for nbar in (10.0, 100.0):
         ex = basin_grid(region, 9, 9, step_coefficients(exact_step_operator(nbar), varphi), cycles)
@@ -442,12 +445,12 @@ def test_success_floor_separates_the_steps_that_can_null():
 def test_the_ideal_step_nulls_where_its_floor_does():
     # cos^2 varphi / 4 < 2e-14: a label on a pole has p = 2.5e-19, a null outcome, not a step to infinity
     varphi = math.acos(1e-9)
-    coeffs = MapParams(varphi).coefficients
+    coeffs = ideal_coefficients(varphi)
     pole = 1j * cmath.exp(-1j * varphi)
     assert step_point(pole, coeffs)[1] < 1e-18
-    report = discrimination_run(pole, 0.5, sigma=0.0, samples=1, steps=3, coeffs=coeffs)
-    assert report.sample_counts.tolist() == [1, 0, 0, 0]
-    assert report.failures == 1
+    _, _, counts = discrimination_run(pole, 0.5, sigma=0.0, samples=1, steps=3, coeffs=coeffs)
+    assert counts.tolist() == [1, 0, 0, 0]
+    assert 1 - counts[3] == 1
     grid = basin_grid((pole.real - 1e-3, pole.real + 1e-3, pole.imag - 1e-3, pole.imag + 1e-3), 1, 1, coeffs,
                       [[0.0]], tol=1e-6, max_iter=5)
     assert (grid.attractor_ids[0, 0], grid.iterations[0, 0]) == (-1, 5)
@@ -508,7 +511,7 @@ def block_operators():
     # the step coefficients of each operator at a gate angle
     ops = {"nbar10": exact_step_operator(10.0), "dark": _dark_state_only()}
     ops = {name: functools.partial(step_coefficients, op) for name, op in ops.items()}
-    return dict(ops, ideal=lambda varphi: MapParams(varphi).coefficients)
+    return dict(ops, ideal=ideal_coefficients)
 
 
 DISCRIMINATION_CASES = [
@@ -533,12 +536,12 @@ def test_blocked_discrimination_matches_the_whole_array_loop(monkeypatch, block_
     samples, varphi, seed = 1000, 0.1, 11  # 15 full blocks and a ragged one of 40
     for name, z1, z2, sigma, steps in DISCRIMINATION_CASES:
         coeffs = block_operators[name](varphi)
-        got = discrimination_run(z1, z2, sigma, samples, steps, coeffs, seed=seed)
+        got_mean, got_rms, got_counts = discrimination_run(z1, z2, sigma, samples, steps, coeffs, seed=seed)
         mean, rms, counts, failures = _whole_array_discrimination(z1, z2, sigma, samples, steps, coeffs, seed)
-        assert np.array_equal(got.mean_overlap, mean), name
-        assert np.array_equal(got.rms_deviation, rms), name
-        assert np.array_equal(got.sample_counts, counts), name
-        assert got.failures == failures, name
+        assert np.array_equal(got_mean, mean), name
+        assert np.array_equal(got_rms, rms), name
+        assert np.array_equal(got_counts, counts), name
+        assert samples - got_counts[steps] == failures, name
     assert failures > 0  # the dark-state run nulls samples
 
 
@@ -550,10 +553,10 @@ def test_blocked_basin_matches_the_whole_array_loop(monkeypatch, block_operators
     for name, varphi in [("ideal", 0.2375 * math.pi), ("ideal", 0.251953125 * math.pi),
                          ("nbar10", 0.2375 * math.pi), ("dark", 0.2375 * math.pi)]:
         coeffs = block_operators[name](varphi)
-        cycles = tuple(tuple(c.points) for c in find_attractive_cycles(MapParams(varphi)))
+        cycles = tuple(tuple(c.points) for c in find_attractive_cycles(ideal_coefficients(varphi), varphi))
         grid = basin_grid(region, width, height, coeffs, cycles)
         ids, iters = _whole_array_basin(region, width, height, coeffs, cycles)
-        assert grid.attractors == cycles
+        assert ex._attractor_cycles(cycles) == cycles
         assert np.array_equal(grid.attractor_ids, ids), name
         assert np.array_equal(grid.iterations, iters), name
     assert np.any(ids == -1)  # the dark-state grid leaves cells unresolved

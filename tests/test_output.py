@@ -4,9 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tcmap.experiments import grid_points
+from oracles import grid_points
 from tcmap.output import (
-    ImageBuffer,
     UNRESOLVED_RGB,
     _cell_rgb,
     format_value,
@@ -111,14 +110,14 @@ def test_basin_csv_write_failure_carries_the_path():
 # ---------------------------------------------------------------------- PPM
 
 def test_ppm_single_white_pixel(tmp_path):
-    img = ImageBuffer(width=1, height=1, pixels=bytes([255, 255, 255]))
+    img = np.full((1, 1, 3), 255, dtype=np.uint8)
     path = tmp_path / "w.ppm"
     write_ppm(img, path)
     assert path.read_bytes() == b"P6\n1 1\n255\n\xff\xff\xff"
 
 
 def test_ppm_byte_length(tmp_path):
-    img = ImageBuffer(width=2, height=1, pixels=bytes(6))
+    img = np.zeros((1, 2, 3), dtype=np.uint8)
     path = tmp_path / "b.ppm"
     write_ppm(img, path)
     data = path.read_bytes()
@@ -127,17 +126,20 @@ def test_ppm_byte_length(tmp_path):
 
 def test_ppm_round_trip(tmp_path):
     rng = np.random.default_rng(2)
-    pixels = bytes(rng.integers(0, 256, size=3 * 4 * 3, dtype=np.uint8))
-    img = ImageBuffer(width=4, height=3, pixels=pixels)
+    img = rng.integers(0, 256, size=(3, 4, 3), dtype=np.uint8)
     path = tmp_path / "r.ppm"
     write_ppm(img, path)
     back = read_ppm(path)
-    assert back == img
+    assert back.dtype == np.uint8 and np.array_equal(back, img)
 
 
-def test_image_buffer_validates_size():
-    with pytest.raises(ValueError):
-        ImageBuffer(width=2, height=2, pixels=bytes(5))
+def test_write_ppm_rejects_a_bad_shape_or_dtype(tmp_path):
+    path = tmp_path / "x.ppm"
+    for pixels in (np.zeros((2, 2), np.uint8), np.zeros((2, 2, 4), np.uint8), np.zeros(12, np.uint8),
+                   np.zeros((2, 2, 3), np.int64), np.zeros((2, 2, 3)), bytes(12)):
+        with pytest.raises(ValueError, match=r"\(height, width, 3\) uint8"):
+            write_ppm(pixels, path)
+    assert not path.exists()
 
 
 # ------------------------------------------------------------------- render
@@ -146,14 +148,14 @@ def test_all_unresolved_renders_yellow():
     ids = np.full((3, 4), -1)
     its = np.full((3, 4), 97)
     img = render_basin_image(ids, its, max_iter=97)
-    assert img.pixels == bytes(UNRESOLVED_RGB) * 12
+    assert img.shape == (3, 4, 3)
+    assert img.tobytes() == bytes(UNRESOLVED_RGB) * 12
 
 
 def test_render_ramps_are_monotone_and_separated():
     ids = np.array([[0, 0, 1, 1, -1]])
     its = np.array([[0, 50, 0, 50, 97]])
-    img = render_basin_image(ids, its, max_iter=97)
-    px = [tuple(img.pixels[3 * k : 3 * k + 3]) for k in range(5)]
+    px = [tuple(p) for p in render_basin_image(ids, its, max_iter=97)[0].tolist()]
     assert px[0] == (200, 200, 200)
     assert px[1][0] < 200 and px[1][0] >= 60   # deeper into the basin: darker grey
     assert px[2] == (40, 40, 40)
@@ -166,8 +168,7 @@ def test_render_ramps_are_monotone_and_separated():
 def test_render_extra_attractors_get_hues():
     ids = np.array([[2, 3]])
     its = np.array([[0, 0]])
-    img = render_basin_image(ids, its, max_iter=10)
-    px = [tuple(img.pixels[3 * k : 3 * k + 3]) for k in range(2)]
+    px = [tuple(p) for p in render_basin_image(ids, its, max_iter=10)[0].tolist()]
     assert px[0] != px[1]
     assert all(p != UNRESOLVED_RGB for p in px)
 
@@ -178,7 +179,7 @@ def test_render_is_deterministic():
     its = rng.integers(0, 98, size=(6, 6))
     a = render_basin_image(ids, its, max_iter=97)
     b = render_basin_image(ids, its, max_iter=97)
-    assert a.pixels == b.pixels
+    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("max_iter", [1, 97])
@@ -189,8 +190,8 @@ def test_render_table_matches_cell_rgb(max_iter):
     rng = np.random.default_rng(max_iter)
     random_cells = (rng.choice(id_values, size=(13, 17)), rng.integers(-5, max_iter + 11, size=(13, 17)))
     for ids, its in (every_pair, random_cells):
-        img = render_basin_image(ids, its, max_iter)
-        px = np.frombuffer(img.pixels, dtype=np.uint8).reshape(*ids.shape, 3)
+        px = render_basin_image(ids, its, max_iter)
+        assert px.shape == (*ids.shape, 3) and px.dtype == np.uint8
         for i, j in np.ndindex(ids.shape):
             assert tuple(px[i, j]) == _cell_rgb(int(ids[i, j]), int(its[i, j]), max_iter)
 
@@ -199,8 +200,8 @@ def test_render_table_matches_cell_rgb(max_iter):
 
 def test_point_cloud_image_marks_samples():
     pts = np.array([0j, 1 + 1j, complex(np.inf, 0.0), 10 + 10j])
-    img = point_cloud_image(pts, (-2.0, 2.0, -2.0, 2.0), 4, 4)
-    raster = np.frombuffer(img.pixels, dtype=np.uint8).reshape(4, 4, 3)
+    raster = point_cloud_image(pts, (-2.0, 2.0, -2.0, 2.0), 4, 4)
+    assert raster.shape == (4, 4, 3) and raster.dtype == np.uint8
     assert tuple(raster[2, 2]) == (0, 0, 0)    # the origin lands just below-right of center
     assert tuple(raster[1, 3]) == (0, 0, 0)    # 1+1j in the upper-right quadrant
     assert np.sum(raster[:, :, 0] == 0) == 2   # inf and out-of-region points dropped

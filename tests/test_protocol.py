@@ -17,7 +17,7 @@ from tcmap.protocol import (
 from tcmap.rational_map import (
     NULL_OUTCOME_EPS,
     DegenerateParameterError,
-    MapParams,
+    ideal_coefficients,
     is_degenerate,
     quadratic_step,
     step_point,
@@ -117,7 +117,7 @@ def test_step_amplitudes_agree_with_the_gated_product_state():
 
 def ideal_step(z, varphi):
     """One ideal protocol step: the step kernel on the ideal projector's coefficients."""
-    return step_point(z, MapParams(varphi).coefficients)
+    return step_point(z, ideal_coefficients(varphi))
 
 
 def test_ideal_step_first_link_of_the_chain():
@@ -142,7 +142,7 @@ def test_ideal_step_matches_the_rational_map():
             continue
         z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         got, p = amplitude_step(z, varphi)
-        want = apply_map(z, MapParams(varphi))
+        want = apply_map(z, varphi)
         if is_infinite(want):
             assert is_infinite(got) or abs(got) > 1e10
         else:
@@ -181,15 +181,15 @@ def test_ideal_step_rejects_degenerate_gate():
 
 def test_map_coefficients_are_the_projector_coefficients_up_to_sign():
     # the ideal map's coefficients against those the step reads off the projector, both at the
-    # angle MapParams keeps (reduced mod 2pi)
+    # angle ideal_coefficients reads (reduced mod 2pi)
     rng = np.random.default_rng(11)
     angles = np.concatenate([rng.uniform(0, 2 * math.pi, 60), np.arange(-8, 9) * math.pi / 4])
     checked = 0
     for varphi in angles:
         if is_degenerate(varphi):
             continue
-        params = MapParams(varphi)
-        ours, theirs = np.array(params.coefficients), np.array(step_coefficients(IDEAL, params.varphi))
+        reduced = float(varphi) % (2.0 * math.pi)
+        ours, theirs = np.array(ideal_coefficients(varphi)), np.array(step_coefficients(IDEAL, reduced))
         sign = -1.0 if np.vdot(ours, theirs).real < 0 else 1.0
         assert np.max(np.abs(theirs - sign * ours)) <= 4e-16 * np.max(np.abs(ours))
         checked += 1
@@ -205,7 +205,7 @@ def test_ideal_success_probability_bound_holds_at_the_poles():
             continue
         poles = 1j * cmath.exp(-1j * varphi) * np.array([1.0, -1.0])
         z = np.concatenate([grid, poles, [complex(math.inf, 0.0)]])
-        _, p = quadratic_step(z, MapParams(varphi).coefficients, with_p=True)
+        _, p = quadratic_step(z, ideal_coefficients(varphi), with_p=True)
         bound = (1.0 - 1e-15) * math.cos(varphi) ** 2 / 4.0
         assert np.all(p >= bound)
         for pole in poles:
@@ -280,7 +280,7 @@ def test_exact_step_with_the_ideal_projector_reproduces_the_ideal_step():
 
 def test_exact_step_single_step_accuracy_at_nbar_100():
     z, p = step_point(0.2, step_coefficients(exact_step_operator(100.0), 0.0))
-    assert abs(z - apply_map(0.2, MapParams(0.0))) < 0.05
+    assert abs(z - apply_map(0.2, 0.0)) < 0.05
     assert 0.0 < p <= 1.0
 
 
@@ -293,7 +293,7 @@ def test_exact_step_null_outcome():
 
 
 def test_exact_step_rejects_degenerate_gate():
-    # the exact step's coefficients are built through MapParams(varphi), the gate rule,
+    # the exact step's coefficients are built through ideal_coefficients(varphi), the gate rule,
     # so no runner and no analysis receives the step at a degenerate angle
     op = exact_step_operator(2.0, gt=1.0)
     for varphi in (3.0 * math.pi / 2.0, math.pi / 2.0):

@@ -8,7 +8,6 @@ from oracles import BasinCell, apply_map, classify_basin_point, fixed_points, it
 from tcmap import rational_map
 from tcmap.rational_map import (
     DegenerateParameterError,
-    MapParams,
     NotACycleError,
     PoleError,
     apply_map_grid,
@@ -18,6 +17,7 @@ from tcmap.rational_map import (
     cycle_multiplier,
     escape_guard_grid,
     find_attractive_cycles,
+    ideal_coefficients,
     inverse_branches,
     is_degenerate,
     julia_backward_sample,
@@ -41,44 +41,44 @@ def random_angles(rng, n):
     return out
 
 
-def finite_difference_derivative(z, params, h=1e-6):
+def finite_difference_derivative(z, varphi, h=1e-6):
     # complex-analytic central difference along the real direction
-    return (apply_map(z + h, params) - apply_map(z - h, params)) / (2.0 * h)
+    return (apply_map(z + h, varphi) - apply_map(z - h, varphi)) / (2.0 * h)
 
 
 # ---------------------------------------------------------------- apply_map
 
 def test_apply_map_fixed_point_one():
-    assert abs(apply_map(1.0, MapParams(0.3)) - 1.0) < 1e-15
+    assert abs(apply_map(1.0, 0.3) - 1.0) < 1e-15
 
 
 def test_apply_map_origin():
-    assert apply_map(0j, MapParams(1.0)) == 0j
+    assert apply_map(0j, 1.0) == 0j
 
 
 def test_apply_map_first_step_of_the_chain():
-    z = apply_map(0.2, MapParams(0.0))
+    z = apply_map(0.2, 0.0)
     assert abs(z - 0.3846153846153846) < 1e-15
 
 
 def test_apply_map_pole_goes_to_infinity():
-    assert apply_map(1j, MapParams(0.0)) is INFINITY
+    assert apply_map(1j, 0.0) is INFINITY
 
 
 def test_apply_map_infinity_goes_to_zero():
-    assert apply_map(INFINITY, MapParams(0.3)) == 0j
+    assert apply_map(INFINITY, 0.3) == 0j
 
 
 def test_apply_map_huge_argument_no_nan():
     for z in (1e200 + 0j, 1e300 - 2e299j, -5e120j):
-        w = apply_map(z, MapParams(0.7))
+        w = apply_map(z, 0.7)
         assert not is_infinite(w)
         assert abs(w) < 1e-100
 
 
 def test_apply_map_degenerate_angle_rejected():
     with pytest.raises(DegenerateParameterError):
-        apply_map(0.5, MapParams(math.pi / 2))
+        apply_map(0.5, math.pi / 2)
 
 
 @pytest.mark.parametrize("angle", [math.pi / 2, 3 * math.pi / 2, -math.pi / 2, 5 * math.pi / 2])
@@ -86,28 +86,26 @@ def test_apply_map_degenerate_angle_rejected():
 def test_map_params_rejects_a_degenerate_angle_on_construction(angle, offset):
     assert is_degenerate(angle + offset)
     with pytest.raises(DegenerateParameterError, match="identically zero"):
-        MapParams(angle + offset)
+        ideal_coefficients(angle + offset)
 
 
 def test_map_params_accepts_angles_off_the_degenerate_pair():
     for v in (0.0, math.pi, math.pi / 2 + 1e-9, 3 * math.pi / 2 - 1e-9, 1e6):
         assert not is_degenerate(v)
-        assert MapParams(v).coefficients[1] == math.cos(v % (2 * math.pi))
+        assert ideal_coefficients(v)[1] == math.cos(v % (2 * math.pi))
 
 
 def test_fixed_point_identity_for_random_angles():
     rng = np.random.default_rng(7)
     for v in random_angles(rng, 100):
-        params = MapParams(v)
         for j in (-1.0, 0.0, 1.0):
-            assert abs(apply_map(j, params) - j) < 1e-12
+            assert abs(apply_map(j, v) - j) < 1e-12
 
 
 def test_imaginary_axis_invariant_at_phi_zero():
-    params = MapParams(0.0)
     rng = np.random.default_rng(3)
     for y in rng.uniform(-5.0, 5.0, size=50):
-        w = apply_map(1j * y, params)
+        w = apply_map(1j * y, 0.0)
         if not is_infinite(w):
             assert w.real == 0.0  # exact, not approximate
 
@@ -115,21 +113,21 @@ def test_imaginary_axis_invariant_at_phi_zero():
 # ---------------------------------------------------------- map_derivative
 
 def test_derivative_at_origin():
-    assert abs(map_derivative(0j, MapParams(0.0).coefficients) - 2.0) < 1e-15
+    assert abs(map_derivative(0j, ideal_coefficients(0.0)) - 2.0) < 1e-15
 
 
 def test_derivative_vanishes_at_critical_fixed_point():
-    assert abs(map_derivative(1.0, MapParams(0.0).coefficients)) < 1e-15
+    assert abs(map_derivative(1.0, ideal_coefficients(0.0))) < 1e-15
 
 
 def test_derivative_at_one_for_pi_over_eight():
     expected = -1j * math.tan(math.pi / 8.0)
-    assert abs(map_derivative(1.0, MapParams(math.pi / 8.0).coefficients) - expected) < 1e-14
+    assert abs(map_derivative(1.0, ideal_coefficients(math.pi / 8.0)) - expected) < 1e-14
 
 
 def test_derivative_raises_at_pole():
     with pytest.raises(PoleError):
-        map_derivative(1j, MapParams(0.0).coefficients)
+        map_derivative(1j, ideal_coefficients(0.0))
 
 
 def test_derivative_matches_finite_differences():
@@ -137,13 +135,12 @@ def test_derivative_matches_finite_differences():
     checked = 0
     while checked < 100:
         v = random_angles(rng, 1)[0]
-        params = MapParams(v)
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         den = cmath.exp(-1j * v) + z * z * cmath.exp(1j * v)
         if abs(den) < 1e-2:
             continue
-        exact = map_derivative(z, params.coefficients)
-        approx = finite_difference_derivative(z, params)
+        exact = map_derivative(z, ideal_coefficients(v))
+        approx = finite_difference_derivative(z, v)
         assert abs(exact - approx) <= 1e-5 * max(1.0, abs(exact))
         checked += 1
 
@@ -151,7 +148,7 @@ def test_derivative_matches_finite_differences():
 # ------------------------------------------------------------- iterate_map
 
 def test_iterate_map_three_steps_from_the_discrimination_start():
-    orbit = iterate_map(0.2, MapParams(0.0), 3)
+    orbit = iterate_map(0.2, 0.0, 3)
     expected = [0.2, 0.3846153846153846, 0.6701030927835051, 0.9248936482323602]
     assert len(orbit) == 4
     for z, e in zip(orbit, expected):
@@ -159,73 +156,71 @@ def test_iterate_map_three_steps_from_the_discrimination_start():
 
 
 def test_iterate_map_fixed_point_stays_put():
-    orbit = iterate_map(1.0, MapParams(0.7), 5)
+    orbit = iterate_map(1.0, 0.7, 5)
     assert all(abs(z - 1.0) < 1e-12 for z in orbit)
 
 
 def test_iterate_map_through_infinity():
-    orbit = iterate_map(INFINITY, MapParams(0.3), 2)
+    orbit = iterate_map(INFINITY, 0.3, 2)
     assert orbit[0] is INFINITY
     assert orbit[1] == 0j and orbit[2] == 0j
 
 
 def test_iterate_map_rejects_negative_count():
     with pytest.raises(ValueError):
-        iterate_map(0.1, MapParams(0.3), -1)
+        iterate_map(0.1, 0.3, -1)
 
 
 # ---------------------------------------------------- fixed points, cycles
 
 def test_fixed_points_independent_of_angle():
     for v in (0.0, 1.2, 1.666 * math.pi):
-        assert fixed_points(MapParams(v)) == (-1.0 + 0j, 0j, 1.0 + 0j)
+        assert fixed_points(v) == (-1.0 + 0j, 0j, 1.0 + 0j)
 
 
 def test_two_cycle_at_phi_zero():
-    a, b = two_cycle(MapParams(0.0))
+    a, b = two_cycle(0.0)
     assert abs(a - 1j * math.sqrt(3.0)) < 1e-14
     assert abs(b + 1j * math.sqrt(3.0)) < 1e-14
 
 
 def test_two_cycle_swaps_under_the_map():
     for v in (0.0, math.pi / 4.0, 2.3):
-        params = MapParams(v)
-        a, b = two_cycle(params)
-        assert abs(apply_map(a, params) - b) < 1e-10
-        assert abs(apply_map(b, params) - a) < 1e-10
+        a, b = two_cycle(v)
+        assert abs(apply_map(a, v) - b) < 1e-10
+        assert abs(apply_map(b, v) - a) < 1e-10
 
 
 def test_two_cycle_is_repelling_for_any_angle():
     rng = np.random.default_rng(5)
     for v in random_angles(rng, 20) + [0.95 * math.pi / 4.0]:
-        params = MapParams(v)
-        rep = cycle_multiplier(two_cycle(params), params.coefficients)
+        rep = cycle_multiplier(two_cycle(v), ideal_coefficients(v))
         assert rep.stability == "repelling"
         # |lambda| = 3 + 1/cos^2 analytically
         assert abs(abs(rep.multiplier) - (3.0 + 1.0 / math.cos(v) ** 2)) < 1e-8
 
 
 def test_cycle_multiplier_fixed_point_zero():
-    rep = cycle_multiplier([0j], MapParams(0.0).coefficients)
+    rep = cycle_multiplier([0j], ideal_coefficients(0.0))
     assert abs(rep.multiplier - 2.0) < 1e-14
     assert rep.stability == "repelling"
     assert rep.period == 1
 
 
 def test_cycle_multiplier_superattractive_one():
-    rep = cycle_multiplier([1.0 + 0j], MapParams(0.0).coefficients)
+    rep = cycle_multiplier([1.0 + 0j], ideal_coefficients(0.0))
     assert abs(rep.multiplier) < 1e-15
     assert rep.stability == "superattractive"
 
 
 def test_cycle_multiplier_two_cycle_value():
-    rep = cycle_multiplier([1j * math.sqrt(3.0), -1j * math.sqrt(3.0)], MapParams(0.0).coefficients)
+    rep = cycle_multiplier([1j * math.sqrt(3.0), -1j * math.sqrt(3.0)], ideal_coefficients(0.0))
     assert abs(rep.multiplier - 4.0) < 1e-12
 
 
 def test_cycle_multiplier_rejects_non_cycle():
     with pytest.raises(NotACycleError):
-        cycle_multiplier([0.3 + 0j], MapParams(0.0).coefficients)
+        cycle_multiplier([0.3 + 0j], ideal_coefficients(0.0))
 
 
 def test_classify_multiplier_bands():
@@ -237,8 +232,7 @@ def test_classify_multiplier_bands():
 
 
 def ideal_critical_points(v):
-    params = MapParams(v)
-    return critical_points(params.coefficients, params.varphi)
+    return critical_points(ideal_coefficients(v), v)
 
 
 def test_critical_points_values_and_modulus():
@@ -248,7 +242,7 @@ def test_critical_points_values_and_modulus():
     for v in (0.1, 2.0, 5.5):
         for c in ideal_critical_points(v):
             assert abs(abs(c) - 1.0) < 1e-15
-            assert abs(map_derivative(c, MapParams(v).coefficients)) < 1e-13
+            assert abs(map_derivative(c, ideal_coefficients(v))) < 1e-13
     # the root nearer e^{-i varphi} comes first, in all four quadrants and at negative angles
     for v in (0.3, 1.2, 2.0, 2.9, 3.5, 4.4, 5.0, 6.1, -0.7, -2.5):
         plus, minus = ideal_critical_points(v)
@@ -259,7 +253,7 @@ def test_critical_points_values_and_modulus():
 # --------------------------------------------------- find_attractive_cycles
 
 def test_critical_orbits_find_both_superattractive_fixed_points():
-    cycles = find_attractive_cycles(MapParams(0.0))
+    cycles = find_attractive_cycles(ideal_coefficients(0.0), 0.0)
     assert len(cycles) == 2
     points = sorted(c.points[0].real for c in cycles)
     assert abs(points[0] + 1.0) < 1e-12 and abs(points[1] - 1.0) < 1e-12
@@ -267,7 +261,7 @@ def test_critical_orbits_find_both_superattractive_fixed_points():
 
 
 def test_critical_orbits_merge_on_single_attractor():
-    cycles = find_attractive_cycles(MapParams(1.666 * math.pi))
+    cycles = find_attractive_cycles(ideal_coefficients(1.666 * math.pi), 1.666 * math.pi)
     assert len(cycles) == 1
     assert cycles[0].period == 1
     assert abs(cycles[0].points[0]) < 1e-8
@@ -276,7 +270,7 @@ def test_critical_orbits_merge_on_single_attractor():
 
 def test_four_cycles_between_the_neutral_angles():
     # just above pi/4 two distinct attractive 4-cycles coexist
-    cycles = find_attractive_cycles(MapParams(1.01 * math.pi / 4.0))
+    cycles = find_attractive_cycles(ideal_coefficients(1.01 * math.pi / 4.0), 1.01 * math.pi / 4.0)
     assert len(cycles) == 2
     assert all(c.period == 4 for c in cycles)
     assert all(c.stability == "attractive" for c in cycles)
@@ -288,7 +282,7 @@ def test_four_cycles_between_the_neutral_angles():
 
 def test_cycle_search_rejects_a_negative_burn():
     with pytest.raises(ValueError):
-        find_attractive_cycles(MapParams(0.3), burn=-1)
+        find_attractive_cycles(ideal_coefficients(0.3), 0.3, burn=-1)
 
 
 def full_burn_cycles(step_coeffs, varphi, burn, max_period=64, tol=1e-8):
@@ -337,12 +331,12 @@ def step_inputs(monkeypatch):
     (0.3 * math.pi, False),  # chaotic
 ])
 def test_early_stopped_burn_equals_the_full_burn(step_inputs, varphi, settles):
-    params = MapParams(varphi)
+    coeffs = ideal_coefficients(varphi)
     for burn in (0, 1, 777, 10_000):
         step_inputs.clear()
-        got = attractive_cycle_batch([(params.coefficients, params.varphi)], burn=burn)[0]
+        got = attractive_cycle_batch([(coeffs, varphi)], burn=burn)[0]
         batch_steps = len(step_inputs)  # full_burn_cycles steps through the same body
-        want = full_burn_cycles(params.coefficients, params.varphi, burn)
+        want = full_burn_cycles(coeffs, varphi, burn)
         assert [c.points for c in got] == [c.points for c in want]
         assert [c.multiplier for c in got] == [c.multiplier for c in want]
         if burn == 10_000:
@@ -352,7 +346,7 @@ def test_early_stopped_burn_equals_the_full_burn(step_inputs, varphi, settles):
 
 
 def test_settled_orbits_leave_the_burn(step_inputs):
-    maps = [(p.coefficients, p.varphi) for p in (MapParams(0.2375 * math.pi), MapParams(0.3 * math.pi))]
+    maps = [(ideal_coefficients(v), v) for v in (0.2375 * math.pi, 0.3 * math.pi)]
     attractive_cycle_batch(maps)
     burned = sum(z.size for z in step_inputs[:-64])  # the last max_period steps trace the orbits after the burn
     # the chaotic pair runs the whole burn; the settled pair leaves at the check where it repeats alone
@@ -362,38 +356,37 @@ def test_settled_orbits_leave_the_burn(step_inputs):
 def test_never_more_than_two_attractive_cycles():
     rng = np.random.default_rng(17)
     for v in random_angles(rng, 15):
-        assert len(find_attractive_cycles(MapParams(v), burn=2000)) <= 2
+        assert len(find_attractive_cycles(ideal_coefficients(v), v, burn=2000)) <= 2
 
 
 def test_cycle_reports_close_under_the_map():
     for v in (0.0, 1.01 * math.pi / 4.0, 1.666 * math.pi):
-        for rep in find_attractive_cycles(MapParams(v)):
-            params = MapParams(v)
+        for rep in find_attractive_cycles(ideal_coefficients(v), v):
             for i, p in enumerate(rep.points):
-                nxt = apply_map(p, params)
+                nxt = apply_map(p, v)
                 assert chordal_distance(nxt, rep.points[(i + 1) % rep.period]) < 1e-7
 
 
 # --------------------------------------------------------- inverse branches
 
 def test_inverse_of_critical_value_is_a_double_root():
-    a, b = inverse_branches(1.0, MapParams(0.0).coefficients)
+    a, b = inverse_branches(1.0, ideal_coefficients(0.0))
     assert abs(a - 1.0) < 1e-12 and abs(b - 1.0) < 1e-12
 
 
 def test_inverse_of_zero():
-    a, b = inverse_branches(0j, MapParams(0.5).coefficients)
+    a, b = inverse_branches(0j, ideal_coefficients(0.5))
     assert a == 0j and b is INFINITY
 
 
 def test_inverse_of_infinity_is_the_poles():
-    a, b = inverse_branches(INFINITY, MapParams(0.4).coefficients)
+    a, b = inverse_branches(INFINITY, ideal_coefficients(0.4))
     for p in (a, b):
-        assert apply_map(p, MapParams(0.4)) is INFINITY
+        assert apply_map(p, 0.4) is INFINITY
 
 
 def test_inverse_recovers_the_forward_image():
-    branches = inverse_branches(0.3846153846153846, MapParams(0.0).coefficients)
+    branches = inverse_branches(0.3846153846153846, ideal_coefficients(0.0))
     assert min(abs(z - 0.2) for z in branches if not is_infinite(z)) < 1e-12
 
 
@@ -401,36 +394,34 @@ def test_inverse_correctness_on_random_points():
     rng = np.random.default_rng(23)
     for _ in range(100):
         v = random_angles(rng, 1)[0]
-        params = MapParams(v)
         w = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-        for z in inverse_branches(w, params.coefficients):
-            assert chordal_distance(apply_map(z, params), w) < 1e-9
+        for z in inverse_branches(w, ideal_coefficients(v)):
+            assert chordal_distance(apply_map(z, v), w) < 1e-9
 
 
 # ----------------------------------------------------------- Julia sampling
 
 def test_julia_sample_is_deterministic():
-    params = MapParams(1.666 * math.pi)
-    a = julia_backward_sample(params, 500, seed=99)
-    b = julia_backward_sample(params, 500, seed=99)
+    varphi = 1.666 * math.pi
+    a = julia_backward_sample(varphi, 500, seed=99)
+    b = julia_backward_sample(varphi, 500, seed=99)
     assert np.array_equal(a, b)
-    c = julia_backward_sample(params, 500, seed=100)
+    c = julia_backward_sample(varphi, 500, seed=100)
     assert not np.array_equal(a, c)
 
 
 def test_julia_sample_on_the_imaginary_axis_at_phi_zero():
-    pts = julia_backward_sample(MapParams(0.0), 1000, seed=4)
+    pts = julia_backward_sample(0.0, 1000, seed=4)
     assert np.max(np.abs(pts.real)) < 1e-6
 
 
 def test_julia_sample_avoids_the_attractors():
     for v in (1.666 * math.pi, 0.95 * math.pi / 4.0):
-        params = MapParams(v)
-        cycles = find_attractive_cycles(params)
+        cycles = find_attractive_cycles(ideal_coefficients(v), v)
         attr = [p for rep in cycles for p in rep.points]
-        pts = julia_backward_sample(params, 300, seed=12)
+        pts = julia_backward_sample(v, 300, seed=12)
         for z in pts:
-            orbit = iterate_map(complex(z), params, 5)
+            orbit = iterate_map(complex(z), v, 5)
             for w in orbit:
                 if not is_infinite(w):
                     assert all(abs(w - a) >= 0.1 for a in attr)
@@ -439,24 +430,24 @@ def test_julia_sample_avoids_the_attractors():
 # ------------------------------------------------------ basin classification
 
 def test_classify_basin_point_reaches_plus_one_in_three_steps():
-    cell = classify_basin_point(0.2, MapParams(0.0), [1.0 + 0j, -1.0 + 0j], tol=0.1)
+    cell = classify_basin_point(0.2, 0.0, [1.0 + 0j, -1.0 + 0j], tol=0.1)
     assert cell == BasinCell(attractor_id=0, iterations=3)
 
 
 def test_classify_basin_point_immediate_hit():
-    cell = classify_basin_point(1.0, MapParams(0.0), [1.0 + 0j, -1.0 + 0j], tol=0.1)
+    cell = classify_basin_point(1.0, 0.0, [1.0 + 0j, -1.0 + 0j], tol=0.1)
     assert cell == BasinCell(attractor_id=0, iterations=0)
 
 
 def test_classify_basin_point_julia_start_is_unresolved():
-    cell = classify_basin_point(0.05j, MapParams(0.0), [1.0 + 0j, -1.0 + 0j], tol=0.1, max_iter=97)
+    cell = classify_basin_point(0.05j, 0.0, [1.0 + 0j, -1.0 + 0j], tol=0.1, max_iter=97)
     assert cell.attractor_id is None
     assert cell.iterations == 97
 
 
 def test_classify_basin_point_accepts_cycle_reports():
-    cycles = find_attractive_cycles(MapParams(0.0))
-    cell = classify_basin_point(0.2, MapParams(0.0), cycles, tol=0.1)
+    cycles = find_attractive_cycles(ideal_coefficients(0.0), 0.0)
+    cell = classify_basin_point(0.2, 0.0, cycles, tol=0.1)
     target = cycles[cell.attractor_id].points[0]
     assert abs(target - 1.0) < 1e-12
 
@@ -466,11 +457,10 @@ def test_classify_basin_point_accepts_cycle_reports():
 def test_grid_kernel_matches_scalar_map():
     rng = np.random.default_rng(31)
     for v in random_angles(rng, 5):
-        params = MapParams(v)
         z = rng.uniform(-3, 3, size=64) + 1j * rng.uniform(-3, 3, size=64)
-        out = apply_map_grid(z, params)
+        out = apply_map_grid(z, v)
         for zi, oi in zip(z, out):
-            expected = apply_map(complex(zi), params)
+            expected = apply_map(complex(zi), v)
             if is_infinite(expected):
                 assert not np.isfinite(oi)
             else:
@@ -478,9 +468,8 @@ def test_grid_kernel_matches_scalar_map():
 
 
 def test_grid_kernel_special_points():
-    params = MapParams(0.0)
     z = np.array([complex(np.inf, 0.0), 1j, 1e300 + 0j, 0j])
-    out = apply_map_grid(z, params)
+    out = apply_map_grid(z, 0.0)
     assert out[0] == 0j
     assert not np.isfinite(out[1])
     assert np.isfinite(out[2]) and abs(out[2]) < 1e-100
@@ -519,7 +508,7 @@ def test_success_floor_bounds_p_over_the_sphere():
 def test_success_floor_of_the_ideal_map_is_its_minimum(varphi):
     # p >= cos^2 varphi / 4, reached on the poles
     want = math.cos(varphi) ** 2 / 4.0
-    assert abs(success_floor(MapParams(varphi).coefficients) - want) <= 1e-14 * want
+    assert abs(success_floor(ideal_coefficients(varphi)) - want) <= 1e-14 * want
 
 
 # ------------------------------------------------ the analyses on the exact step
@@ -588,10 +577,10 @@ def test_a_critical_point_at_infinity():
 
 
 def test_the_batch_starts_every_orbit_at_its_critical_point(step_inputs):
-    ideal = MapParams(EXACT_VARPHI)
     exact = step_coefficients(exact_step_operator(2.0), EXACT_VARPHI)
     polynomial = (1.0, 2.0, 0.0, 0.0, 0.0, 1.0)  # z^2 + 2z, a critical point at infinity
-    maps = [(ideal.coefficients, ideal.varphi), (exact, EXACT_VARPHI), (polynomial, 0.0), (polynomial, math.pi)]
+    ideal = ideal_coefficients(EXACT_VARPHI)
+    maps = [(ideal, EXACT_VARPHI), (exact, EXACT_VARPHI), (polynomial, 0.0), (polynomial, math.pi)]
     attractive_cycle_batch(maps, burn=1, max_period=1)
     points = [critical_points(coeffs, varphi) for coeffs, varphi in maps]
     # the first critical point of every map, then the second one, bit for bit
@@ -603,8 +592,7 @@ def test_the_batch_starts_every_orbit_at_its_critical_point(step_inputs):
 def test_the_batch_steps_infinity_to_a_over_d(step_inputs):
     # (z^2 + z) / (z^2 + z + 1) has critical points infinity and -1/2, and f(infinity) = a/d = 1
     rational = (1.0, 1.0, 0.0, 1.0, 1.0, 1.0)
-    ideal = MapParams(EXACT_VARPHI)
-    maps = [(rational, 0.0), (ideal.coefficients, ideal.varphi)]
+    maps = [(rational, 0.0), (ideal_coefficients(EXACT_VARPHI), EXACT_VARPHI)]
     per_orbit = tuple(np.array([complex(c[k]) for c, _ in maps] * 2) for k in range(6))
     for burn in (0, 1):  # the first step of the post-burn orbit, then of the burn
         step_inputs.clear()
@@ -617,8 +605,8 @@ def test_the_batch_steps_infinity_to_a_over_d(step_inputs):
 @pytest.fixture(scope="module")
 def mixed_ideal_maps():
     """Ideal maps that settle, carry a pair of 4-cycles, fall to 0, drift by ulps, are chaotic; with full burns."""
-    params = [MapParams(t * math.pi) for t in (0.2375, 0.251953125, 0.45, 0.1, 0.3)]
-    return [((p.coefficients, p.varphi), full_burn_cycles(p.coefficients, p.varphi, 10_000)) for p in params]
+    maps = [(ideal_coefficients(t * math.pi), t * math.pi) for t in (0.2375, 0.251953125, 0.45, 0.1, 0.3)]
+    return [(m, full_burn_cycles(*m, 10_000)) for m in maps]
 
 
 def test_a_mixed_batch_equals_per_map_full_burns(mixed_ideal_maps, exact_coefficients):

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from oracles import block_eigensystem, ideal_postselection_operator
-from tcmap.tavis_cummings import (
+from oracles import (
     ApproximationValidityWarning,
+    block_eigensystem,
+    coherent_approx_fields,
+    ideal_postselection_operator,
+)
+from tcmap.tavis_cummings import (
     AtomPairState,
     block_propagators,
-    coherent_approx_fields,
     coherent_state_coefficients,
     default_truncation,
     evolve_exact,
@@ -257,7 +260,7 @@ def test_validity_warnings():
         coherent_approx_fields(atom, 4.0, gt=2.0)  # inside the window: silent
 
 
-@pytest.mark.filterwarnings("ignore::tcmap.tavis_cummings.ApproximationValidityWarning")
+@pytest.mark.filterwarnings("ignore::oracles.ApproximationValidityWarning")
 def test_displaced_components_decouple_from_alpha_like_a_gaussian():
     # |<alpha|alpha e^{i theta}>| = exp(-nbar (1 - cos theta)) ~ exp(-(gt)^2/2)
     nbar = 1e4
