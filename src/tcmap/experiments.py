@@ -92,14 +92,13 @@ def phi_sweep(
     varphis: Iterable[float],
     burn: int = 10_000,
     max_period: int = 64,
-    tol: float = 1e-8,
 ) -> list[list[rm.CycleReport]]:
     """The ideal map's attractive cycles at each angle, in grid order; degenerate angles are rejected.
 
-    The critical orbits of all angles are searched as one batch.
+    The critical orbits of all angles are searched as one batch, with its default closure tolerance.
     """
     maps = [(rm.ideal_coefficients(v), v) for v in varphis]
-    return rm.attractive_cycle_batch(maps, burn=burn, max_period=max_period, tol=tol)
+    return rm.attractive_cycle_batch(maps, burn=burn, max_period=max_period)
 
 
 def discrimination_run(
@@ -216,6 +215,9 @@ def grid_axes(region: tuple[float, float, float, float], width: int, height: int
     # an infinite extent, or a finite one whose (k + 0.5) multiples overflow
     if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
         raise ValueError("region extent or midpoints overflow a float")
+    # a window only a few ulps wide rounds neighbouring midpoints to one value
+    if not ((np.diff(xs) > 0).all() and (np.diff(ys) < 0).all()):
+        raise ValueError("region is too narrow for the resolution: neighbouring cell midpoints coincide")
     return xs, ys
 
 

@@ -2,7 +2,8 @@
 
 Everything here is a pure function of its inputs, so re-running a command
 with the same configuration reproduces output files byte for byte.  An image
-is a (height, width, 3) uint8 array of RGB pixels, row 0 at the top.
+is a (height, width, 3) uint8 array of RGB pixels, row 0 at the top.  The
+module only writes; reading the files back is test code.
 """
 
 from __future__ import annotations
@@ -71,22 +72,6 @@ def write_basin_csv(xs, ys, attractor_ids, iterations, path) -> None:
                 fh.write("".join(chain.from_iterable(zip(xcol, repeat(format_value(y)), row))))
     except OSError as exc:
         raise OSError(f"cannot write CSV to {path}: {exc}") from exc
-
-
-def read_csv(path) -> tuple[list[str], list[list]]:
-    """Parse back a CSV written by write_csv (used by tests and tools)."""
-
-    def cell(tok: str):
-        try:
-            return float(tok)
-        except ValueError:
-            return tok
-
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    header = lines[0].split(",")
-    rows = [[cell(tok) for tok in ln.split(",")] for ln in lines[1:]]
-    return header, rows
 
 
 UNRESOLVED_RGB = (255, 255, 0)
@@ -159,19 +144,3 @@ def write_ppm(pixels: np.ndarray, path) -> None:
             fh.write(pixels.tobytes())
     except OSError as exc:
         raise OSError(f"cannot write PPM to {path}: {exc}") from exc
-
-
-def read_ppm(path) -> np.ndarray:
-    """Read back a binary PPM produced by write_ppm as a (height, width, 3) uint8 image."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(b"P6\n"):
-        raise ValueError("not a P6 PPM written by this package")
-    rest = data[3:]
-    nl = rest.index(b"\n")
-    w, h = (int(tok) for tok in rest[:nl].split())
-    rest = rest[nl + 1 :]
-    nl = rest.index(b"\n")
-    if rest[:nl] != b"255":
-        raise ValueError("expected maxval 255")
-    return np.frombuffer(rest[nl + 1 :], dtype=np.uint8).reshape(h, w, 3)

@@ -31,6 +31,9 @@ DEGENERACY_EPS = 1e-12
 # is the point at infinity.
 ESCAPE_RADIUS = 1e12
 
+# backward-iteration points discarded before the Julia sample starts
+JULIA_TRANSIENT = 50
+
 SUPERATTRACTIVE_EPS = 1e-9
 NEUTRAL_EPS = 1e-9
 # a step whose success probability p falls below this is a null outcome
@@ -108,7 +111,7 @@ class PoleError(ValueError):
 
 
 class NotACycleError(ValueError):
-    """Raised when points handed in as a cycle fail the closure check."""
+    """Raised by _cycle_report for a cycle through infinity, where f' has no plane-chart value."""
 
 
 def is_degenerate(varphi: float) -> bool:
@@ -165,13 +168,8 @@ def two_cycle(varphi: float) -> tuple[complex, complex]:
     return (root, -root)
 
 
-def critical_points(coeffs: tuple, varphi: float) -> tuple[complex, complex]:
-    """Zeros of f', roots of (ae-bd) z^2 + 2(af-cd) z + (bf-ce), the one nearer e^{-i varphi} first."""
-    roots = _critical_roots(tuple(complex(k) for k in coeffs))
-    return roots[::-1] if _second_nearer(np.array([roots]), [varphi])[0] else roots
-
-
 def _critical_roots(coeffs: tuple[complex, ...]) -> tuple[complex, complex]:
+    """Zeros of f', roots of (ae-bd) z^2 + 2(af-cd) z + (bf-ce)."""
     a, b, c, d, e, f = coeffs
     return _quadratic_roots(a * e - b * d, 2.0 * (a * f - c * d), b * f - c * e)
 
@@ -203,19 +201,6 @@ class CycleReport:
     period: int
     multiplier: complex
     stability: str
-
-
-def cycle_multiplier(points: Sequence[complex], coeffs: tuple, tol: float = 1e-8) -> CycleReport:
-    """Validate a cycle of the step on `coeffs` and report its multiplier (chain rule over the orbit)."""
-    pts = [as_point(p) for p in points]
-    if not pts:
-        raise NotACycleError("empty point list")
-    for i, p in enumerate(pts):
-        gap = chordal_distance(step_point(p, coeffs)[0], pts[(i + 1) % len(pts)])
-        if gap > tol:
-            raise NotACycleError(f"points do not close under the map at index {i} "
-                                 f"(distance {gap:.3e} > {tol:.3e})")
-    return _cycle_report(pts, coeffs)
 
 
 def _cycle_report(pts: Sequence[complex], coeffs: tuple) -> CycleReport:
@@ -353,26 +338,25 @@ def julia_backward_sample(
     varphi: float,
     n_points: int,
     seed: int,
-    transient: int = 50,
 ) -> np.ndarray:
     """Backward-orbit sample of the ideal map's Julia set, seeded and deterministic.
 
     Starts from one point of the repelling two-cycle and at each step jumps
-    to a uniformly chosen inverse branch; the first `transient` points are
-    discarded.  Returns a complex array of n_points entries (a point at
+    to a uniformly chosen inverse branch; the first JULIA_TRANSIENT points
+    are discarded.  Returns a complex array of n_points entries (a point at
     infinity, never observed in practice, would be stored as INFINITY).
     """
     if n_points < 0:
         raise ValueError("n_points must be >= 0")
     rng = np.random.default_rng(seed)
-    bits = rng.integers(0, 2, size=transient + n_points)
+    bits = rng.integers(0, 2, size=JULIA_TRANSIENT + n_points)
     coeffs = ideal_coefficients(varphi)
     z = two_cycle(varphi)[0]
     out = np.empty(n_points, dtype=np.complex128)
     for i, bit in enumerate(bits):
         z = inverse_branches(z, coeffs)[bit]
-        if i >= transient:
-            out[i - transient] = z
+        if i >= JULIA_TRANSIENT:
+            out[i - JULIA_TRANSIENT] = z
     return out
 
 

@@ -86,19 +86,12 @@ def poisson_amplitudes(nbar: float, phi: float = 0.0) -> np.ndarray:
 
 @dataclass
 class AtomPairState:
-    """Amplitudes in the basis {|0,0>, |Psi->, |Psi+>, |1,1>}."""
+    """Amplitudes in the basis {|0,0>, |Psi->, |Psi+>, |1,1>}; a bare record, as JointState is."""
 
     c0: complex
     cminus: complex
     cplus: complex
     c1: complex
-
-    def norm(self) -> float:
-        return math.sqrt(abs(self.c0) ** 2 + abs(self.cminus) ** 2 + abs(self.cplus) ** 2 + abs(self.c1) ** 2)
-
-    def to_product_basis(self) -> np.ndarray:
-        """Vector in the product basis (|1,1>, |1,0>, |0,1>, |0,0>)."""
-        return BELL_TO_PRODUCT @ np.array([self.c1, self.cplus, self.c0, self.cminus], dtype=np.complex128)
 
 
 @dataclass
@@ -116,28 +109,6 @@ class JointState:
     nbar: float
     phi: float
     gt: float
-
-    def total_norm(self) -> float:
-        return math.sqrt(
-            float(
-                np.sum(np.abs(self.channel_00) ** 2)
-                + np.sum(np.abs(self.channel_psi_plus) ** 2)
-                + np.sum(np.abs(self.channel_11) ** 2)
-                + np.sum(np.abs(self.channel_psi_minus) ** 2)
-            )
-        )
-
-    def project_field(self, bra_coefficients: np.ndarray) -> AtomPairState:
-        """Atomic amplitudes after projecting the field on sum_n b_n |n>."""
-        b = np.zeros_like(self.channel_00)
-        m = min(len(b), len(bra_coefficients))
-        b[:m] = np.asarray(bra_coefficients, dtype=np.complex128)[:m]
-        return AtomPairState(
-            c0=complex(np.vdot(b, self.channel_00)),
-            cminus=complex(np.vdot(b, self.channel_psi_minus)),
-            cplus=complex(np.vdot(b, self.channel_psi_plus)),
-            c1=complex(np.vdot(b, self.channel_11)),
-        )
 
 
 def block_propagators(nblocks: int, gt: float) -> np.ndarray:

@@ -12,6 +12,10 @@ second physics model of the step that `exact_step_operator` sums exactly.
 The tests compare the package against them.  `apply_map` is no second
 coding: it is `step_point` at the ideal map's coefficients, in scalar form,
 and `grid_points` is the basin grid's midpoints as one complex array.
+`validated_cycle` checks that points close under a step before it reports
+them with the package's `_cycle_report`.  The rest is what only tests need:
+reading back the files `tcmap.output` writes, and the norms, product-basis
+vector and field projection of the package's bare state records.
 """
 
 import cmath
@@ -23,9 +27,84 @@ from typing import Optional
 import numpy as np
 
 from tcmap.experiments import grid_axes
-from tcmap.rational_map import CycleReport, ideal_coefficients, step_point
-from tcmap.sphere import INFINITY, as_point, homogeneous, is_infinite
-from tcmap.tavis_cummings import AtomPairState, coherent_state_coefficients
+from tcmap.rational_map import CycleReport, NotACycleError, _cycle_report, ideal_coefficients, step_point
+from tcmap.sphere import INFINITY, as_point, chordal_distance, homogeneous, is_infinite
+from tcmap.tavis_cummings import BELL_TO_PRODUCT, AtomPairState, coherent_state_coefficients
+
+
+def read_csv(path):
+    """(header, rows) of a CSV written by the package; a cell that parses as a float is one."""
+
+    def cell(tok):
+        try:
+            return float(tok)
+        except ValueError:
+            return tok
+
+    with open(path, "r", encoding="ascii") as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    header = lines[0].split(",")
+    rows = [[cell(tok) for tok in ln.split(",")] for ln in lines[1:]]
+    return header, rows
+
+
+def read_ppm(path):
+    """A binary PPM written by `output.write_ppm` as a (height, width, 3) uint8 image."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.startswith(b"P6\n"):
+        raise ValueError("not a P6 PPM written by this package")
+    rest = data[3:]
+    nl = rest.index(b"\n")
+    w, h = (int(tok) for tok in rest[:nl].split())
+    rest = rest[nl + 1 :]
+    nl = rest.index(b"\n")
+    if rest[:nl] != b"255":
+        raise ValueError("expected maxval 255")
+    return np.frombuffer(rest[nl + 1 :], dtype=np.uint8).reshape(h, w, 3)
+
+
+def atom_norm(atom):
+    """The norm of an AtomPairState's four amplitudes."""
+    return math.sqrt(abs(atom.c0) ** 2 + abs(atom.cminus) ** 2 + abs(atom.cplus) ** 2 + abs(atom.c1) ** 2)
+
+
+def to_product_basis(atom):
+    """An AtomPairState as a vector in the product basis (|1,1>, |1,0>, |0,1>, |0,0>)."""
+    return BELL_TO_PRODUCT @ np.array([atom.c1, atom.cplus, atom.c0, atom.cminus], dtype=np.complex128)
+
+
+def total_norm(joint):
+    """The norm of a JointState over its four channels."""
+    channels = (joint.channel_00, joint.channel_psi_plus, joint.channel_11, joint.channel_psi_minus)
+    return math.sqrt(float(sum(np.sum(np.abs(c) ** 2) for c in channels)))
+
+
+def project_field(joint, bra_coefficients):
+    """The atomic amplitudes of a JointState after projecting the field on sum_n b_n |n>."""
+    b = np.zeros_like(joint.channel_00)
+    m = min(len(b), len(bra_coefficients))
+    b[:m] = np.asarray(bra_coefficients, dtype=np.complex128)[:m]
+    return AtomPairState(
+        c0=complex(np.vdot(b, joint.channel_00)),
+        cminus=complex(np.vdot(b, joint.channel_psi_minus)),
+        cplus=complex(np.vdot(b, joint.channel_psi_plus)),
+        c1=complex(np.vdot(b, joint.channel_11)),
+    )
+
+
+def validated_cycle(points, coeffs, tol=1e-8):
+    """The CycleReport of `points` under the step on coeffs, once each image lies within tol
+    (chordal) of the next point; NotACycleError otherwise."""
+    pts = [as_point(p) for p in points]
+    if not pts:
+        raise NotACycleError("empty point list")
+    for i, p in enumerate(pts):
+        gap = chordal_distance(step_point(p, coeffs)[0], pts[(i + 1) % len(pts)])
+        if gap > tol:
+            raise NotACycleError(f"points do not close under the map at index {i} "
+                                 f"(distance {gap:.3e} > {tol:.3e})")
+    return _cycle_report(pts, coeffs)
 
 
 def fixed_points(varphi):

@@ -9,13 +9,18 @@ import math
 
 import numpy as np
 
-from oracles import apply_map, block_eigensystem, ideal_postselection_operator, iterate_map
+from oracles import (
+    apply_map,
+    block_eigensystem,
+    ideal_postselection_operator,
+    iterate_map,
+    total_norm,
+    validated_cycle,
+)
 from tcmap.experiments import discrimination_run, overlap, resource_estimate
 from tcmap.protocol import exact_step_operator, step_coefficients
 from tcmap.rational_map import (
     classify_multiplier,
-    critical_points,
-    cycle_multiplier,
     find_attractive_cycles,
     ideal_coefficients,
     julia_backward_sample,
@@ -58,7 +63,7 @@ def test_criterion_01_fixed_points_and_two_cycle():
             worst = max(worst, abs(apply_map(j, v) - j))
     a, b = two_cycle(0.0)
     cyc_ok = abs(a - 1j * math.sqrt(3.0)) < 1e-12 and abs(b + 1j * math.sqrt(3.0)) < 1e-12
-    rep = cycle_multiplier([a, b], ideal_coefficients(0.0))
+    rep = validated_cycle([a, b], ideal_coefficients(0.0))
     rep_ok = rep.stability == "repelling" and abs(abs(rep.multiplier) - 4.0) < 1e-10
     _report(
         1,
@@ -186,9 +191,10 @@ def test_criterion_06_exact_to_ideal_convergence():
 
 
 def test_criterion_07_julia_structure():
+    # the ideal map's critical points are +-e^{-i varphi}
     # totally disconnected case: both critical orbits reach the same fixed point 0
     varphi_a = 1.666 * math.pi
-    ends_a = [iterate_map(zc, varphi_a, 3000)[-1] for zc in critical_points(ideal_coefficients(varphi_a), varphi_a)]
+    ends_a = [iterate_map(s * cmath.exp(-1j * varphi_a), varphi_a, 3000)[-1] for s in (1, -1)]
     merged = find_attractive_cycles(ideal_coefficients(varphi_a), varphi_a)
     case_a = (
         all((not is_infinite(e)) and abs(e) < 1e-3 for e in ends_a)
@@ -197,7 +203,7 @@ def test_criterion_07_julia_structure():
     )
     # connected case: the critical orbits split between +1 and -1
     varphi_b = 0.95 * math.pi / 4.0
-    zc_plus, zc_minus = critical_points(ideal_coefficients(varphi_b), varphi_b)
+    zc_plus, zc_minus = cmath.exp(-1j * varphi_b), -cmath.exp(-1j * varphi_b)
     end_plus = iterate_map(zc_plus, varphi_b, 3000)[-1]
     end_minus = iterate_map(zc_minus, varphi_b, 3000)[-1]
     case_b = abs(end_plus - 1.0) < 1e-6 and abs(end_minus + 1.0) < 1e-6
@@ -255,7 +261,7 @@ def test_criterion_10_physics_invariant_suite():
     norm_worst = 0.0
     for i in range(100):
         joint = evolve_exact(random_atom(), (5.0, 10.0, 50.0)[i % 3], rng.uniform(0.0, 8.0))
-        norm_worst = max(norm_worst, abs(joint.total_norm() - 1.0))
+        norm_worst = max(norm_worst, abs(total_norm(joint) - 1.0))
     norm_ok = norm_worst < 1e-10
 
     # projector idempotence and self-adjointness

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import cmath
 import importlib.util
 import math
@@ -12,10 +13,10 @@ import numpy as np
 import pytest
 
 import tcmap
-from oracles import amplitude_step, apply_map, homogeneous_overlap
+from oracles import amplitude_step, apply_map, homogeneous_overlap, read_csv, read_ppm
 from tcmap import tavis_cummings
 from tcmap.cli import _build_parser, main, parse_angle, parse_complex, parse_config, parse_region
-from tcmap.output import format_value, read_csv, read_ppm
+from tcmap.output import format_value
 from tcmap.rational_map import ideal_coefficients, step_point
 
 
@@ -291,6 +292,17 @@ def test_basin_needs_attractors_for_chaotic_angles(tmp_path, capsys):
     assert main(["basin", "--varphi", "0.2875pi", "--res", "3x3", "--out", str(out)]) == 1
     assert "no attractive cycles" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("region", ["-1e-323,1e-323,-1,1", "1e16,1.0000000000000004e16,-1,1"])
+def test_a_region_too_narrow_for_the_resolution_exits_1(tmp_path, capsys, region):
+    # 8 columns across a few ulps would share midpoints
+    out, csv = tmp_path / "t.ppm", tmp_path / "t.csv"
+    argv = ["basin", "--varphi", "0.2375pi", "--region", region, "--res", "8x2", "--csv", str(csv), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("tcmap basin: region is too narrow")
+    assert not out.exists() and not csv.exists()
 
 
 def test_discriminate_outputs(tmp_path):
@@ -604,3 +616,55 @@ def test_the_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
     assert metrics["experiments.discrimination_sample_steps"] == 10 * 2 + 10 * 3
     assert metrics["output.ppm_bytes"] > 0
     assert metrics["output.csv_rows"] > 0
+
+
+def _definitions_without_a_caller(root: Path) -> list[str]:
+    """Each top-level function, class and method of src/tcmap that no other code there names and
+    that bench/tracing.py does not wrap, as module.name or module.Class.method.
+
+    A name counts where it is read outside the definition's own body, as a name or an attribute (a
+    method only as an attribute); attributes of modules bound by a plain `import` (np.linalg.norm)
+    belong to other packages.
+    """
+    tracing = root / "bench" / "tracing.py"
+    wrapped = set()
+    if tracing.exists():  # the tracer looks these up by name
+        wrapped = {node.args[1].value for node in ast.walk(ast.parse(tracing.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "wrap" and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)}
+    units, definitions = [], []  # the code that may name a definition; (label, name, its own unit)
+    for path in sorted((root / "src" / "tcmap").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        external = {alias.asname or alias.name.split(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+        for node in tree.body:
+            parts = [[node]]
+            if isinstance(node, ast.ClassDef):  # the class's own lines, then each method apart
+                methods = [m for m in node.body if isinstance(m, ast.FunctionDef)]
+                head = node.bases + node.keywords + node.decorator_list + [s for s in node.body if s not in methods]
+                parts = [head] + [[m] for m in methods]
+                definitions += [(f"{path.stem}.{node.name}.{m.name}", m.name, len(units) + 1 + i, 1)
+                                for i, m in enumerate(methods) if not m.name.startswith("__")]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.append((f"{path.stem}.{node.name}", node.name, len(units), 0))
+            for part in parts:
+                names, attrs = set(), set()
+                for ref in (ref for top in part for ref in ast.walk(top)):
+                    if isinstance(ref, ast.Name):
+                        names.add(ref.id)
+                    elif isinstance(ref, ast.Attribute):
+                        base = ref.value
+                        while isinstance(base, ast.Attribute):
+                            base = base.value
+                        if not (isinstance(base, ast.Name) and base.id in external):
+                            attrs.add(ref.attr)
+                units.append((names | attrs, attrs))
+    return [label for label, name, own, kind in definitions
+            if label != "cli.main" and name not in wrapped
+            and not any(name in unit[kind] for i, unit in enumerate(units) if i != own)]
+
+
+def test_the_package_holds_only_code_that_commands_or_the_benchmark_tracer_run():
+    # a helper that only tests call belongs in tests/oracles.py
+    unused = _definitions_without_a_caller(Path(__file__).resolve().parents[1])
+    assert not unused, f"no package code calls {', '.join(unused)}"

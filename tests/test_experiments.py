@@ -6,7 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import apply_map, classify_basin_point, grid_points, homogeneous_overlap, product_state_vector
+from oracles import (
+    apply_map,
+    classify_basin_point,
+    grid_points,
+    homogeneous_overlap,
+    product_state_vector,
+    validated_cycle,
+)
 from tcmap import experiments as ex
 from tcmap import rational_map as rm
 from tcmap.experiments import (
@@ -25,7 +32,6 @@ from tcmap.protocol import (
 )
 from tcmap.rational_map import (
     NULL_OUTCOME_EPS,
-    cycle_multiplier,
     find_attractive_cycles,
     ideal_coefficients,
     quadratic_step,
@@ -170,7 +176,7 @@ def test_sweep_reports_match_cycle_multiplier():
     reports = 0
     for v, cycles in zip(varphis, phi_sweep(varphis)):
         for rep in cycles:
-            assert rep == cycle_multiplier(rep.points, ideal_coefficients(v))
+            assert rep == validated_cycle(rep.points, ideal_coefficients(v))
             reports += 1
     assert reports >= 32
 
@@ -289,6 +295,11 @@ def test_invalid_arguments():
                    (-1.0, 1.0, -1e308, 1e308), (-8e307, 8e307, -1.0, 1.0)):
         with pytest.raises(ValueError, match="region"):
             grid_axes(region, 3, 3)
+    # a window a few ulps wide, where neighbouring midpoints of 8 cells round to one value
+    for region in ((-1e-323, 1e-323, -1.0, 1.0), (1e16, 1.0000000000000004e16, -1.0, 1.0),
+                   (-1.0, 1.0, 1e16, 1.0000000000000004e16)):
+        with pytest.raises(ValueError, match="region is too narrow"):
+            grid_axes(region, 8, 8)
 
 
 # ------------------------------------------------------------------ resources

@@ -4,14 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import grid_points
+from oracles import grid_points, read_csv, read_ppm
 from tcmap.output import (
     UNRESOLVED_RGB,
     _cell_rgb,
     format_value,
     point_cloud_image,
-    read_csv,
-    read_ppm,
     render_basin_image,
     write_basin_csv,
     write_csv,

@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from oracles import amplitude_step, apply_map, ideal_postselection_operator, product_state_vector, step_amplitudes
+from oracles import (
+    amplitude_step,
+    apply_map,
+    atom_norm,
+    ideal_postselection_operator,
+    product_state_vector,
+    step_amplitudes,
+    to_product_basis,
+)
 from tcmap.protocol import (
     default_interaction_time,
     exact_step_operator,
@@ -96,9 +104,9 @@ def test_step_amplitudes_are_normalized():
     for _ in range(50):
         z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         a = step_amplitudes(z, varphi=rng.uniform(0, 2 * math.pi), phi=rng.uniform(0, 2 * math.pi))
-        assert abs(a.norm() - 1.0) < 1e-12
+        assert abs(atom_norm(a) - 1.0) < 1e-12
     a = step_amplitudes(INFINITY, varphi=0.9, phi=0.4)
-    assert abs(a.norm() - 1.0) < 1e-15
+    assert abs(atom_norm(a) - 1.0) < 1e-15
 
 
 def test_step_amplitudes_agree_with_the_gated_product_state():
@@ -107,7 +115,7 @@ def test_step_amplitudes_agree_with_the_gated_product_state():
     for _ in range(20):
         z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         varphi = rng.uniform(0, 2 * math.pi)
-        a = step_amplitudes(z, varphi).to_product_basis()
+        a = to_product_basis(step_amplitudes(z, varphi))
         gp, gm = cmath.exp(1j * varphi), -cmath.exp(-1j * varphi)
         b = np.array([gp, gm, gp, gm]) * (np.array([z * z, z, z, 1.0]) / (1.0 + abs(z) ** 2))
         assert np.max(np.abs(a - b)) < 1e-14

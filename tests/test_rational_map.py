@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import BasinCell, apply_map, classify_basin_point, fixed_points, iterate_map
+from oracles import BasinCell, apply_map, classify_basin_point, fixed_points, iterate_map, validated_cycle
 from tcmap import rational_map
 from tcmap.rational_map import (
     DegenerateParameterError,
@@ -13,8 +13,6 @@ from tcmap.rational_map import (
     apply_map_grid,
     attractive_cycle_batch,
     classify_multiplier,
-    critical_points,
-    cycle_multiplier,
     escape_guard_grid,
     find_attractive_cycles,
     ideal_coefficients,
@@ -194,33 +192,33 @@ def test_two_cycle_swaps_under_the_map():
 def test_two_cycle_is_repelling_for_any_angle():
     rng = np.random.default_rng(5)
     for v in random_angles(rng, 20) + [0.95 * math.pi / 4.0]:
-        rep = cycle_multiplier(two_cycle(v), ideal_coefficients(v))
+        rep = validated_cycle(two_cycle(v), ideal_coefficients(v))
         assert rep.stability == "repelling"
         # |lambda| = 3 + 1/cos^2 analytically
         assert abs(abs(rep.multiplier) - (3.0 + 1.0 / math.cos(v) ** 2)) < 1e-8
 
 
 def test_cycle_multiplier_fixed_point_zero():
-    rep = cycle_multiplier([0j], ideal_coefficients(0.0))
+    rep = validated_cycle([0j], ideal_coefficients(0.0))
     assert abs(rep.multiplier - 2.0) < 1e-14
     assert rep.stability == "repelling"
     assert rep.period == 1
 
 
 def test_cycle_multiplier_superattractive_one():
-    rep = cycle_multiplier([1.0 + 0j], ideal_coefficients(0.0))
+    rep = validated_cycle([1.0 + 0j], ideal_coefficients(0.0))
     assert abs(rep.multiplier) < 1e-15
     assert rep.stability == "superattractive"
 
 
 def test_cycle_multiplier_two_cycle_value():
-    rep = cycle_multiplier([1j * math.sqrt(3.0), -1j * math.sqrt(3.0)], ideal_coefficients(0.0))
+    rep = validated_cycle([1j * math.sqrt(3.0), -1j * math.sqrt(3.0)], ideal_coefficients(0.0))
     assert abs(rep.multiplier - 4.0) < 1e-12
 
 
 def test_cycle_multiplier_rejects_non_cycle():
     with pytest.raises(NotACycleError):
-        cycle_multiplier([0.3 + 0j], ideal_coefficients(0.0))
+        validated_cycle([0.3 + 0j], ideal_coefficients(0.0))
 
 
 def test_classify_multiplier_bands():
@@ -229,6 +227,12 @@ def test_classify_multiplier_bands():
     assert classify_multiplier(1.0) == "neutral"
     assert classify_multiplier(1.0 + 5e-10) == "neutral"
     assert classify_multiplier(1.1) == "repelling"
+
+
+def critical_points(coeffs, varphi):
+    """The critical points as attractive_cycle_batch starts its orbits: the one nearer e^{-i varphi} first."""
+    roots = rational_map._critical_roots(tuple(complex(k) for k in coeffs))
+    return roots[::-1] if rational_map._second_nearer(np.array([roots]), [varphi])[0] else roots
 
 
 def ideal_critical_points(v):
@@ -301,7 +305,7 @@ def full_burn_cycles(step_coeffs, varphi, burn, max_period=64, tol=1e-8):
         if not close.any():
             continue
         try:
-            rep = cycle_multiplier(orbit[: close.argmax() + 1, j], step_coeffs, tol)
+            rep = validated_cycle(orbit[: close.argmax() + 1, j], step_coeffs, tol)
         except ValueError:
             continue
         new = all(rep.period != f.period or min(chordal_distance(rep.points[0], q) for q in f.points) >= 1e-6

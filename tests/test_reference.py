@@ -18,8 +18,8 @@ from pathlib import Path
 import pytest
 
 import tcmap
+from oracles import read_csv
 from tcmap.cli import main
-from tcmap.output import read_csv
 
 REFERENCE = Path(__file__).parent / "reference"
 SWEEP_64 = REFERENCE / "sweep-64.csv"
