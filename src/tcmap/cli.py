@@ -257,9 +257,8 @@ def run_cycles(args: argparse.Namespace) -> None:
         _step_coefficients(args), args.varphi, burn=args.burn, max_period=args.max_period, tol=args.cycle_tol
     )
     rows = [
-        (cid, rep.period, pidx, pt.real, pt.imag,
-         rep.multiplier.real, rep.multiplier.imag, abs(rep.multiplier), rep.stability)
-        for cid, rep in enumerate(cycles) for pidx, pt in enumerate(rep.points)
+        (cid, len(points), pidx, pt.real, pt.imag, m.real, m.imag, abs(m), rm.classify_multiplier(m))
+        for cid, (points, m) in enumerate(cycles) for pidx, pt in enumerate(points)
     ]
     output.write_csv(
         rows,
@@ -279,7 +278,7 @@ def run_sweep(args: argparse.Namespace) -> None:
     rows_out = []
     for v, cycles in zip(grid, ex.phi_sweep(grid, burn=args.burn, max_period=args.max_period)):
         base = (v, *ex.fixed_point_multiplier_moduli(v))
-        rows_out += [base + (rep.period, abs(rep.multiplier)) for rep in cycles] or [base + (0, 0.0)]
+        rows_out += [base + (len(points), abs(m)) for points, m in cycles] or [base + (0, 0.0)]
     output.write_csv(
         rows_out,
         ("varphi", "abs_lambda_0", "abs_lambda_plus1", "abs_lambda_minus1",
@@ -295,15 +294,9 @@ def run_julia(args: argparse.Namespace) -> None:
         output.write_ppm(output.point_cloud_image(pts, args.region, *args.res), args.image)
 
 
-def _emit_basin(args: argparse.Namespace, grid: ex.BasinGrid) -> None:
-    output.write_ppm(output.render_basin_image(grid.attractor_ids, grid.iterations, args.max_iter), args.out)
-    if args.csv is not None:
-        xs, ys = ex.grid_axes(args.region, *args.res)
-        output.write_basin_csv(xs, ys, grid.attractor_ids, grid.iterations, args.csv)
-
-
 def run_basin(args: argparse.Namespace) -> None:
     """basin and exact-basin: the chosen step moves the cells, classified toward the ideal attractors."""
+    xs, ys = ex.grid_axes(args.region, *args.res)  # a bad window is refused before the step or the search
     coeffs = _step_coefficients(args)
     maps = [(rm.ideal_coefficients(args.varphi), args.varphi)]
     if args.subcommand == "exact-basin":
@@ -314,15 +307,16 @@ def run_basin(args: argparse.Namespace) -> None:
     if exact:  # each exact attractor must lie within --tol of the ideal ones
         if not exact[0]:
             raise ValueError("the exact step has no attracting cycle at this angle")
-        ideal_points = [p for cycle in ideal for p in cycle.points]
-        gaps = {c.points[0]: min(abs(p - q) for p in c.points for q in ideal_points) for c in exact[0]}
+        ideal_points = [p for points, _ in ideal for p in points]
+        gaps = {points[0]: min(abs(p - q) for p in points for q in ideal_points) for points, _ in exact[0]}
         point = max(gaps, key=gaps.get)
         if not gaps[point] < args.tol:
             raise ValueError(f"the exact step's attracting cycle through {point:.6g} lies {gaps[point]:.3g} "
                              f"from the ideal attractors, beyond --tol {args.tol:g}")
-    grid = ex.basin_grid(args.region, *args.res, coeffs, [c.points for c in ideal],
-                         tol=args.tol, max_iter=args.max_iter)
-    _emit_basin(args, grid)
+    grid = ex.basin_grid(xs, ys, coeffs, [points for points, _ in ideal], args.tol, args.max_iter)
+    output.write_ppm(output.render_basin_image(grid.attractor_ids, grid.iterations, args.max_iter), args.out)
+    if args.csv is not None:
+        output.write_basin_csv(xs, ys, grid.attractor_ids, grid.iterations, args.csv)
 
 
 def run_discriminate(args: argparse.Namespace) -> None:

@@ -92,10 +92,11 @@ def phi_sweep(
     varphis: Iterable[float],
     burn: int = 10_000,
     max_period: int = 64,
-) -> list[list[rm.CycleReport]]:
+) -> list[list[tuple[tuple[complex, ...], complex]]]:
     """The ideal map's attractive cycles at each angle, in grid order; degenerate angles are rejected.
 
-    The critical orbits of all angles are searched as one batch, with its default closure tolerance.
+    The critical orbits of all angles are searched as one batch, with its default closure tolerance;
+    each cycle is a (points, multiplier) pair.
     """
     maps = [(rm.ideal_coefficients(v), v) for v in varphis]
     return rm.attractive_cycle_batch(maps, burn=burn, max_period=max_period)
@@ -232,15 +233,14 @@ def _attractor_cycles(attractors: Sequence[Sequence[complex]]) -> tuple[tuple[co
 
 
 def basin_grid(
-    region: tuple[float, float, float, float],
-    width: int,
-    height: int,
+    xs: np.ndarray,
+    ys: np.ndarray,
     coeffs: tuple,
     attractors: Sequence[Sequence[complex]],
     tol: float = 0.1,
     max_iter: int = 97,
 ) -> BasinGrid:
-    """Classify every grid midpoint toward the attractors under the step on coeffs.
+    """Classify every grid midpoint (xs, ys from grid_axes) toward the attractors under the step on coeffs.
 
     Each attractor is the sequence of its cycle's points; their order fixes
     the id, hence the render color.  Before each step the open cells (no
@@ -253,8 +253,6 @@ def basin_grid(
         raise ValueError("max_iter must be >= 0")
     cycle_points = _attractor_cycles(attractors)
     nulls = rm.success_floor(coeffs) < 2.0 * rm.NULL_OUTCOME_EPS  # else no step nulls, and p is skipped
-
-    xs, ys = grid_axes(region, width, height)
     z = (xs[None, :] + 1j * ys[:, None]).ravel()
     ids = np.full(z.size, -1, dtype=np.int64)
     iters = np.full(z.size, max_iter, dtype=np.int64)
@@ -284,4 +282,4 @@ def basin_grid(
                 w = rm.quadratic_step(w, coeffs)
 
     _run_blocks(z.size, BLOCK, run)
-    return BasinGrid(ids.reshape(height, width), iters.reshape(height, width))
+    return BasinGrid(ids.reshape(len(ys), len(xs)), iters.reshape(len(ys), len(xs)))

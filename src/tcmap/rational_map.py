@@ -17,7 +17,6 @@ from __future__ import annotations
 import cmath
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -106,14 +105,6 @@ class DegenerateParameterError(ValueError):
     """Raised by ideal_coefficients at a degenerate gate angle (cos varphi ~ 0)."""
 
 
-class PoleError(ValueError):
-    """Raised when a derivative is requested at a pole of the map."""
-
-
-class NotACycleError(ValueError):
-    """Raised by _cycle_report for a cycle through infinity, where f' has no plane-chart value."""
-
-
 def is_degenerate(varphi: float) -> bool:
     """The gate rule: at cos(varphi) ~ 0 (varphi = pi/2, 3pi/2) the map is identically zero."""
     return abs(math.cos(float(varphi) % (2.0 * math.pi))) < DEGENERACY_EPS
@@ -153,7 +144,7 @@ def map_derivative(z: complex, coeffs: tuple) -> complex:
     a, b, c, d, e, f = (complex(k) for k in coeffs)
     den = (d * z + e) * z + f
     if den == 0:
-        raise PoleError(f"derivative requested at a pole, z={z!r}")
+        raise ValueError(f"derivative requested at a pole, z={z!r}")
     return (((a * e - b * d) * z + 2.0 * (a * f - c * d)) * z + (b * f - c * e)) / (den * den)
 
 
@@ -193,25 +184,15 @@ def classify_multiplier(multiplier: complex) -> str:
     return "repelling"
 
 
-@dataclass(frozen=True)
-class CycleReport:
-    """Periodic orbit with multiplier and stability class."""
-
-    points: tuple[complex, ...]
-    period: int
-    multiplier: complex
-    stability: str
-
-
-def _cycle_report(pts: Sequence[complex], coeffs: tuple) -> CycleReport:
-    """The report of a closed cycle: f' multiplied along it; infinite points and poles raise ValueError."""
+def _cycle_report(pts: Sequence[complex], coeffs: tuple) -> tuple[tuple[complex, ...], complex]:
+    """(points, multiplier) of a closed cycle, f' multiplied along it; infinite points and poles raise ValueError."""
     if any(is_infinite(p) for p in pts):
         # f' is taken in the plane chart; the ideal map has no such cycle (inf -> 0 -> 0)
-        raise NotACycleError("cycle through infinity is not supported")
+        raise ValueError("cycle through infinity is not supported")
     lam = 1.0 + 0j
     for p in pts:
         lam *= map_derivative(p, coeffs)
-    return CycleReport(tuple(pts), len(pts), lam, classify_multiplier(lam))
+    return tuple(pts), lam
 
 
 def attractive_cycle_batch(
@@ -219,8 +200,8 @@ def attractive_cycle_batch(
     burn: int = 10_000,
     max_period: int = 64,
     tol: float = 1e-8,
-) -> list[list[CycleReport]]:
-    """The attractive cycles of many maps at once, one list per map.
+) -> list[list[tuple[tuple[complex, ...], complex]]]:
+    """The attractive cycles of many maps at once, one list per map of (points, multiplier) pairs.
 
     Each map is a pair (coefficients, varphi); the angle only orders the two
     critical points.  Both critical orbits of every map advance together as
@@ -284,11 +265,11 @@ def attractive_cycle_batch(
     for j in np.flatnonzero(periods).tolist():
         # rows are the step's images and the period is the near-return, so the points close
         try:
-            report = _cycle_report(orbit[: periods[j], j].tolist(), scalar[j % n])
+            cycle = _cycle_report(orbit[: periods[j], j].tolist(), scalar[j % n])
         except ValueError:  # through infinity, beyond the escape radius or at a pole
             continue
-        if report.stability in ("attractive", "superattractive"):
-            attracting[j] = report
+        if classify_multiplier(cycle[1]) in ("attractive", "superattractive"):
+            attracting[j] = cycle
     # the second critical orbit's cycle counts only where it is not the first one's: every
     # point of it at chordal distance below match_tol from a point of the first cycle
     match_tol = 1e-6
@@ -311,8 +292,8 @@ def find_attractive_cycles(
     burn: int = 10_000,
     max_period: int = 64,
     tol: float = 1e-8,
-) -> list[CycleReport]:
-    """All attractive cycles of the step on coeffs, found by following the two critical orbits.
+) -> list[tuple[tuple[complex, ...], complex]]:
+    """All attractive cycles of the step on coeffs as (points, multiplier) pairs, from the two critical orbits.
 
     A degree-2 rational map has at most two attractive cycles and each one
     attracts a critical point; varphi orders the two.  Orbits that never

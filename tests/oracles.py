@@ -12,10 +12,11 @@ second physics model of the step that `exact_step_operator` sums exactly.
 The tests compare the package against them.  `apply_map` is no second
 coding: it is `step_point` at the ideal map's coefficients, in scalar form,
 and `grid_points` is the basin grid's midpoints as one complex array.
-`validated_cycle` checks that points close under a step before it reports
-them with the package's `_cycle_report`.  The rest is what only tests need:
-reading back the files `tcmap.output` writes, and the norms, product-basis
-vector and field projection of the package's bare state records.
+`validated_cycle` checks that points close under a step before it gives
+their (points, multiplier) pair through the package's `_cycle_report`.  The
+rest is what only tests need: reading back the files `tcmap.output` writes,
+and the norms, product-basis vector and field projection of the package's
+bare state records.
 """
 
 import cmath
@@ -27,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from tcmap.experiments import grid_axes
-from tcmap.rational_map import CycleReport, NotACycleError, _cycle_report, ideal_coefficients, step_point
+from tcmap.rational_map import _cycle_report, ideal_coefficients, step_point
 from tcmap.sphere import INFINITY, as_point, chordal_distance, homogeneous, is_infinite
 from tcmap.tavis_cummings import BELL_TO_PRODUCT, AtomPairState, coherent_state_coefficients
 
@@ -94,15 +95,15 @@ def project_field(joint, bra_coefficients):
 
 
 def validated_cycle(points, coeffs, tol=1e-8):
-    """The CycleReport of `points` under the step on coeffs, once each image lies within tol
-    (chordal) of the next point; NotACycleError otherwise."""
+    """The (points, multiplier) pair of `points` under the step on coeffs, once each image lies within
+    tol (chordal) of the next point; ValueError otherwise."""
     pts = [as_point(p) for p in points]
     if not pts:
-        raise NotACycleError("empty point list")
+        raise ValueError("empty point list")
     for i, p in enumerate(pts):
         gap = chordal_distance(step_point(p, coeffs)[0], pts[(i + 1) % len(pts)])
         if gap > tol:
-            raise NotACycleError(f"points do not close under the map at index {i} "
+            raise ValueError(f"points do not close under the map at index {i} "
                                  f"(distance {gap:.3e} > {tol:.3e})")
     return _cycle_report(pts, coeffs)
 
@@ -228,15 +229,12 @@ class BasinCell:
 def classify_basin_point(z, varphi, attractors, tol=0.1, max_iter=97):
     """Iterations until the orbit of z comes within tol of an attractor point.
 
-    `attractors` is a sequence of cycles (CycleReport, point list, or a bare
-    point).  The first attractor within tolerance wins, checked in list
-    order before each map application; after max_iter unsuccessful checks
-    the cell is unresolved and carries iterations = max_iter.
+    `attractors` is a sequence of cycles (a point list or a bare point).
+    The first attractor within tolerance wins, checked in list order before
+    each map application; after max_iter unsuccessful checks the cell is
+    unresolved and carries iterations = max_iter.
     """
-    cycles = [
-        item.points if isinstance(item, CycleReport) else item if isinstance(item, (list, tuple)) else [item]
-        for item in attractors
-    ]
+    cycles = [item if isinstance(item, (list, tuple)) else [item] for item in attractors]
     z = as_point(z)
     for k in range(max_iter):
         for idx, pts in enumerate(cycles):

@@ -63,8 +63,8 @@ def test_criterion_01_fixed_points_and_two_cycle():
             worst = max(worst, abs(apply_map(j, v) - j))
     a, b = two_cycle(0.0)
     cyc_ok = abs(a - 1j * math.sqrt(3.0)) < 1e-12 and abs(b + 1j * math.sqrt(3.0)) < 1e-12
-    rep = validated_cycle([a, b], ideal_coefficients(0.0))
-    rep_ok = rep.stability == "repelling" and abs(abs(rep.multiplier) - 4.0) < 1e-10
+    _, m = validated_cycle([a, b], ideal_coefficients(0.0))
+    rep_ok = classify_multiplier(m) == "repelling" and abs(abs(m) - 4.0) < 1e-10
     _report(
         1,
         "fixed points {-1,0,1} for 100 random angles; two-cycle +-i sqrt(3) repelling with |lambda|=4",
@@ -103,7 +103,7 @@ def test_criterion_02_stability_diagram_structure():
     t0 = transition(lambda v: abs(2.0 * math.cos(v)), math.pi / 3.0)
 
     cycles = find_attractive_cycles(ideal_coefficients(1.01 * math.pi / 4.0), 1.01 * math.pi / 4.0)
-    four = [c for c in cycles if c.period == 4 and c.stability == "attractive"]
+    four = [c for c in cycles if len(c[0]) == 4 and classify_multiplier(c[1]) == "attractive"]
 
     _report(
         2,
@@ -199,7 +199,7 @@ def test_criterion_07_julia_structure():
     case_a = (
         all((not is_infinite(e)) and abs(e) < 1e-3 for e in ends_a)
         and len(merged) == 1
-        and abs(merged[0].points[0]) < 1e-6
+        and abs(merged[0][0][0]) < 1e-6
     )
     # connected case: the critical orbits split between +1 and -1
     varphi_b = 0.95 * math.pi / 4.0

@@ -142,6 +142,16 @@ def test_cycles_output(tmp_path):
     assert len(rows) == 2
     values = sorted(r[3] for r in rows)
     assert abs(values[0] + 1.0) < 1e-12 and abs(values[1] - 1.0) < 1e-12
+    column = {name: header.index(name) for name in ("cycle_id", "period", "abs_multiplier", "stability")}
+    assert all(r[column["period"]] == 1 and r[column["stability"]] == "superattractive" for r in rows)
+    # just above pi/4: two mirror-image attracting 4-cycles, four rows each
+    assert main(["cycles", "--varphi", "0.251953125pi", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert len(rows) == 8
+    assert [r[column["cycle_id"]] for r in rows] == [0] * 4 + [1] * 4
+    assert all(r[column["period"]] == 4 and r[column["stability"]] == "attractive" for r in rows)
+    moduli = [r[column["abs_multiplier"]] for r in rows]
+    assert max(moduli) - min(moduli) < 1e-12
 
 
 @pytest.mark.parametrize("angle", ["0.4pi", "0.45pi", "0.6pi"])
@@ -302,6 +312,21 @@ def test_a_region_too_narrow_for_the_resolution_exits_1(tmp_path, capsys, region
     assert main(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("tcmap basin: region is too narrow")
+    assert not out.exists() and not csv.exists()
+
+
+def test_a_narrow_window_is_refused_before_the_step_or_the_search(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the window was checked")
+
+    monkeypatch.setattr(tcmap.protocol, "exact_step_operator", never)
+    monkeypatch.setattr(tcmap.rational_map, "attractive_cycle_batch", never)
+    out, csv = tmp_path / "t.ppm", tmp_path / "t.csv"
+    assert main(["exact-basin", "--varphi", "0.2375pi", "--nbar", "1e6", "--region", "-1e-323,1e-323,-1,1",
+                 "--res", "8x2", "--csv", str(csv), "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["tcmap exact-basin: region is too narrow for the resolution: "
+                   "neighbouring cell midpoints coincide"]
     assert not out.exists() and not csv.exists()
 
 

@@ -45,7 +45,7 @@ IDEAL_0 = ideal_coefficients(0.0)
 
 
 def ideal_attractors(varphi):
-    return [c.points for c in find_attractive_cycles(ideal_coefficients(varphi), varphi)]
+    return [points for points, _ in find_attractive_cycles(ideal_coefficients(varphi), varphi)]
 
 
 def iterate_ideal(z, varphi, n):
@@ -160,23 +160,23 @@ def test_sweep_emits_rows_in_grid_order():
     grid = [0.0, 0.1, 0.2]
     rows = phi_sweep(grid, burn=500)
     # the attracting fixed points +-1 have |multiplier| = |tan varphi|, which tells the angles apart
-    assert [abs(r[0].multiplier) for r in rows] == pytest.approx([abs(math.tan(v)) for v in grid], abs=1e-9)
+    assert [abs(r[0][1]) for r in rows] == pytest.approx([abs(math.tan(v)) for v in grid], abs=1e-9)
     assert fixed_point_multiplier_moduli(grid[0])[:2] == (2.0, 0.0)
     assert len(rows[0]) == 2
-    assert all(c.period == 1 and abs(c.multiplier) < 1e-9 for c in rows[0])
+    assert all(len(points) == 1 and abs(m) < 1e-9 for points, m in rows[0])
 
 
 def test_sweep_finds_a_four_cycle_between_the_neutral_angles():
     rows = phi_sweep([1.01 * math.pi / 4.0])
-    assert any(c.period == 4 for c in rows[0])
+    assert any(len(points) == 4 for points, _ in rows[0])
 
 
 def test_sweep_reports_match_cycle_multiplier():
     varphis = [(k + 0.5) * 2.0 * math.pi / 64 for k in range(64)]
     reports = 0
     for v, cycles in zip(varphis, phi_sweep(varphis)):
-        for rep in cycles:
-            assert rep == validated_cycle(rep.points, ideal_coefficients(v))
+        for cycle in cycles:
+            assert cycle == validated_cycle(cycle[0], ideal_coefficients(v))
             reports += 1
     assert reports >= 32
 
@@ -187,9 +187,9 @@ def test_batched_sweep_matches_one_angle_at_a_time():
     detected = 0
     for v, cycles in zip(varphis, rows):
         alone = find_attractive_cycles(ideal_coefficients(v), v, burn=1000)
-        assert [c.period for c in cycles] == [c.period for c in alone]
-        for c, d in zip(cycles, alone):
-            assert abs(abs(c.multiplier) - abs(d.multiplier)) < 1e-9
+        assert [len(c) for c, _ in cycles] == [len(d) for d, _ in alone]
+        for (_, c), (_, d) in zip(cycles, alone):
+            assert abs(abs(c) - abs(d)) < 1e-9
         detected += bool(alone)
     assert detected >= 32
 
@@ -289,7 +289,7 @@ def test_invalid_arguments():
     region, attractors = (-1.0, 1.0, -1.0, 1.0), ideal_attractors(0.0)
     for tol, max_iter in ((math.nan, 97), (0.0, 97), (-0.1, 97), (0.1, -5)):
         with pytest.raises(ValueError):
-            basin_grid(region, 3, 3, IDEAL_0, attractors, tol=tol, max_iter=max_iter)
+            basin_grid(*grid_axes(region, 3, 3), IDEAL_0, attractors, tol=tol, max_iter=max_iter)
     # an empty or reversed extent, one that overflows a float, and one whose midpoints do
     for region in ((1.0, -1.0, -1.0, 1.0), (-1.0, 1.0, 0.0, 0.0), (-1e308, 1e308, -1.0, 1.0),
                    (-1.0, 1.0, -1e308, 1e308), (-8e307, 8e307, -1.0, 1.0)):
@@ -337,7 +337,7 @@ def test_grid_points_layout():
 
 def test_basin_halves_at_phi_zero():
     attractors = ideal_attractors(0.0)
-    grid = basin_grid((-2.0, 2.0, -2.0, 2.0), 5, 5, IDEAL_0, attractors)
+    grid = basin_grid(*grid_axes((-2.0, 2.0, -2.0, 2.0), 5, 5), IDEAL_0, attractors)
     # discovery order: the + critical orbit lands on +1 first
     assert abs(attractors[0][0] - 1.0) < 1e-12
     assert abs(attractors[1][0] + 1.0) < 1e-12
@@ -350,8 +350,8 @@ def test_basin_halves_at_phi_zero():
 
 def test_basin_grid_agrees_with_scalar_classification():
     varphi, region, width, height = 0.95 * math.pi / 4.0, (-1.5, 1.5, -1.0, 1.0), 7, 5
-    cycles = find_attractive_cycles(ideal_coefficients(varphi), varphi)
-    grid = basin_grid(region, width, height, ideal_coefficients(varphi), [c.points for c in cycles])
+    cycles = [points for points, _ in find_attractive_cycles(ideal_coefficients(varphi), varphi)]
+    grid = basin_grid(*grid_axes(region, width, height), ideal_coefficients(varphi), cycles)
     pts = grid_points(region, width, height)
     for i in range(height):
         for j in range(width):
@@ -364,19 +364,19 @@ def test_basin_grid_agrees_with_scalar_classification():
 def test_basin_grid_reads_every_attractor_form():
     # an attractor is any sequence of its cycle's points
     region, cycles = (-2.0, 2.0, -2.0, 2.0), ideal_attractors(0.0)
-    want = basin_grid(region, 6, 6, IDEAL_0, cycles)
+    want = basin_grid(*grid_axes(region, 6, 6), IDEAL_0, cycles)
     for attractors in ([[1.0], (-1.0,)], [np.array([1.0]), cycles[1]], np.array([[1.0], [-1.0]])):
-        got = basin_grid(region, 6, 6, IDEAL_0, attractors)
+        got = basin_grid(*grid_axes(region, 6, 6), IDEAL_0, attractors)
         assert ex._attractor_cycles(attractors) == ((1.0 + 0j,), (-1.0 + 0j,))
         assert np.array_equal(got.attractor_ids, want.attractor_ids)
         assert np.array_equal(got.iterations, want.iterations)
     for attractors, message in (([[1.0], [INFINITY]], "finite"), ([], "empty"), ([[1.0], []], "empty")):
         with pytest.raises(ValueError, match=message):
-            basin_grid(region, 6, 6, IDEAL_0, attractors)
+            basin_grid(*grid_axes(region, 6, 6), IDEAL_0, attractors)
 
 
 def test_basin_symmetries_at_phi_zero():
-    grid = basin_grid((-2.0, 2.0, -2.0, 2.0), 8, 8, IDEAL_0, ideal_attractors(0.0))
+    grid = basin_grid(*grid_axes((-2.0, 2.0, -2.0, 2.0), 8, 8), IDEAL_0, ideal_attractors(0.0))
     ids = grid.attractor_ids
     its = grid.iterations
     # z -> -z swaps the attractors, z -> conj(z) preserves them
@@ -392,10 +392,10 @@ def test_exact_basin_approaches_the_ideal_with_photon_number():
     varphi = 0.95 * math.pi / 4.0
     region = (-1.5, 1.5, -1.5, 1.5)
     cycles = ideal_attractors(varphi)
-    ideal = basin_grid(region, 9, 9, ideal_coefficients(varphi), cycles)
+    ideal = basin_grid(*grid_axes(region, 9, 9), ideal_coefficients(varphi), cycles)
     agree = {}
     for nbar in (10.0, 100.0):
-        ex = basin_grid(region, 9, 9, step_coefficients(exact_step_operator(nbar), varphi), cycles)
+        ex = basin_grid(*grid_axes(region, 9, 9), step_coefficients(exact_step_operator(nbar), varphi), cycles)
         agree[nbar] = float(np.mean(ex.attractor_ids == ideal.attractor_ids))
     assert agree[100.0] >= agree[10.0]
     assert agree[100.0] > 0.8
@@ -423,7 +423,7 @@ def test_compacted_basin_loop_keeps_the_null_rule(operator):
     varphi, region, attractors, max_iter = 0.2375 * math.pi, (-1.25, 1.25, -1.25, 1.25), [[1.0], [-1.0]], 97
     matrix = _dark_state_only() if operator == "dark" else _null_at_zero_then_one(varphi)
     coeffs = step_coefficients(matrix, varphi)
-    grid = basin_grid(region, 5, 5, coeffs, attractors, max_iter=max_iter)
+    grid = basin_grid(*grid_axes(region, 5, 5), coeffs, attractors, max_iter=max_iter)
     pts = grid_points(region, 5, 5)
     assert pts[2, 2] == 0j
     assert (grid.attractor_ids[2, 2], grid.iterations[2, 2]) == (-1, max_iter)
@@ -462,8 +462,8 @@ def test_the_ideal_step_nulls_where_its_floor_does():
     _, _, counts = discrimination_run(pole, 0.5, sigma=0.0, samples=1, steps=3, coeffs=coeffs)
     assert counts.tolist() == [1, 0, 0, 0]
     assert 1 - counts[3] == 1
-    grid = basin_grid((pole.real - 1e-3, pole.real + 1e-3, pole.imag - 1e-3, pole.imag + 1e-3), 1, 1, coeffs,
-                      [[0.0]], tol=1e-6, max_iter=5)
+    window = (pole.real - 1e-3, pole.real + 1e-3, pole.imag - 1e-3, pole.imag + 1e-3)
+    grid = basin_grid(*grid_axes(window, 1, 1), coeffs, [[0.0]], tol=1e-6, max_iter=5)
     assert (grid.attractor_ids[0, 0], grid.iterations[0, 0]) == (-1, 5)
 
 
@@ -564,8 +564,8 @@ def test_blocked_basin_matches_the_whole_array_loop(monkeypatch, block_operators
     for name, varphi in [("ideal", 0.2375 * math.pi), ("ideal", 0.251953125 * math.pi),
                          ("nbar10", 0.2375 * math.pi), ("dark", 0.2375 * math.pi)]:
         coeffs = block_operators[name](varphi)
-        cycles = tuple(tuple(c.points) for c in find_attractive_cycles(ideal_coefficients(varphi), varphi))
-        grid = basin_grid(region, width, height, coeffs, cycles)
+        cycles = tuple(points for points, _ in find_attractive_cycles(ideal_coefficients(varphi), varphi))
+        grid = basin_grid(*grid_axes(region, width, height), coeffs, cycles)
         ids, iters = _whole_array_basin(region, width, height, coeffs, cycles)
         assert ex._attractor_cycles(cycles) == cycles
         assert np.array_equal(grid.attractor_ids, ids), name
@@ -613,5 +613,5 @@ def test_a_failing_block_fails_the_basin_grid(monkeypatch, block_operators, work
     with pytest.raises(_BlockFailure):
         # no cell starts within tol of an attractor, so the second block's first step holds every cell
         varphi = 0.2375 * math.pi
-        basin_grid(region, width, height, block_operators["nbar10" if exact else "ideal"](varphi),
+        basin_grid(*grid_axes(region, width, height), block_operators["nbar10" if exact else "ideal"](varphi),
                    ideal_attractors(varphi), tol=1e-9)
