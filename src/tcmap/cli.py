@@ -271,6 +271,9 @@ def run_cycles(args: argparse.Namespace) -> None:
 def run_sweep(args: argparse.Namespace) -> None:
     span = args.phi_max - args.phi_min
     grid = [args.phi_min + (k + 0.5) * span / args.grid for k in range(args.grid)]
+    # an infinite span, or a finite one whose (k + 0.5) multiples overflow
+    if not all(map(math.isfinite, grid)):
+        raise ValueError(f"the angle grid over [{args.phi_min!r}, {args.phi_max!r}] overflows a float")
     grid = [v for v in grid if not rm.is_degenerate(v)]
     if not grid:
         raise ValueError(f"no usable angle: every grid angle in [{args.phi_min!r}, {args.phi_max!r}] "
@@ -336,6 +339,9 @@ def run_homodyne(args: argparse.Namespace) -> None:
     alpha = math.sqrt(args.nbar) * cmath.exp(1j * args.phi)
     gt = args.gt if args.gt is not None else proto.default_interaction_time(args.nbar)
     thetas = (args.theta, *f_state_lo_phases(args.theta, args.nbar, gt))
+    if not all(map(math.isfinite, thetas)):
+        raise ValueError(f"the f-state phases theta -/+ gt/sqrt(nbar + 1/4) overflow a float "
+                         f"at --theta {args.theta!r}, --nbar {args.nbar!r}, --gt {gt!r}")
     rows = [(q, *(homodyne_density(q, theta, alpha) for theta in thetas))
             for q in np.linspace(*args.q_range).tolist()]
     output.write_csv(rows, ("q", "density_alpha", "density_f_plus", "density_f_minus"), args.out)

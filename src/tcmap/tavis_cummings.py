@@ -8,8 +8,9 @@ per-block 3x3 propagators: no dense matrix exponential is ever formed.
 
 Conventions used throughout:
   * times enter as the dimensionless product gt;
-  * the atomic state is stored in the basis {|0,0>, |Psi->, |Psi+>, |1,1>}
-    with Bell states |Psi+-> = (|0,1> +- |1,0>)/sqrt(2);
+  * atomic states are length-4 arrays in the Bell basis
+    (|1,1>, |Psi+>, |0,0>, |Psi->), with |Psi+-> = (|0,1> +- |1,0>)/sqrt(2),
+    the columns of BELL_TO_PRODUCT;
   * 4x4 operators and product-basis vectors are ordered
     (|1,1>, |1,0>, |0,1>, |0,0>).
 """
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,33 +84,6 @@ def poisson_amplitudes(nbar: float, phi: float = 0.0) -> np.ndarray:
     return coherent_state_coefficients(math.sqrt(nbar) * cmath.exp(1j * phi), nmax)
 
 
-@dataclass
-class AtomPairState:
-    """Amplitudes in the basis {|0,0>, |Psi->, |Psi+>, |1,1>}; a bare record, as JointState is."""
-
-    c0: complex
-    cminus: complex
-    cplus: complex
-    c1: complex
-
-
-@dataclass
-class JointState:
-    """Field coefficient sequences of the four atomic channels after evolution.
-
-    Arrays share one Fock range 0..len-1.  The |Psi-> channel is exactly
-    cminus times the (truncated) coherent coefficients: it never couples.
-    """
-
-    channel_00: np.ndarray
-    channel_psi_plus: np.ndarray
-    channel_11: np.ndarray
-    channel_psi_minus: np.ndarray
-    nbar: float
-    phi: float
-    gt: float
-
-
 def block_propagators(nblocks: int, gt: float) -> np.ndarray:
     """exp(-i gt H_n) of the excitation blocks n = 1..nblocks, shape (nblocks, 3, 3).
 
@@ -143,27 +116,20 @@ def block_inputs(p: np.ndarray) -> np.ndarray:
     return np.stack((pad[:-2], pad[1:-1], pad[2:]), axis=1)
 
 
-def evolve_exact(atom: AtomPairState, nbar: float, gt: float, phi: float = 0.0) -> JointState:
+def evolve_exact(atom: np.ndarray, nbar: float, gt: float, phi: float = 0.0) -> np.ndarray:
     """Exact evolution of atom x coherent field |sqrt(nbar) e^{i phi}> for a dimensionless time gt.
 
-    Each excitation block evolves by block_propagators.  Blocks up to
-    N+2 receive population from the initial state truncated at N =
-    default_truncation(nbar), so all channel arrays have length N+3 and the
-    evolution is exactly unitary on the truncated input (total norm equals
-    the input norm to rounding).
+    `atom` holds the four Bell-basis amplitudes.  Row k of the (4, N+3) result holds the Fock
+    coefficients 0..N+2 of the field in Bell state k, with N = default_truncation(nbar).  Blocks up
+    to N+2 receive population, so the evolution is exactly unitary on the truncated input (total
+    norm equals the input norm to rounding).  The |Psi-> row is exactly atom[3] times the truncated
+    coherent coefficients: it never couples.
     """
     p = poisson_amplitudes(nbar, phi)
-    x = block_inputs(p) * np.array([atom.c1, atom.cplus, atom.c0])
-    y = np.einsum("nij,nj->ni", block_propagators(len(p) + 1, gt), x)
-    return JointState(
-        channel_00=np.concatenate(([atom.c0 * p[0]], y[:, 2])),
-        channel_psi_plus=np.append(y[:, 1], 0.0),
-        channel_11=np.concatenate((y[1:, 0], [0.0, 0.0])),
-        channel_psi_minus=atom.cminus * np.append(p, [0.0, 0.0]),
-        nbar=nbar,
-        phi=phi,
-        gt=gt,
-    )
+    y = np.einsum("nij,nj->ni", block_propagators(len(p) + 1, gt), block_inputs(p) * atom[:3])
+    # blocks 0..N+4, block 0 being the uncoupled |0,0>|0>; Bell state k in block n holds Fock level n+k-2
+    y = np.concatenate(([[0.0, 0.0, atom[2] * p[0]]], y, np.zeros((2, 3))))
+    return np.stack((y[2:, 0], y[1:-1, 1], y[:-2, 2], atom[3] * np.append(p, [0.0, 0.0])))
 
 
 def quadrature_mean(alpha: complex, theta: float) -> float:
@@ -184,5 +150,5 @@ def f_state_lo_phases(theta: float, nbar: float, gt: float) -> tuple[float, floa
     measurement look like |alpha> probed at these shifted phases, which is
     what makes their homodyne signature separable from |alpha> itself.
     """
-    shift = 2.0 * gt / math.sqrt(4.0 * nbar + 1.0)
+    shift = gt / math.sqrt(nbar + 0.25)  # 2gt/sqrt(4 nbar + 1) to the bit, without overflowing at 4 nbar
     return (theta - shift, theta + shift)

@@ -16,7 +16,8 @@ and `grid_points` is the basin grid's midpoints as one complex array.
 their (points, multiplier) pair through the package's `_cycle_report`.  The
 rest is what only tests need: reading back the files `tcmap.output` writes,
 and the norms, product-basis vector and field projection of the package's
-bare state records.
+Bell-basis arrays, ordered (|1,1>, |Psi+>, |0,0>, |Psi->) as the columns of
+BELL_TO_PRODUCT.
 """
 
 import cmath
@@ -30,7 +31,7 @@ import numpy as np
 from tcmap.experiments import grid_axes
 from tcmap.rational_map import _cycle_report, ideal_coefficients, step_point
 from tcmap.sphere import INFINITY, as_point, chordal_distance, homogeneous, is_infinite
-from tcmap.tavis_cummings import BELL_TO_PRODUCT, AtomPairState, coherent_state_coefficients
+from tcmap.tavis_cummings import BELL_TO_PRODUCT, coherent_state_coefficients
 
 
 def read_csv(path):
@@ -66,32 +67,26 @@ def read_ppm(path):
 
 
 def atom_norm(atom):
-    """The norm of an AtomPairState's four amplitudes."""
-    return math.sqrt(abs(atom.c0) ** 2 + abs(atom.cminus) ** 2 + abs(atom.cplus) ** 2 + abs(atom.c1) ** 2)
+    """The norm of a Bell-basis atom's four amplitudes."""
+    return math.sqrt(sum(abs(c) ** 2 for c in atom))
 
 
 def to_product_basis(atom):
-    """An AtomPairState as a vector in the product basis (|1,1>, |1,0>, |0,1>, |0,0>)."""
-    return BELL_TO_PRODUCT @ np.array([atom.c1, atom.cplus, atom.c0, atom.cminus], dtype=np.complex128)
+    """A Bell-basis atom as a vector in the product basis (|1,1>, |1,0>, |0,1>, |0,0>)."""
+    return BELL_TO_PRODUCT @ np.asarray(atom, dtype=np.complex128)
 
 
 def total_norm(joint):
-    """The norm of a JointState over its four channels."""
-    channels = (joint.channel_00, joint.channel_psi_plus, joint.channel_11, joint.channel_psi_minus)
-    return math.sqrt(float(sum(np.sum(np.abs(c) ** 2) for c in channels)))
+    """The norm of an evolved state over its four channel rows."""
+    return math.sqrt(float(np.sum(np.abs(joint) ** 2)))
 
 
 def project_field(joint, bra_coefficients):
-    """The atomic amplitudes of a JointState after projecting the field on sum_n b_n |n>."""
-    b = np.zeros_like(joint.channel_00)
+    """The Bell-basis atomic amplitudes of an evolved state after projecting the field on sum_n b_n |n>."""
+    b = np.zeros(joint.shape[1], dtype=np.complex128)
     m = min(len(b), len(bra_coefficients))
     b[:m] = np.asarray(bra_coefficients, dtype=np.complex128)[:m]
-    return AtomPairState(
-        c0=complex(np.vdot(b, joint.channel_00)),
-        cminus=complex(np.vdot(b, joint.channel_psi_minus)),
-        cplus=complex(np.vdot(b, joint.channel_psi_plus)),
-        c1=complex(np.vdot(b, joint.channel_11)),
-    )
+    return np.array([np.vdot(b, row) for row in joint])
 
 
 def validated_cycle(points, coeffs, tol=1e-8):
@@ -167,7 +162,8 @@ def ideal_postselection_operator(phi: float) -> np.ndarray:
 
 
 def step_amplitudes(z, varphi, phi=0.0):
-    """Atomic amplitudes after the gate on atom B, before the field interaction.
+    """Bell-basis atomic amplitudes (|1,1>, |Psi+>, |0,0>, |Psi->) after the gate on atom B,
+    before the field interaction.
 
     The per-atom state is (|0> + z e^{i phi} |1>)/sqrt(1+|z|^2); z at
     infinity means |1,1>.  All four amplitudes are carried: the |Psi+>
@@ -176,15 +172,15 @@ def step_amplitudes(z, varphi, phi=0.0):
     z = as_point(z)
     eg = cmath.exp(1j * varphi)
     if is_infinite(z):
-        return AtomPairState(c0=0j, cminus=0j, cplus=0j, c1=eg * cmath.exp(2j * phi))
+        return np.array([eg * cmath.exp(2j * phi), 0j, 0j, 0j])
     norm = 1.0 + abs(z) ** 2
     zph = z * cmath.exp(1j * phi)
-    return AtomPairState(
-        c0=-cmath.exp(-1j * varphi) / norm,
-        cminus=math.sqrt(2.0) * zph * math.cos(varphi) / norm,
-        cplus=1j * math.sqrt(2.0) * zph * math.sin(varphi) / norm,
-        c1=zph * zph * eg / norm,
-    )
+    return np.array([
+        zph * zph * eg / norm,
+        1j * math.sqrt(2.0) * zph * math.sin(varphi) / norm,
+        -cmath.exp(-1j * varphi) / norm,
+        math.sqrt(2.0) * zph * math.cos(varphi) / norm,
+    ])
 
 
 def amplitude_step(z, varphi):
@@ -194,9 +190,9 @@ def amplitude_step(z, varphi):
     components, and the |0>_B projection then contributes 1/2.  A pole is
     |amp0| <= 1e-14 |amp1|, and z' there is INFINITY.
     """
-    amps = step_amplitudes(z, varphi)
-    amp1 = -amps.cminus / math.sqrt(2.0)
-    amp0 = (amps.c0 - amps.c1) / math.sqrt(2.0) / math.sqrt(2.0)
+    c1, _, c0, cminus = step_amplitudes(z, varphi)
+    amp1 = -cminus / math.sqrt(2.0)
+    amp0 = (c0 - c1) / math.sqrt(2.0) / math.sqrt(2.0)
     p_success = abs(amp1) ** 2 + abs(amp0) ** 2
     if abs(amp0) <= 1e-14 * abs(amp1):
         return INFINITY, p_success
@@ -272,7 +268,7 @@ class ApproxChannels:
         return vec
 
 
-def coherent_approx_fields(atom: AtomPairState, nbar: float, gt: float, phi: float = 0.0) -> ApproxChannels:
+def coherent_approx_fields(atom: np.ndarray, nbar: float, gt: float, phi: float = 0.0) -> ApproxChannels:
     """High-photon-number approximation of the evolved field channels.
 
     Linearizing the block frequencies around nbar+1 turns each channel into
@@ -292,10 +288,11 @@ def coherent_approx_fields(atom: AtomPairState, nbar: float, gt: float, phi: flo
             ApproximationValidityWarning,
             stacklevel=2,
         )
-    d_plus = (cmath.exp(1j * phi) * atom.c0 + cmath.exp(-1j * phi) * atom.c1) / math.sqrt(2.0)
-    d_minus = (cmath.exp(1j * phi) * atom.c0 - cmath.exp(-1j * phi) * atom.c1) / math.sqrt(2.0)
-    eta_minus = (atom.cplus + d_plus) / 2.0
-    eta_plus = (atom.cplus - d_plus) / 2.0
+    c1, cplus, c0, _ = atom
+    d_plus = (cmath.exp(1j * phi) * c0 + cmath.exp(-1j * phi) * c1) / math.sqrt(2.0)
+    d_minus = (cmath.exp(1j * phi) * c0 - cmath.exp(-1j * phi) * c1) / math.sqrt(2.0)
+    eta_minus = (cplus + d_plus) / 2.0
+    eta_plus = (cplus - d_plus) / 2.0
     alpha = math.sqrt(nbar) * cmath.exp(1j * phi)
     root = math.sqrt(4.0 * nbar + 2.0)
     rot = cmath.exp(2j * gt / root)

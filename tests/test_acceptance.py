@@ -30,7 +30,6 @@ from tcmap.rational_map import (
 )
 from tcmap.sphere import is_infinite
 from tcmap.tavis_cummings import (
-    AtomPairState,
     evolve_exact,
     homodyne_density,
     poisson_amplitudes,
@@ -255,7 +254,7 @@ def test_criterion_10_physics_invariant_suite():
         v = rng.normal(size=8)
         c = v[0::2] + 1j * v[1::2]
         c /= np.linalg.norm(c)
-        return AtomPairState(c0=c[0], cminus=c[1], cplus=c[2], c1=c[3])
+        return c[[3, 2, 0, 1]]  # drawn as c0, c-, c+, c1; the Bell order is (|1,1>, |Psi+>, |0,0>, |Psi->)
 
     # norm conservation
     norm_worst = 0.0
@@ -272,14 +271,14 @@ def test_criterion_10_physics_invariant_suite():
     proj_ok = proj_worst < 1e-14
 
     # dark channel: bit-level proportionality to the input coherent coefficients
-    atom = AtomPairState(c0=0j, cminus=0.6 - 0.2j, cplus=0j, c1=0j)
+    atom = np.array([0j, 0j, 0j, 0.6 - 0.2j])
     p = poisson_amplitudes(12.0, 0.3)
     dark_ok = True
     for gt in (0.7, 3.1, 9.4):
         joint = evolve_exact(atom, 12.0, gt, 0.3)
-        expected = np.zeros_like(joint.channel_psi_minus)
-        expected[: len(p)] = atom.cminus * p
-        dark_ok = dark_ok and np.array_equal(joint.channel_psi_minus, expected)
+        expected = np.zeros_like(joint[3])
+        expected[: len(p)] = atom[3] * p
+        dark_ok = dark_ok and np.array_equal(joint[3], expected)
 
     # block unitarity
     block_worst = 0.0

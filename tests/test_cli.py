@@ -196,6 +196,17 @@ def test_sweep_without_a_usable_angle_fails(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("phi_min, phi_max", [("-1e308", "1e308"), ("-8e307", "8e307")])
+def test_sweep_refuses_an_angle_grid_that_overflows(tmp_path, capsys, phi_min, phi_max):
+    # an infinite span, and a finite one whose (k + 0.5) multiples overflow
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--grid", "4", "--phi-min", phi_min, "--phi-max", phi_max, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("tcmap sweep: ")
+    assert f"[{float(phi_min)!r}, {float(phi_max)!r}]" in err[0] and "overflows" in err[0]
+    assert not out.exists()
+
+
 def test_julia_csv_and_image(tmp_path):
     out = tmp_path / "julia.csv"
     img = tmp_path / "julia.ppm"
@@ -498,6 +509,21 @@ def test_homodyne_builds_no_fock_cutoff(tmp_path, monkeypatch):
 
     monkeypatch.setattr(tavis_cummings, "default_truncation", no_cutoff)
     assert main(["homodyne", "--nbar", "1e12", "--q-range", "-6,6,11", "--out", str(tmp_path / "hd.csv")]) == 0
+
+
+def test_homodyne_f_columns_stay_finite_where_2_gt_overflows(tmp_path):
+    out = tmp_path / "hd.csv"
+    assert main(["homodyne", "--nbar", "10", "--gt", "1e308", "--q-range", "-1,1,3", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert all(math.isfinite(v) for row in rows for v in row)
+
+
+def test_homodyne_refuses_a_phase_shift_that_overflows(tmp_path, capsys):
+    out = tmp_path / "hd.csv"
+    assert main(["homodyne", "--nbar", "0", "--gt", "1e308", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("tcmap homodyne: ") and "overflow" in err[0]
+    assert not out.exists()
 
 
 def test_reruns_are_byte_identical(tmp_path):

@@ -31,6 +31,7 @@ from tcmap.rational_map import (
     step_point,
 )
 from tcmap.sphere import INFINITY, is_infinite
+from tcmap.tavis_cummings import BELL_TO_PRODUCT, evolve_exact, poisson_amplitudes
 
 # the rank-two postselection projector as a step operator: the large-nbar limit of the exact step
 IDEAL = ideal_postselection_operator(0.0)
@@ -87,16 +88,16 @@ def test_product_state_branches_agree_up_to_phase():
 # ---------------------------------------------------------- step amplitudes
 
 def test_step_amplitudes_at_the_origin():
-    a = step_amplitudes(0j, varphi=0.0)
-    assert abs(a.c0 + 1.0) < 1e-15
-    assert a.c1 == 0j and a.cminus == 0j and a.cplus == 0j
+    c1, cplus, c0, cminus = step_amplitudes(0j, varphi=0.0)
+    assert abs(c0 + 1.0) < 1e-15
+    assert c1 == 0j and cminus == 0j and cplus == 0j
 
 
 def test_step_amplitudes_at_one():
-    a = step_amplitudes(1.0, varphi=0.0, phi=0.0)
-    assert abs(abs(a.c0) - 0.5) < 1e-15
-    assert abs(abs(a.c1) - 0.5) < 1e-15
-    assert abs(a.cminus - math.sqrt(2.0) / 2.0) < 1e-15
+    c1, _, c0, cminus = step_amplitudes(1.0, varphi=0.0, phi=0.0)
+    assert abs(abs(c0) - 0.5) < 1e-15
+    assert abs(abs(c1) - 0.5) < 1e-15
+    assert abs(cminus - math.sqrt(2.0) / 2.0) < 1e-15
 
 
 def test_step_amplitudes_are_normalized():
@@ -230,6 +231,17 @@ def test_exact_operator_dark_channel_survives():
     coeff = np.vdot(psi_minus, out)
     assert abs(coeff - 1.0) < 1e-12
     assert np.max(np.abs(out - coeff * psi_minus)) < 1e-12
+
+
+@pytest.mark.parametrize("nbar, gt, phi", [(0.0, None, 0.0), (2.0, None, 0.0), (100.0, None, 0.0),
+                                          (1400.0, None, 0.0), (10.0, 2.5, 0.3)])
+def test_exact_operator_matches_the_full_state_evolution(nbar, gt, phi):
+    # column j of the Bell-basis operator: evolve Bell state j with the field, then project the field on |alpha>
+    t = default_interaction_time(nbar) if gt is None else gt
+    p = np.append(poisson_amplitudes(nbar, phi), [0.0, 0.0])
+    m_bell = np.stack([evolve_exact(e, nbar, t, phi) @ p.conj() for e in np.eye(4, dtype=complex)], axis=1)
+    want = exact_step_operator(nbar, gt, phi)
+    assert np.max(np.abs(BELL_TO_PRODUCT @ m_bell @ BELL_TO_PRODUCT.T - want)) < 1e-14
 
 
 def test_exact_operator_exchange_symmetry():

@@ -14,7 +14,6 @@ from oracles import (
     total_norm,
 )
 from tcmap.tavis_cummings import (
-    AtomPairState,
     block_propagators,
     coherent_state_coefficients,
     default_truncation,
@@ -28,10 +27,15 @@ from tcmap.tavis_cummings import (
 
 
 def random_atom(rng):
+    """Bell-basis amplitudes (|1,1>, |Psi+>, |0,0>, |Psi->), drawn in the order c0, c-, c+, c1."""
     v = rng.normal(size=8)
     c = v[0::2] + 1j * v[1::2]
     c = c / np.linalg.norm(c)
-    return AtomPairState(c0=c[0], cminus=c[1], cplus=c[2], c1=c[3])
+    return c[[3, 2, 0, 1]]
+
+
+# a Bell-basis state with all its weight on |0,0>
+ATOM_00 = np.array([0j, 0j, 1.0 + 0j, 0j])
 
 
 def block_hamiltonian(n):
@@ -46,7 +50,7 @@ def block_hamiltonian(n):
 
 
 def brute_force_channels(atom, nbar, phi, gt, extra=12):
-    """Oracle: dense expm of the truncated Hamiltonian in the product basis."""
+    """Oracle: dense expm of the truncated Hamiltonian in the product basis, rows in the Bell order."""
     p0 = poisson_amplitudes(nbar, phi)
     F = len(p0) - 1 + extra
     a = np.diag(np.sqrt(np.arange(1, F + 1)), 1)
@@ -65,12 +69,7 @@ def brute_force_channels(atom, nbar, phi, gt, extra=12):
     psi = np.kron(at, p)
     psi_t = (expm(-1j * H * gt) @ psi).reshape(4, F + 1)
     s = math.sqrt(2.0)
-    return {
-        "00": psi_t[3],
-        "psi_plus": (psi_t[2] + psi_t[1]) / s,
-        "11": psi_t[0],
-        "psi_minus": (psi_t[2] - psi_t[1]) / s,
-    }
+    return np.array([psi_t[0], (psi_t[2] + psi_t[1]) / s, psi_t[3], (psi_t[2] - psi_t[1]) / s])
 
 
 # ------------------------------------------------------------------ Poisson
@@ -166,13 +165,7 @@ def test_evolution_matches_dense_expm_oracle():
         atom = random_atom(rng)
         joint = evolve_exact(atom, nbar, gt, phi)
         oracle = brute_force_channels(atom, nbar, phi, gt)
-        for name, got in (
-            ("00", joint.channel_00),
-            ("psi_plus", joint.channel_psi_plus),
-            ("11", joint.channel_11),
-            ("psi_minus", joint.channel_psi_minus),
-        ):
-            want = oracle[name]
+        for name, got, want in zip(("11", "psi_plus", "00", "psi_minus"), joint, oracle):
             m = min(len(got), len(want))
             assert np.max(np.abs(got[:m] - want[:m])) < 1e-12, name
             assert np.max(np.abs(want[m:])) < 1e-12
@@ -185,24 +178,22 @@ def test_identity_evolution_reproduces_the_input():
     p = poisson_amplitudes(6.0, 1.1)
     proj = project_field(joint, p)
     mass = float(np.sum(np.abs(p) ** 2))
-    assert abs(proj.c0 - atom.c0 * mass) < 1e-12
-    assert abs(proj.cplus - atom.cplus * mass) < 1e-12
-    assert abs(proj.c1 - atom.c1 * mass) < 1e-12
-    assert abs(proj.cminus - atom.cminus * mass) < 1e-12
+    for k in range(4):
+        assert abs(proj[k] - atom[k] * mass) < 1e-12
 
 
 def test_dark_channel_is_exactly_proportional():
-    atom = AtomPairState(c0=0j, cminus=0.4 + 0.3j, cplus=0j, c1=0j)
+    atom = np.array([0j, 0j, 0j, 0.4 + 0.3j])
     for gt in (0.0, 2.0, 11.0):
         joint = evolve_exact(atom, 7.0, gt, 0.9)
         p = poisson_amplitudes(7.0, 0.9)
-        expected = np.zeros_like(joint.channel_psi_minus)
-        expected[: len(p)] = atom.cminus * p
+        expected = np.zeros_like(joint[3])
+        expected[: len(p)] = atom[3] * p
         # bit-for-bit: the dark channel never couples
-        assert np.array_equal(joint.channel_psi_minus, expected)
-        assert np.max(np.abs(joint.channel_00)) == 0.0
-        assert np.max(np.abs(joint.channel_psi_plus)) == 0.0
-        assert np.max(np.abs(joint.channel_11)) == 0.0
+        assert np.array_equal(joint[3], expected)
+        assert np.max(np.abs(joint[2])) == 0.0
+        assert np.max(np.abs(joint[1])) == 0.0
+        assert np.max(np.abs(joint[0])) == 0.0
 
 
 def test_norm_conservation_over_random_inputs():
@@ -216,8 +207,7 @@ def test_norm_conservation_over_random_inputs():
 
 
 def test_excited_input_norm_at_protocol_time():
-    atom = AtomPairState(c0=1.0 + 0j, cminus=0j, cplus=0j, c1=0j)
-    joint = evolve_exact(atom, 10.0, math.pi * math.sqrt(10.0) / 2.0)
+    joint = evolve_exact(ATOM_00, 10.0, math.pi * math.sqrt(10.0) / 2.0)
     assert abs(total_norm(joint) - 1.0) < 1e-10
 
 
@@ -228,7 +218,7 @@ def test_eta_weights_reconstruct_cplus():
     atom = random_atom(rng)
     with pytest.warns(ApproximationValidityWarning):
         ch = coherent_approx_fields(atom, 50.0, gt=0.5, phi=0.2)
-    assert abs((ch.eta_minus + ch.eta_plus) - atom.cplus) < 1e-14
+    assert abs((ch.eta_minus + ch.eta_plus) - atom[1]) < 1e-14
 
 
 def test_approximation_overlaps_with_the_exact_channels():
@@ -238,11 +228,7 @@ def test_approximation_overlaps_with_the_exact_channels():
     for gt, floor in ((2.5, 0.99), (5.0, 0.98)):
         joint = evolve_exact(atom, 100.0, gt, 0.4)
         approx = coherent_approx_fields(atom, 100.0, gt, 0.4)
-        exact = {
-            -1: joint.channel_00,
-            0: joint.channel_psi_plus,
-            1: joint.channel_11,
-        }
+        exact = {-1: joint[2], 0: joint[1], 1: joint[0]}
         for k in (-1, 0, 1):
             a = approx.channel_coefficients(k, nmax)
             e = exact[k][: nmax + 1]
@@ -251,25 +237,23 @@ def test_approximation_overlaps_with_the_exact_channels():
 
 
 def test_validity_warnings():
-    atom = AtomPairState(c0=1.0 + 0j, cminus=0j, cplus=0j, c1=0j)
     with pytest.warns(ApproximationValidityWarning):
-        coherent_approx_fields(atom, 4.0, gt=5.0)  # gt >= nbar
+        coherent_approx_fields(ATOM_00, 4.0, gt=5.0)  # gt >= nbar
     with pytest.warns(ApproximationValidityWarning):
-        coherent_approx_fields(atom, 4.0, gt=0.5)  # gt <= 1
+        coherent_approx_fields(ATOM_00, 4.0, gt=0.5)  # gt <= 1
     import warnings as _w
 
     with _w.catch_warnings():
         _w.simplefilter("error")
-        coherent_approx_fields(atom, 4.0, gt=2.0)  # inside the window: silent
+        coherent_approx_fields(ATOM_00, 4.0, gt=2.0)  # inside the window: silent
 
 
 @pytest.mark.filterwarnings("ignore::oracles.ApproximationValidityWarning")
 def test_displaced_components_decouple_from_alpha_like_a_gaussian():
     # |<alpha|alpha e^{i theta}>| = exp(-nbar (1 - cos theta)) ~ exp(-(gt)^2/2)
     nbar = 1e4
-    atom = AtomPairState(c0=1.0 + 0j, cminus=0j, cplus=0j, c1=0j)
     for gt in (1.0, 2.0, 3.0):
-        ch = coherent_approx_fields(atom, nbar, gt)
+        ch = coherent_approx_fields(ATOM_00, nbar, gt)
         alpha = math.sqrt(nbar)
         for weight, a in ch.terms[0]:
             theta = np.angle(a / alpha)
@@ -300,14 +284,13 @@ def test_projector_reproduces_the_postselected_state():
         phi = rng.uniform(0.0, 2.0 * math.pi)
         m = ideal_postselection_operator(phi)
         out = m @ to_product_basis(atom)
-        q1sq = abs(atom.cminus) ** 2 + abs(
-            np.exp(1j * phi) * atom.c0 - np.exp(-1j * phi) * atom.c1
-        ) ** 2 / 2.0
+        c1, _, c0, cminus = atom
+        q1sq = abs(cminus) ** 2 + abs(np.exp(1j * phi) * c0 - np.exp(-1j * phi) * c1) ** 2 / 2.0
         assert abs(float(np.linalg.norm(out)) ** 2 - q1sq) < 1e-12
         # surviving state: cminus |Psi-> + d |Phi-_phi>
-        d = (np.exp(1j * phi) * atom.c0 - np.exp(-1j * phi) * atom.c1) / math.sqrt(2.0)
+        d = (np.exp(1j * phi) * c0 - np.exp(-1j * phi) * c1) / math.sqrt(2.0)
         s = 1.0 / math.sqrt(2.0)
-        expected = atom.cminus * np.array([0, -s, s, 0]) + d * np.array(
+        expected = cminus * np.array([0, -s, s, 0]) + d * np.array(
             [-s * np.exp(1j * phi), 0, 0, s * np.exp(-1j * phi)]
         )
         assert np.max(np.abs(out - expected)) < 1e-12
@@ -345,3 +328,11 @@ def test_f_state_centers_are_phase_shifted():
         lhs = homodyne_density(q, theta, rotated)
         rhs = homodyne_density(q, theta - shift, alpha)
         assert abs(lhs - rhs) < 1e-12
+
+
+def test_f_state_shift_does_not_overflow_at_huge_nbar():
+    # 4 nbar overflows here; the shift gt / sqrt(nbar + 1/4) is still pi/2 at the protocol time
+    nbar = 5e307
+    tp, tm = f_state_lo_phases(0.0, nbar, math.pi * math.sqrt(nbar) / 2.0)
+    assert abs(tm - math.pi / 2.0) < 1e-12
+    assert tp == -tm
