@@ -1,13 +1,12 @@
 """Command-line front end: every experiment as a deterministic file emitter.
 
 Angles accept raw radians or multiples of pi with a "pi" suffix (0.2375pi, -pi).
-All randomness is seeded; the default seed is experiments.DEFAULT_SEED and
-can be overridden with --seed or the TCMAP_SEED environment variable, so a
-re-run with the same flags writes byte-identical CSV/PPM files.
+All randomness is seeded by --seed, whose default is experiments.DEFAULT_SEED,
+so a re-run with the same flags writes byte-identical CSV/PPM files.
 
 Each flag is checked by its argparse type, defaults included, so a bad value
-is a usage error (exit 2) that names the flag. Runtime and I/O errors, running
-out of memory included, exit 1.
+is a usage error (exit 2) that names the flag. Runtime and I/O errors, a count
+too large for a C integer and running out of memory included, exit 1.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import cmath
 import ctypes
 import functools
 import math
-import os
 import sys
 
 import numpy as np
@@ -28,8 +26,6 @@ from . import protocol as proto
 from . import rational_map as rm
 from .sphere import as_point
 from .tavis_cummings import f_state_lo_phases, homodyne_density
-
-SEED_ENV_VAR = "TCMAP_SEED"
 
 
 class BadValue(ValueError, argparse.ArgumentTypeError):
@@ -121,8 +117,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="iterated cavity-postselection map: dynamics, fractals, discrimination",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    seed = dict(type=_count, default=os.environ.get(SEED_ENV_VAR, str(ex.DEFAULT_SEED)),
-                help=f"random seed (default ${SEED_ENV_VAR} or {ex.DEFAULT_SEED})")
+    seed = dict(type=_count, default=ex.DEFAULT_SEED, help=f"random seed (default {ex.DEFAULT_SEED})")
 
     def command(name, run, help, varphi=True):
         p = sub.add_parser(name, help=help)
@@ -378,7 +373,7 @@ def main(argv=None) -> int:
     args = parse_config(sys.argv[1:] if argv is None else argv)
     try:
         args.run(args)
-    except (ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
         print(f"tcmap {args.subcommand}: {exc}", file=sys.stderr)
         return 1
     return 0

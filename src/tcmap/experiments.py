@@ -225,8 +225,8 @@ def grid_axes(region: tuple[float, float, float, float], width: int, height: int
 def _attractor_cycles(attractors: Sequence[Sequence[complex]]) -> tuple[tuple[complex, ...], ...]:
     """Each attractor, the sequence of its cycle's points, as a tuple of finite sphere points."""
     cycles = tuple(tuple(as_point(p) for p in cycle) for cycle in attractors)
-    if not cycles or not all(cycles):
-        raise ValueError("the attractor list and each attractor in it must be non-empty")
+    if not (0 < len(cycles) <= 2 and all(cycles)):  # one attracting cycle at most per critical point
+        raise ValueError("one or two attractors are needed (a quadratic map has at most two), each non-empty")
     if any(is_infinite(p) for cycle in cycles for p in cycle):
         raise ValueError("attractor points must be finite")
     return cycles

@@ -75,8 +75,6 @@ def write_basin_csv(xs, ys, attractor_ids, iterations, path) -> None:
 
 
 UNRESOLVED_RGB = (255, 255, 0)
-# fixed hues for attractor ids >= 2, cycled
-EXTRA_HUES = ((200, 80, 80), (80, 120, 200), (200, 140, 60), (140, 80, 200))
 
 
 def _cell_rgb(attractor_id: int, iterations: int, max_iter: int) -> tuple[int, int, int]:
@@ -86,30 +84,29 @@ def _cell_rgb(attractor_id: int, iterations: int, max_iter: int) -> tuple[int, i
     span = max(max_iter, 1)
     if attractor_id == 0:
         v = 200 - (140 * it) // span  # grey ramp, base 200 down to 60
-        return (v, v, v)
-    if attractor_id == 1:
+    else:
         v = 40 - (40 * it) // span  # dark ramp, base 40 down to 0
-        return (v, v, v)
-    base = EXTRA_HUES[(attractor_id - 2) % len(EXTRA_HUES)]
-    return tuple((b * (2 * span - it)) // (2 * span) for b in base)
+    return (v, v, v)
 
 
 def render_basin_image(attractor_ids: np.ndarray, iterations: np.ndarray, max_iter: int) -> np.ndarray:
     """Color a basin classification: per-attractor ramp by iteration count.
 
-    id 0 renders on a grey ramp from 200, id 1 on a dark ramp from 40,
-    further ids on fixed hue ramps; unresolved cells (-1) are pure yellow.
+    id 0 renders on a grey ramp from 200, id 1 on a dark ramp from 40, and
+    unresolved cells (any negative id) are pure yellow.  A quadratic rational
+    map has at most two attracting cycles, so an id above 1 is refused.
     """
     ids = np.asarray(attractor_ids)
     its = np.asarray(iterations)
     if ids.shape != its.shape or ids.ndim != 2:
         raise ValueError("attractor_ids and iterations must be equal-shape 2D arrays")
-    # _cell_rgb tabulated by id (-1 for all unresolved, 0, 1, one per extra hue) and clipped k
-    row = np.where(ids < 2, np.maximum(ids, -1), 2 + (ids - 2) % len(EXTRA_HUES)) + 1
+    if ids.size and ids.max() > 1:
+        raise ValueError(f"attractor id {int(ids.max())} above 1: the map has at most two attractors")
+    # _cell_rgb tabulated by row (unresolved, 0, 1) and clipped k, read through one flat index
     k = np.where(ids < 0, 0, np.clip(its, 0, max_iter))
-    table = np.array([[_cell_rgb(i, j, max_iter) for j in range(int(k.max(initial=0)) + 1)]
-                      for i in range(-1, 2 + len(EXTRA_HUES))], dtype=np.uint8)
-    return table[row, k]
+    width = int(k.max(initial=0)) + 1
+    table = np.array([_cell_rgb(i, j, max_iter) for i in (-1, 0, 1) for j in range(width)], dtype=np.uint8)
+    return table[(np.maximum(ids, -1) + 1) * width + k]
 
 
 def point_cloud_image(

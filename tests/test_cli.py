@@ -77,9 +77,10 @@ def test_degenerate_varphi_rejected_at_parse_time(capsys):
 
 
 def test_seed_env_override(monkeypatch):
+    # the environment sets no seed: --seed alone does
     monkeypatch.setenv("TCMAP_SEED", "777")
     cfg = parse_config(["julia", "--varphi", "0.1", "--out", "j.csv"])
-    assert cfg.seed == 777
+    assert cfg.seed == 12345
     cfg = parse_config(["julia", "--varphi", "0.1", "--seed", "5", "--out", "j.csv"])
     assert cfg.seed == 5
 
@@ -403,6 +404,36 @@ def test_running_out_of_memory_is_a_runtime_error(tmp_path, capsys, monkeypatch,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["basin", "--varphi", "0.2375pi", "--res", "2x2", "--max-iter", str(10**20)],  # np.full of the counts
+    ["cycles", "--varphi", "0.2375pi", "--max-period", str(10**20)],  # the burn's history deque
+    ["sweep", "--grid", "4", "--max-period", str(10**20)],
+])
+def test_a_count_too_large_for_a_c_integer_is_a_runtime_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"tcmap {argv[0]}: ") and "too large" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_the_environment_sets_no_seed(tmp_path):
+    # TCMAP_SEED once set the default --seed; now every seeded command reads only its flags
+    src = str(Path(tcmap.__file__).resolve().parents[1])
+    runs = {"julia": ["--varphi", "1.666pi", "--points", "50"], "discriminate": ["--samples", "1000"]}
+    for seed_env in (None, "777", "abc"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("TCMAP_SEED", None)
+        if seed_env is not None:
+            env["TCMAP_SEED"] = seed_env
+        for name, argv in runs.items():
+            out = tmp_path / f"{name}-{seed_env}.csv"
+            res = subprocess.run([sys.executable, "-m", "tcmap.cli", name, *argv, "--out", str(out)], env=env,
+                                 capture_output=True, text=True, timeout=60)
+            assert (res.returncode, res.stderr) == (0, "")
+            assert out.read_bytes() == (tmp_path / f"{name}-None.csv").read_bytes()
+
+
 @pytest.mark.parametrize("argv, batches", [
     (["basin"], [1]),
     (["exact-basin", "--nbar", "10"], [2]),  # the ideal map's and the exact step's attractors in one burn
@@ -548,7 +579,7 @@ def test_runner_reports_io_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, flag, seed_env",
+    "argv, flag, value",
     [
         (["basin", "--varphi", "0.2375pi", "--res", "8x8", "--tol", "nan"], "--tol", None),
         (["basin", "--varphi", "0.2375pi", "--res", "8x8", "--region", "-inf,2,-2,2"], "--region", None),
@@ -567,12 +598,11 @@ def test_runner_reports_io_errors(tmp_path, capsys):
         (["julia", "--varphi", "0.2375pi", "--region", "-1,1,-1e308,1e308"], "--region", None),
     ],
 )
-def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, flag, seed_env):
-    if seed_env is not None:
-        monkeypatch.setenv("TCMAP_SEED", seed_env)
+def test_bad_flag_value_is_a_usage_error(tmp_path, capsys, argv, flag, value):
+    # value, when set, is passed after flag; otherwise argv holds the bad value
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--out", str(out)])
+        main(argv + ([flag, value] if value is not None else []) + ["--out", str(out)])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()

@@ -370,7 +370,8 @@ def test_basin_grid_reads_every_attractor_form():
         assert ex._attractor_cycles(attractors) == ((1.0 + 0j,), (-1.0 + 0j,))
         assert np.array_equal(got.attractor_ids, want.attractor_ids)
         assert np.array_equal(got.iterations, want.iterations)
-    for attractors, message in (([[1.0], [INFINITY]], "finite"), ([], "empty"), ([[1.0], []], "empty")):
+    for attractors, message in (([[1.0], [INFINITY]], "finite"), ([], "empty"), ([[1.0], []], "empty"),
+                                ([[1.0], [-1.0], [0.0]], "at most two")):
         with pytest.raises(ValueError, match=message):
             basin_grid(*grid_axes(region, 6, 6), IDEAL_0, attractors)
 

@@ -163,17 +163,16 @@ def test_render_ramps_are_monotone_and_separated():
     assert min(p[0] for p in px[:2]) > max(p[0] for p in px[2:4])
 
 
-def test_render_extra_attractors_get_hues():
-    ids = np.array([[2, 3]])
-    its = np.array([[0, 0]])
-    px = [tuple(p) for p in render_basin_image(ids, its, max_iter=10)[0].tolist()]
-    assert px[0] != px[1]
-    assert all(p != UNRESOLVED_RGB for p in px)
+def test_render_refuses_ids_above_1():
+    # a quadratic rational map has at most two attracting cycles, ids 0 and 1
+    for bad in (2, 10**6):
+        with pytest.raises(ValueError, match="above 1"):
+            render_basin_image(np.array([[0, bad], [-1, 1]]), np.zeros((2, 2), dtype=int), max_iter=10)
 
 
 def test_render_is_deterministic():
     rng = np.random.default_rng(3)
-    ids = rng.integers(-1, 3, size=(6, 6))
+    ids = rng.integers(-1, 2, size=(6, 6))
     its = rng.integers(0, 98, size=(6, 6))
     a = render_basin_image(ids, its, max_iter=97)
     b = render_basin_image(ids, its, max_iter=97)
@@ -182,7 +181,7 @@ def test_render_is_deterministic():
 
 @pytest.mark.parametrize("max_iter", [1, 97])
 def test_render_table_matches_cell_rgb(max_iter):
-    id_values = [-3, -1, *range(8), 10**6]
+    id_values = [-3, -1, 0, 1]
     it_values = [-5, 0, max_iter // 2, max_iter, max_iter + 10]
     every_pair = np.meshgrid(id_values, it_values, indexing="ij")
     rng = np.random.default_rng(max_iter)

@@ -38,12 +38,6 @@ DISCRIMINATE = {
 }
 
 
-@pytest.fixture(autouse=True)
-def _default_seed(monkeypatch):
-    # the stored outputs were written with the default seed
-    monkeypatch.delenv("TCMAP_SEED", raising=False)
-
-
 def _digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
