@@ -142,7 +142,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = command("cycles", run_cycles, "attractive cycles from the critical orbits")
     p.add_argument("--burn", type=_count, default=10_000, help="critical-orbit steps (default 10000)")
     p.add_argument("--max-period", type=_positive_int, default=64, help="longest period sought (default 64)")
-    p.add_argument("--cycle-tol", type=_positive, default=1e-8, help="chordal closure tolerance (default 1e-8)")
+    p.add_argument("--cycle-tol", type=_positive, default=1e-8,
+                   help="chordal near-return tolerance of the critical orbits (default 1e-8); a cycle is "
+                        "reported only where it also closes under the step within 1e-8, so only a "
+                        "smaller value changes the search")
 
     p = command("sweep", run_sweep, "stability diagram over a gate-angle grid", varphi=False)
     p.add_argument("--grid", type=_positive_int, default=512, help="number of angle samples (default 512)")

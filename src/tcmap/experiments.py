@@ -9,6 +9,7 @@ quadratic_step coefficients, the ideal map's or the exact step's alike.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -31,23 +32,23 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 WINDOW = 8
 
 
-def _run_blocks(n: int, block: int, run) -> None:
-    """Call run(lo, hi) on the consecutive blocks of range(n), `block` long, spread over WORKERS threads.
+def _run_blocks(n: int, run) -> None:
+    """Call run(lo, hi) on the consecutive blocks of range(n), BLOCK long, spread over WORKERS threads.
 
     One block or one worker runs inline.  The first exception (in block order)
     is raised once the running blocks end; blocks not yet started are dropped.
     """
-    starts = range(0, n, block)
+    starts = range(0, n, BLOCK)
     workers = min(WORKERS, len(starts))
     if workers <= 1:
         for lo in starts:
-            run(lo, min(lo + block, n))
+            run(lo, min(lo + BLOCK, n))
         return
     # imported here so that `import tcmap.cli` stays lean
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(workers) as pool:
-        for _ in pool.map(lambda lo: run(lo, min(lo + block, n)), starts):
+        for _ in pool.map(lambda lo: run(lo, min(lo + BLOCK, n)), starts):
             pass
 
 
@@ -164,9 +165,8 @@ def discrimination_run(
                     a, b = rm.quadratic_step(a, coeffs), rm.quadratic_step(b, coeffs)
             za[lo:hi], zb[lo:hi], live[lo:hi] = a, b, ok
 
-        _run_blocks(samples, BLOCK, run)
-
-        def stats(j, _):
+        _run_blocks(samples, run)
+        for j in range(rows):
             # the row's overlaps are not needed after its mean, so its deviations overwrite it
             k, row = k0 + j, ov[j] if alive[j].all() else ov[j][alive[j]]
             counts[k] = row.size
@@ -174,8 +174,6 @@ def discrimination_run(
                 mean[k] = float(np.mean(row))
                 np.square(np.subtract(row, mean[k], out=row), out=row)
                 rms[k] = float(np.sqrt(np.mean(row)))
-
-        _run_blocks(rows, 1, stats)  # a row per block
     return mean, rms, counts
 
 
@@ -245,13 +243,20 @@ def basin_grid(
     Each attractor is the sequence of its cycle's points; their order fixes
     the id, hence the render color.  Before each step the open cells (no
     attractor hit, no null postselection yet) are tested against the
-    attractors in list order, and only they are stepped.
+    attractors in list order, and only they are stepped.  A tol of half the
+    smallest distance between points of different attractors or more, which
+    would let both claim one cell, is refused.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
     cycle_points = _attractor_cycles(attractors)
+    if len(cycle_points) == 2:
+        p, q = min(itertools.product(*cycle_points), key=lambda pq: abs(pq[0] - pq[1]))
+        if not tol < abs(p - q) / 2:
+            raise ValueError(f"tol {tol:g} is not below half the distance {abs(p - q):.6g} between the attractor "
+                             f"points {p:.6g} and {q:.6g}, so both attractors would claim the cells between them")
     nulls = rm.success_floor(coeffs) < 2.0 * rm.NULL_OUTCOME_EPS  # else no step nulls, and p is skipped
     z = (xs[None, :] + 1j * ys[:, None]).ravel()
     ids = np.full(z.size, -1, dtype=np.int64)
@@ -281,5 +286,5 @@ def basin_grid(
             else:
                 w = rm.quadratic_step(w, coeffs)
 
-    _run_blocks(z.size, BLOCK, run)
+    _run_blocks(z.size, run)
     return BasinGrid(ids.reshape(len(ys), len(xs)), iters.reshape(len(ys), len(xs)))

@@ -37,14 +37,16 @@ SUPERATTRACTIVE_EPS = 1e-9
 NEUTRAL_EPS = 1e-9
 # a step whose success probability p falls below this is a null outcome
 NULL_OUTCOME_EPS = 1e-14
+# chordal distance within which a cycle's last point must step back onto its first
+CLOSURE_TOL = 1e-8
 
 
 def quadratic_step(z: np.ndarray, coeffs: tuple, with_p: bool = False):
     """One forward step z -> (a z^2 + b z + c) / (d z^2 + e z + f) on an array.
 
     This is the homogeneous lift [u:v] -> [a u^2 + b uv + c v^2 : d u^2 + e uv + f v^2]
-    read in the chart z = u/v.  `coeffs` holds the six complex arrays
-    (a, b, c, d, e, f), each 0-d or of the shape of z.  The escape rule: an
+    read in the chart z = u/v.  `coeffs` holds the six coefficients
+    (a, b, c, d, e, f), complex numbers or arrays of the shape of z.  The escape rule: an
     input with |z| > ESCAPE_RADIUS is the point at infinity, whose image is
     a/d, and a non-finite result is the point at infinity, returned as INFINITY.
 
@@ -54,7 +56,8 @@ def quadratic_step(z: np.ndarray, coeffs: tuple, with_p: bool = False):
     """
     z = np.asarray(z, dtype=np.complex128)
     with np.errstate(all="ignore"):
-        return _step_body(z, coeffs, coeffs[0] / coeffs[3], with_p)
+        # numpy's division, which can differ from Python's complex one in the last bit
+        return _step_body(z, coeffs, np.divide(coeffs[0], coeffs[3]), with_p)
 
 
 def _step_body(z: np.ndarray, coeffs: tuple, inf_image, with_p: bool = False):
@@ -86,7 +89,7 @@ def success_floor(coeffs: tuple) -> float:
     |<n, s>| = |u^T N u| <= sigma_1(N) for N = [[n1, n2/r], [n2/r, n3]], and |N|_F = 1,
     so p >= sigma_2(B)^2 (1 - |<n, s>|^2) >= sigma_2(B)^2 sigma_2(N)^2.
     """
-    a, b, c, d, e, f = (complex(k) for k in coeffs)
+    a, b, c, d, e, f = coeffs
     r = math.sqrt(2.0)
     _, sb, vh = np.linalg.svd(np.array([[a, b / r, c], [d, e / r, f]]))
     n1, n2, n3 = vh[2]  # conjugated, which leaves the singular values of N as they are
@@ -111,7 +114,8 @@ def is_degenerate(varphi: float) -> bool:
 
 
 def ideal_coefficients(varphi: float) -> tuple:
-    """The ideal map's quadratic_step coefficients (0, cos varphi, 0, e^{i varphi}/2, 0, e^{-i varphi}/2).
+    """The ideal map's quadratic_step coefficients (0, cos varphi, 0, e^{i varphi}/2, 0, e^{-i varphi}/2),
+    six complex numbers.
 
     They are the ideal projector's up to sign, so the step's p is the ideal
     success probability.  A degenerate angle raises DegenerateParameterError.
@@ -119,8 +123,7 @@ def ideal_coefficients(varphi: float) -> tuple:
     v = float(varphi) % (2.0 * math.pi)
     if is_degenerate(v):
         raise DegenerateParameterError(f"map is identically zero at varphi={v!r} (cos varphi ~ 0)")
-    coeffs = (0.0, math.cos(v), 0.0, 0.5 * cmath.exp(1j * v), 0.0, 0.5 * cmath.exp(-1j * v))
-    return tuple(np.array(k, dtype=np.complex128) for k in coeffs)
+    return (0j, complex(math.cos(v)), 0j, 0.5 * cmath.exp(1j * v), 0j, 0.5 * cmath.exp(-1j * v))
 
 
 def _quadratic_roots(a: complex, b: complex, c: complex) -> tuple[complex, complex]:
@@ -141,7 +144,7 @@ def map_derivative(z: complex, coeffs: tuple) -> complex:
     z = as_point(z)
     if abs(z) > ESCAPE_RADIUS:  # infinity included
         raise ValueError("derivative in plane coordinates needs a finite point")
-    a, b, c, d, e, f = (complex(k) for k in coeffs)
+    a, b, c, d, e, f = coeffs
     den = (d * z + e) * z + f
     if den == 0:
         raise ValueError(f"derivative requested at a pole, z={z!r}")
@@ -206,7 +209,9 @@ def attractive_cycle_batch(
     Each map is a pair (coefficients, varphi); the angle only orders the two
     critical points.  Both critical orbits of every map advance together as
     one array: `burn` steps, then `max_period` more, and an orbit's period is
-    its first near-return (chordal distance below tol) to its burn's end.
+    its first near-return (chordal distance below tol) to its burn's end that
+    also closes the cycle under the step within CLOSURE_TOL, whatever tol is: a
+    tol above CLOSURE_TOL cannot make points that are no cycle count as one.
 
     An orbit leaves the burn once it repeats one of its last `max_period` states
     bit for bit (checked at 2, 4, 8, ... times max_period steps), so only open
@@ -221,12 +226,11 @@ def attractive_cycle_batch(
     n = len(maps)
     if n == 0:
         return []
-    scalar = [tuple(complex(k) for k in coeffs) for coeffs, _ in maps]
-    roots = np.array([_critical_roots(s) for s in scalar])
+    roots = np.array([_critical_roots(coeffs) for coeffs, _ in maps])
     swap = _second_nearer(roots, [v for _, v in maps])
     roots[swap] = roots[swap, ::-1]
     z = roots.T.ravel()  # the first critical point of every map, then the second one
-    all_coeffs = tuple(np.array(k * 2) for k in zip(*scalar))
+    all_coeffs = tuple(np.array(k * 2) for k in zip(*(coeffs for coeffs, _ in maps)))
     end = np.empty_like(z)  # each orbit's state after the burn
     live, coeffs = np.arange(z.size), all_coeffs  # the open orbits and their coefficients
     history = deque([z], maxlen=max_period + 1)
@@ -258,14 +262,15 @@ def attractive_cycle_batch(
         for _ in range(max_period):
             orbit.append(_step_body(orbit[-1], all_coeffs, inf_image))
     orbit = np.array(orbit)
-    close = chordal_distance(orbit[1:], orbit[0]) < tol
+    gap = chordal_distance(orbit[1:], orbit[0])
+    close = (gap < tol) & (gap <= CLOSURE_TOL)
     periods = np.where(close.any(axis=0), close.argmax(axis=0) + 1, 0)
 
     attracting = {}
     for j in np.flatnonzero(periods).tolist():
         # rows are the step's images and the period is the near-return, so the points close
         try:
-            cycle = _cycle_report(orbit[: periods[j], j].tolist(), scalar[j % n])
+            cycle = _cycle_report(orbit[: periods[j], j].tolist(), maps[j % n][0])
         except ValueError:  # through infinity, beyond the escape radius or at a pole
             continue
         if classify_multiplier(cycle[1]) in ("attractive", "superattractive"):
@@ -309,7 +314,7 @@ def inverse_branches(w: complex, coeffs: tuple) -> tuple[complex, complex]:
     {0, infinity}); a critical value returns its double preimage twice.
     """
     w = as_point(w)
-    a, b, c, d, e, f = (complex(k) for k in coeffs)
+    a, b, c, d, e, f = coeffs
     if is_infinite(w):
         return _quadratic_roots(d, e, f)
     return _quadratic_roots(a - w * d, b - w * e, c - w * f)

@@ -64,28 +64,28 @@ def default_truncation(nbar: float) -> int:
     return n + int(np.argmax(_poisson_tails(nbar, n + 1) < POISSON_TAIL_BOUND))
 
 
-def coherent_state_coefficients(alpha: complex, nmax: int) -> np.ndarray:
-    """Fock coefficients alpha^n sqrt(e^{-|alpha|^2} / n!) for n = 0..nmax.
+def coherent_state_coefficients(alpha: complex, nmax: int, first: int = 0) -> np.ndarray:
+    """Fock coefficients alpha^n sqrt(e^{-|alpha|^2} / n!) for n = first..nmax.
 
     Each one is evaluated whole in log space,
     exp(-|alpha|^2/2 + n log|alpha| - lgamma(n+1)/2 + i n arg(alpha)), so no
-    factor underflows at large |alpha|.
+    factor underflows at large |alpha|, and its value does not depend on first.
     """
     if alpha == 0:
-        return np.eye(1, nmax + 1, dtype=np.complex128)[0]
-    n = np.arange(nmax + 1)
+        return np.eye(1, nmax + 1 - first, -first, dtype=np.complex128)[0]
+    n = np.arange(first, nmax + 1)
     log_mag = -abs(alpha) ** 2 / 2.0 + n * math.log(abs(alpha)) - _log_factorials(n) / 2.0
     return np.exp(log_mag + 1j * cmath.phase(alpha) * n)
 
 
-def poisson_amplitudes(nbar: float, phi: float = 0.0) -> np.ndarray:
-    """Coefficients of |alpha>, alpha = sqrt(nbar) e^{i phi}, up to the cutoff default_truncation(nbar)."""
+def poisson_amplitudes(nbar: float, phi: float = 0.0, first: int = 0) -> np.ndarray:
+    """Coefficients of |alpha>, alpha = sqrt(nbar) e^{i phi}, at the levels first..default_truncation(nbar)."""
     nmax = default_truncation(nbar)  # first, so that a negative nbar fails there by name
-    return coherent_state_coefficients(math.sqrt(nbar) * cmath.exp(1j * phi), nmax)
+    return coherent_state_coefficients(math.sqrt(nbar) * cmath.exp(1j * phi), nmax, first)
 
 
-def block_propagators(nblocks: int, gt: float) -> np.ndarray:
-    """exp(-i gt H_n) of the excitation blocks n = 1..nblocks, shape (nblocks, 3, 3).
+def block_propagators(nblocks: int, gt: float, first: int = 1) -> np.ndarray:
+    """exp(-i gt H_n) of the nblocks excitation blocks n = first, first+1, ..., shape (nblocks, 3, 3).
 
     Block n couples (|1,1>|n-2>, |Psi+>|n-1>, |0,0>|n>) through
     H_n = [[0, a, 0], [a, 0, b], [0, b, 0]] with a = sqrt(2n-2), b = sqrt(2n).
@@ -93,7 +93,7 @@ def block_propagators(nblocks: int, gt: float) -> np.ndarray:
     exp(-i gt H_n) = 1 - i sin(w gt)/w H_n + (cos(w gt) - 1)/w^2 H_n^2.
     Block 1 is the same formula with a = 0 (its |1,1> state does not exist).
     """
-    n = np.arange(1, nblocks + 1, dtype=float)
+    n = np.arange(first, first + nblocks, dtype=float)
     a, b, w = np.sqrt(2.0 * n - 2.0), np.sqrt(2.0 * n), np.sqrt(4.0 * n - 2.0)
     s, c = -1j * np.sin(w * gt) / w, (np.cos(w * gt) - 1.0) / w**2
     # filled entry by entry, with H_n^2 = [[a^2, 0, ab], [0, w^2, 0], [ab, 0, b^2]], so that
@@ -106,13 +106,14 @@ def block_propagators(nblocks: int, gt: float) -> np.ndarray:
     return u
 
 
-def block_inputs(p: np.ndarray) -> np.ndarray:
-    """Rows (p_{n-2}, p_{n-1}, p_n) for the blocks n = 1..len(p)+1, zero outside 0..len(p)-1.
+def block_inputs(p: np.ndarray, first: int = 0) -> np.ndarray:
+    """Rows (p_{n-2}, p_{n-1}, p_n) for the blocks n = max(first, 1)..first+len(p)+1, where p holds the
+    levels first..first+len(p)-1 and every other level is zero.
 
     These are the field amplitudes that an atomic input |1,1>, |Psi+>, |0,0>
-    times sum_n p_n |n> places in each block; blocks past len(p)+1 stay empty.
+    times sum_n p_n |n> places in each coupled block; no other coupled block is reached.
     """
-    pad = np.concatenate(([0.0], p, [0.0, 0.0]))
+    pad = np.concatenate(([0.0, 0.0] if first else [0.0], p, [0.0, 0.0]))
     return np.stack((pad[:-2], pad[1:-1], pad[2:]), axis=1)
 
 

@@ -13,7 +13,9 @@ The tests compare the package against them.  `apply_map` is no second
 coding: it is `step_point` at the ideal map's coefficients, in scalar form,
 and `grid_points` is the basin grid's midpoints as one complex array.
 `validated_cycle` checks that points close under a step before it gives
-their (points, multiplier) pair through the package's `_cycle_report`.  The
+their (points, multiplier) pair through the package's `_cycle_report`, and
+`full_range_step_operator` is `exact_step_operator`'s sum taken over every
+Fock level from 0, the leading levels whose amplitude is 0 included.  The
 rest is what only tests need: reading back the files `tcmap.output` writes,
 and the norms, product-basis vector and field projection of the package's
 Bell-basis arrays, ordered (|1,1>, |Psi+>, |0,0>, |Psi->) as the columns of
@@ -29,9 +31,16 @@ from typing import Optional
 import numpy as np
 
 from tcmap.experiments import grid_axes
+from tcmap.protocol import default_interaction_time
 from tcmap.rational_map import _cycle_report, ideal_coefficients, step_point
 from tcmap.sphere import INFINITY, as_point, chordal_distance, homogeneous, is_infinite
-from tcmap.tavis_cummings import BELL_TO_PRODUCT, coherent_state_coefficients
+from tcmap.tavis_cummings import (
+    BELL_TO_PRODUCT,
+    block_inputs,
+    block_propagators,
+    coherent_state_coefficients,
+    poisson_amplitudes,
+)
 
 
 def read_csv(path):
@@ -101,6 +110,18 @@ def validated_cycle(points, coeffs, tol=1e-8):
             raise ValueError(f"points do not close under the map at index {i} "
                                  f"(distance {gap:.3e} > {tol:.3e})")
     return _cycle_report(pts, coeffs)
+
+
+def full_range_step_operator(nbar, gt=None, phi=0.0):
+    """<alpha| e^{-iHt} |alpha> in the product basis, summed over the blocks 1..N+2 of every level 0..N."""
+    p = poisson_amplitudes(nbar, phi)
+    q = block_inputs(p)
+    u = block_propagators(len(p) + 1, default_interaction_time(nbar) if gt is None else gt)
+    m = np.zeros((4, 4), dtype=np.complex128)
+    m[:3, :3] = np.einsum("ni,nij,nj->ij", q.conj(), u, q)
+    m[2, 2] += abs(p[0]) ** 2
+    m[3, 3] = np.vdot(p, p)
+    return BELL_TO_PRODUCT @ m @ BELL_TO_PRODUCT.T
 
 
 def fixed_points(varphi):

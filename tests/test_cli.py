@@ -316,6 +316,31 @@ def test_basin_needs_attractors_for_chaotic_angles(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [["basin"], ["exact-basin", "--nbar", "100"]], ids=["basin", "exact-basin"])
+def test_a_tol_that_lets_two_attractors_claim_one_cell_exits_1(tmp_path, capsys, monkeypatch, argv):
+    # --tol 1.5 around the attractors +-1 gave 945 and 655 cells where the map's oddness forces 800 each
+    def never(*args, **kwargs):
+        raise AssertionError("the grid ran before --tol was checked")
+
+    monkeypatch.setattr(tcmap.rational_map, "quadratic_step", never)
+    out, csv = tmp_path / "t.ppm", tmp_path / "t.csv"
+    assert main(argv + ["--varphi", "0.2375pi", "--res", "40x40", "--tol", "1.5",
+                        "--csv", str(csv), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"tcmap {argv[0]}: tol 1.5 is not below half the distance 2 between the attractor points "
+        "1-8.5983e-16j and -1+8.30729e-16j, so both attractors would claim the cells between them"]
+    assert not out.exists() and not csv.exists()
+
+
+def test_cycle_tol_above_the_closure_rule_finds_the_default_cycles(tmp_path):
+    # --cycle-tol 0.8 reported two points of the attracting 4-cycles as attractive fixed points
+    want, out = tmp_path / "want.csv", tmp_path / "out.csv"
+    assert main(["cycles", "--varphi", "0.251953125pi", "--out", str(want)]) == 0
+    for tol in ("0.5", "0.8", "2"):
+        assert main(["cycles", "--varphi", "0.251953125pi", "--cycle-tol", tol, "--out", str(out)]) == 0
+        assert out.read_bytes() == want.read_bytes()
+
+
 @pytest.mark.parametrize("region", ["-1e-323,1e-323,-1,1", "1e16,1.0000000000000004e16,-1,1"])
 def test_a_region_too_narrow_for_the_resolution_exits_1(tmp_path, capsys, region):
     # 8 columns across a few ulps would share midpoints
@@ -391,10 +416,11 @@ def test_every_flag_has_help():
 
 @pytest.mark.parametrize("argv", [["exact-op"], ["discriminate", "--map-kind", "exact"]])
 def test_running_out_of_memory_is_a_runtime_error(tmp_path, capsys, monkeypatch, argv):
-    # the error numpy raises when the Fock amplitudes of nbar 1e9 do not fit; nothing is allocated here
+    # the error numpy raised when the Fock amplitudes of nbar 1e9, all levels from 0, did not fit;
+    # nothing is allocated here
     message = "Unable to allocate 7.45 GiB for an array with shape (1000222459,) and data type int64"
 
-    def no_memory(alpha, nmax):
+    def no_memory(*args):
         raise MemoryError(message)
 
     monkeypatch.setattr(tcmap.tavis_cummings, "coherent_state_coefficients", no_memory)

@@ -302,6 +302,22 @@ def test_invalid_arguments():
             grid_axes(region, 8, 8)
 
 
+def test_a_tol_that_lets_two_attractors_claim_one_cell_is_refused():
+    # at 0.2375pi, 40x40, --tol 1.5 gave 945 and 655 cells to the attractors +-1 where the map's oddness
+    # forces 800 each: a cell within tol of both went to the one listed first
+    axes, coeffs = grid_axes((-2.0, 2.0, -2.0, 2.0), 4, 4), ideal_coefficients(0.2375 * math.pi)
+    for tol in (1.0, 1.5, 3.0):
+        with pytest.raises(ValueError, match=r"^tol .* half the distance 2 between the attractor points 1\+0j and -1\+"):
+            basin_grid(*axes, coeffs, [[1.0], [-1.0]], tol=tol)
+    basin_grid(*axes, coeffs, [[1.0], [-1.0]], tol=0.999)
+    # the nearest pair of points of the two cycles sets the limit; points of one cycle may overlap
+    cycles = [[1.0, 0.5], [-1.0, 0.0]]
+    with pytest.raises(ValueError, match=r"half the distance 0.5 between the attractor points 0.5\+0j and 0\+0j"):
+        basin_grid(*axes, coeffs, cycles, tol=0.25)
+    basin_grid(*axes, coeffs, cycles, tol=0.2499)
+    basin_grid(*axes, coeffs, [[1.0, 0.5]], tol=3.0)
+
+
 # ------------------------------------------------------------------ resources
 
 def test_resource_formula_values():

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from oracles import (
     amplitude_step,
     apply_map,
     atom_norm,
+    full_range_step_operator,
     ideal_postselection_operator,
     product_state_vector,
     step_amplitudes,
@@ -272,6 +274,38 @@ def test_exact_operator_keeps_converging_beyond_nbar_1400():
     for nbar in (1e3, 1e4, 1e5):
         m = exact_step_operator(nbar)
         assert abs(nbar * np.linalg.norm(m - ideal, 2) * 2.0 * math.sqrt(2.0) - 1.0) < 1e-2
+
+
+@pytest.mark.parametrize("nbar, gt, phi", [(0.0, None, 0.0), (0.5, None, 0.0), (10.0, None, 0.0),
+                                          (100.0, None, 0.0), (1000.0, None, 0.0), (1400.0, None, 0.0),
+                                          (1500.0, 3.0, 0.7), (2000.0, None, 0.0), (1e4, None, 0.0)])
+def test_the_operator_over_the_nonzero_levels_is_the_full_range_sum(nbar, gt, phi):
+    # from nbar 1500 on the leading amplitudes are exactly 0 and the window starts above level 0
+    assert np.array_equal(exact_step_operator(nbar, gt, phi), full_range_step_operator(nbar, gt, phi))
+
+
+@pytest.mark.parametrize("nbar", [1e5, 1e6])
+def test_the_operator_over_the_nonzero_levels_at_large_nbar(nbar):
+    # the window starts at 83 264 of 102 234 levels at 1e5 and at 945 984 of 1 007 044 at 1e6
+    assert np.max(np.abs(exact_step_operator(nbar) - full_range_step_operator(nbar))) <= 2e-16
+
+
+def test_the_operator_build_does_not_scale_with_the_cutoff():
+    # the sum over all 1 007 044 levels from 0 peaked at 338 MB here, 145 MB of it the propagator table
+    exact_step_operator(10.0)
+    tracemalloc.start()
+    try:
+        exact_step_operator(1e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
+def test_both_coefficient_producers_give_six_python_complex_numbers():
+    for coeffs in (ideal_coefficients(0.3), step_coefficients(exact_step_operator(10.0), 0.3),
+                   step_coefficients(IDEAL, 0.3)):
+        assert len(coeffs) == 6 and all(type(k) is complex for k in coeffs)
 
 
 def test_default_interaction_time():

@@ -283,6 +283,28 @@ def test_four_cycles_between_the_neutral_angles():
     assert d > 1e-3  # genuinely different orbits (they are mirror images)
 
 
+@pytest.mark.parametrize("tol", [1e-8, 0.5, 0.8, 1.5])
+def test_a_loose_closure_tolerance_finds_only_closed_cycles(tol):
+    # at 0.8 the first near-return of each 4-cycle came one step on, and the search reported two of
+    # their points as attracting fixed points with |multiplier| 0.245
+    varphi = 0.251953125 * math.pi
+    coeffs = ideal_coefficients(varphi)
+    cycles = find_attractive_cycles(coeffs, varphi, tol=tol)
+    assert cycles == find_attractive_cycles(coeffs, varphi)
+    assert [len(points) for points, _ in cycles] == [4, 4]
+    for points, m in cycles:
+        assert validated_cycle(points, coeffs) == (points, m)
+
+
+def test_the_image_of_infinity_is_numpys_quotient():
+    # Python's complex division rounds the imaginary part of this quotient one ulp higher
+    a, d = -0.45264929211044586 - 0.2155971630897659j, -2.019986129147251 - 0.23193237764418947j
+    assert a / d != np.divide(a, d)
+    coeffs = (a, 1j, 0j, d, 0j, 1 + 0j)
+    w = quadratic_step(np.array([INFINITY, 1e13, -2e12j]), coeffs)
+    assert w.tolist() == [complex(np.divide(a, d))] * 3
+
+
 def test_cycle_search_rejects_a_negative_burn():
     with pytest.raises(ValueError):
         find_attractive_cycles(ideal_coefficients(0.3), 0.3, burn=-1)

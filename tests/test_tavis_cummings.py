@@ -14,6 +14,7 @@ from oracles import (
     total_norm,
 )
 from tcmap.tavis_cummings import (
+    block_inputs,
     block_propagators,
     coherent_state_coefficients,
     default_truncation,
@@ -125,6 +126,13 @@ def test_coherent_amplitudes_stay_normalized_at_large_nbar():
         assert abs(abs(p[int(nbar)]) - (2.0 * math.pi * nbar) ** -0.25) < 1e-2 * (2.0 * math.pi * nbar) ** -0.25
 
 
+@pytest.mark.parametrize("alpha", [0.0, 3.0 * np.exp(0.4j), 45.0])
+def test_coherent_amplitudes_from_a_first_level_are_the_tail_of_the_full_table(alpha):
+    full = coherent_state_coefficients(alpha, 2100)
+    for first in (0, 1, 5, 1900, 2100):
+        assert np.array_equal(coherent_state_coefficients(alpha, 2100, first), full[first:])
+
+
 # ------------------------------------------------------------------- blocks
 
 def test_block_eigenvalues():
@@ -155,6 +163,21 @@ def test_block_propagators_are_unitary():
         # the closed-form table; block 1 lacks the |1,1> state, its 2x2 block is the last two rows
         want = expm(-1j * gt * block_hamiltonian(n))
         assert np.max(np.abs(table[n - 1][-len(vals):, -len(vals):] - want)) < 1e-12
+
+
+def test_blocks_from_a_first_level_are_rows_of_the_full_tables():
+    p = poisson_amplitudes(30.0, 0.2)
+    gt = 2.9
+    rows, table = block_inputs(p), block_propagators(len(p) + 1, gt)  # blocks 1..len(p)+1
+    for first in (1, 2, 17, len(p) - 1):
+        # levels below first are zero: block first holds (0, 0, p_first), and blocks 1..first-1 are empty
+        window = p.copy()
+        window[:first] = 0.0
+        q = block_inputs(window[first:], first)
+        assert np.array_equal(q, block_inputs(window)[first - 1:])
+        assert not block_inputs(window)[: first - 1].any()
+        assert np.array_equal(block_propagators(len(q), gt, first), table[first - 1:])
+    assert np.array_equal(block_inputs(p, 0), rows)
 
 
 # -------------------------------------------------------------- evolve_exact
