@@ -32,14 +32,15 @@ class BadValue(ValueError, argparse.ArgumentTypeError):
     """A flag value out of range; argparse prints its message after the flag."""
 
 
-def _bounded(kind, low=-math.inf, strict=False):
-    """argparse type: a finite `kind` number >= low (> low when strict)."""
+def _bounded(kind, low=-math.inf, strict=False, high=math.inf):
+    """argparse type: a finite `kind` number >= low (> low when strict) and <= high."""
     rule = ("a finite float" if kind is float else "an int") + (
-        "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}")
+        "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}") + (
+        "" if high == math.inf else f" and <= {high:g}")
 
     def parse(text: str):
         value = kind(text)
-        if not ((value > low if strict else value >= low) and abs(value) < math.inf):
+        if not ((value > low if strict else value >= low) and value <= high and abs(value) < math.inf):
             raise BadValue(f"{text!r} is not {rule}")
         return value
 
@@ -52,6 +53,7 @@ _positive_int = _bounded(int, 1)
 _nonnegative = _bounded(float, 0.0)
 _positive = _bounded(float, 0.0, strict=True)
 _finite = _bounded(float)
+_nbar = _bounded(float, 0.0, high=proto.MAX_NBAR)  # where the exact operator is built
 
 
 def parse_angle(text: str) -> float:
@@ -108,7 +110,10 @@ def parse_q_range(text: str) -> tuple[float, float, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise BadValue("q-range needs qmin,qmax,count")
-    return (_finite(parts[0]), _finite(parts[1]), _positive_int(parts[2]))
+    qmin, qmax, count = _finite(parts[0]), _finite(parts[1]), _positive_int(parts[2])
+    if not math.isfinite(qmax - qmin):
+        raise BadValue("q-range width overflows a float")
+    return (qmin, qmax, count)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -129,30 +134,28 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     def exact_step(p):
-        p.add_argument("--nbar", type=_nonnegative, default=None, help="mean photon number")
+        p.add_argument("--nbar", type=_nbar, default=None, help="mean photon number")
         p.add_argument("--gt", type=_finite, default=None, help="interaction time (default pi*sqrt(nbar)/2)")
         p.add_argument("--op-file", type=str, default=None,
-                       help="step operator dumped by exact-op; the file is the operator "
-                            "and --nbar/--gt are not checked against it")
+                       help="step operator dumped by exact-op; with --nbar (and --gt) it must match the "
+                            "operator they build within 1e-12")
+
+    def search(p):
+        p.add_argument("--burn", type=_count, default=10_000, help="critical-orbit steps (default 10000)")
+        p.add_argument("--max-period", type=_positive_int, default=64, help="longest period sought (default 64)")
 
     p = command("map", run_map, "iterate one starting label, CSV trajectory")
     p.add_argument("--z", required=True, type=parse_complex, help="starting label, re,im or inf")
     p.add_argument("--steps", type=_count, default=10, help="iterations (default 10)")
 
     p = command("cycles", run_cycles, "attractive cycles from the critical orbits")
-    p.add_argument("--burn", type=_count, default=10_000, help="critical-orbit steps (default 10000)")
-    p.add_argument("--max-period", type=_positive_int, default=64, help="longest period sought (default 64)")
-    p.add_argument("--cycle-tol", type=_positive, default=1e-8,
-                   help="chordal near-return tolerance of the critical orbits (default 1e-8); a cycle is "
-                        "reported only where it also closes under the step within 1e-8, so only a "
-                        "smaller value changes the search")
+    search(p)
 
     p = command("sweep", run_sweep, "stability diagram over a gate-angle grid", varphi=False)
     p.add_argument("--grid", type=_positive_int, default=512, help="number of angle samples (default 512)")
     p.add_argument("--phi-min", type=parse_angle, default="0", help="lower end of the angle range (default 0)")
     p.add_argument("--phi-max", type=parse_angle, default="2pi", help="upper end of the angle range (default 2pi)")
-    p.add_argument("--burn", type=_count, default=10_000, help="critical-orbit steps (default 10000)")
-    p.add_argument("--max-period", type=_positive_int, default=64, help="longest period sought (default 64)")
+    search(p)
 
     p = command("julia", run_julia, "backward-iteration sample of the Julia set")
     p.add_argument("--points", type=_count, default=10_000, help="sample size (default 10000)")
@@ -193,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-range", type=parse_q_range, default="-6,6,241", help="qmin,qmax,count (default -6,6,241)")
 
     p = command("exact-op", run_exact_op, "dump the exact 4x4 step operator as CSV", varphi=False)
-    p.add_argument("--nbar", type=_nonnegative, required=True, help="mean photon number")
+    p.add_argument("--nbar", type=_nbar, required=True, help="mean photon number")
     p.add_argument("--gt", type=_finite, default=None, help="interaction time (default pi*sqrt(nbar)/2)")
     p.add_argument("--phi", type=parse_angle, default="0", help="field phase (default 0)")
 
@@ -228,17 +231,32 @@ def parse_config(argv) -> argparse.Namespace:
                     parser.error(f"{args.subcommand}: --{dest.replace('_', '-')} needs --map-kind exact")
         elif args.nbar is None and args.op_file is None:
             parser.error(f"{args.subcommand}: the exact step needs --nbar (or --op-file)")
+        elif args.nbar is None and args.gt is not None:
+            parser.error(f"{args.subcommand}: --gt with --op-file needs --nbar, to check the file against")
+    if args.subcommand != "homodyne" and getattr(args, "gt", None) is not None and args.nbar is not None:
+        limit = proto.max_interaction_time(args.nbar)
+        if not abs(args.gt) <= limit:
+            parser.error(f"argument --gt: {args.gt!r} is beyond {limit:.6g}, where the phase of the highest "
+                         f"block at --nbar {args.nbar!r} rounds by more than {proto.MAX_PHASE_ROUNDING:g}")
     return args
 
 
 def _step_coefficients(args: argparse.Namespace) -> tuple:
     """The six step coefficients at --varphi: the exact step's when parse_config let --op-file or
-    --nbar be set (read from the file, else built from --nbar and --gt), otherwise the ideal map's."""
-    if getattr(args, "op_file", None) is not None:
-        return proto.step_coefficients(proto.read_step_operator(args.op_file), args.varphi)
-    if getattr(args, "nbar", None) is not None:
-        return proto.step_coefficients(proto.exact_step_operator(args.nbar, gt=args.gt), args.varphi)
-    return rm.ideal_coefficients(args.varphi)
+    --nbar be set, otherwise the ideal map's.  The exact step is read from --op-file, which must
+    match the operator --nbar and --gt build when --nbar is given, else built from them."""
+    if getattr(args, "nbar", None) is None and getattr(args, "op_file", None) is None:
+        return rm.ideal_coefficients(args.varphi)
+    built = None if args.nbar is None else proto.exact_step_operator(args.nbar, gt=args.gt)
+    if args.op_file is None:
+        return proto.step_coefficients(built, args.varphi)
+    matrix = proto.read_step_operator(args.op_file)
+    gap = 0.0 if built is None else float(np.abs(matrix - built).max())
+    if not gap <= 1e-12:
+        gt = "" if args.gt is None else f" and --gt {args.gt!r}"
+        raise ValueError(f"{args.op_file}: step operator differs by {gap:.3g} "
+                         f"from the one --nbar {args.nbar!r}{gt} builds")
+    return proto.step_coefficients(matrix, args.varphi)
 
 
 def run_map(args: argparse.Namespace) -> None:
@@ -251,9 +269,7 @@ def run_map(args: argparse.Namespace) -> None:
 
 
 def run_cycles(args: argparse.Namespace) -> None:
-    cycles = rm.find_attractive_cycles(
-        _step_coefficients(args), args.varphi, burn=args.burn, max_period=args.max_period, tol=args.cycle_tol
-    )
+    cycles = rm.find_attractive_cycles(_step_coefficients(args), args.varphi, args.burn, args.max_period)
     rows = [
         (cid, len(points), pidx, pt.real, pt.imag, m.real, m.imag, abs(m), rm.classify_multiplier(m))
         for cid, (points, m) in enumerate(cycles) for pidx, pt in enumerate(points)

@@ -96,8 +96,7 @@ def phi_sweep(
 ) -> list[list[tuple[tuple[complex, ...], complex]]]:
     """The ideal map's attractive cycles at each angle, in grid order; degenerate angles are rejected.
 
-    The critical orbits of all angles are searched as one batch, with its default closure tolerance;
-    each cycle is a (points, multiplier) pair.
+    The critical orbits of all angles are searched as one batch; each cycle is a (points, multiplier) pair.
     """
     maps = [(rm.ideal_coefficients(v), v) for v in varphis]
     return rm.attractive_cycle_batch(maps, burn=burn, max_period=max_period)

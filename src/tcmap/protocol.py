@@ -25,7 +25,13 @@ from .tavis_cummings import (
     block_propagators,
     evolve_exact,  # noqa: F401  not called here; the benchmark's tracer wraps protocol.evolve_exact
     poisson_amplitudes,
+    poisson_table_end,
 )
+
+# the largest nbar the command line builds an operator for: exact-op takes 1.9-3.1 s and 675 MB there
+MAX_NBAR = 1e9
+# the largest rounding of a block phase w gt that the command line builds an operator with
+MAX_PHASE_ROUNDING = 1e-6
 
 
 def gate_unitary(varphi: float) -> np.ndarray:
@@ -58,6 +64,16 @@ def step_coefficients(matrix: np.ndarray, varphi: float) -> tuple:
 def default_interaction_time(nbar: float) -> float:
     """The protocol's interaction time gt = pi sqrt(nbar) / 2."""
     return math.pi * math.sqrt(nbar) / 2.0
+
+
+def max_interaction_time(nbar: float) -> float:
+    """The largest |gt| at which the phase w gt of the highest block rounds by at most MAX_PHASE_ROUNDING.
+
+    That phase rounds by up to w_max |gt| 2^-53, w_max = sqrt(4 n - 2) for the highest block
+    n = default_truncation(nbar) + 2, here bounded by poisson_table_end(nbar) + 2 without building the
+    cutoff.  The default gt = pi sqrt(nbar)/2 stays below this up to nbar = MAX_NBAR.
+    """
+    return MAX_PHASE_ROUNDING * 2.0**53 / math.sqrt(4.0 * (poisson_table_end(nbar) + 2) - 2.0)
 
 
 def exact_step_operator(nbar: float, gt: Optional[float] = None, phi: float = 0.0) -> np.ndarray:

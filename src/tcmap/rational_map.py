@@ -202,16 +202,13 @@ def attractive_cycle_batch(
     maps: Sequence[tuple[tuple, float]],
     burn: int = 10_000,
     max_period: int = 64,
-    tol: float = 1e-8,
 ) -> list[list[tuple[tuple[complex, ...], complex]]]:
     """The attractive cycles of many maps at once, one list per map of (points, multiplier) pairs.
 
     Each map is a pair (coefficients, varphi); the angle only orders the two
     critical points.  Both critical orbits of every map advance together as
     one array: `burn` steps, then `max_period` more, and an orbit's period is
-    its first near-return (chordal distance below tol) to its burn's end that
-    also closes the cycle under the step within CLOSURE_TOL, whatever tol is: a
-    tol above CLOSURE_TOL cannot make points that are no cycle count as one.
+    its first return to its burn's end within chordal distance CLOSURE_TOL.
 
     An orbit leaves the burn once it repeats one of its last `max_period` states
     bit for bit (checked at 2, 4, 8, ... times max_period steps), so only open
@@ -263,12 +260,12 @@ def attractive_cycle_batch(
             orbit.append(_step_body(orbit[-1], all_coeffs, inf_image))
     orbit = np.array(orbit)
     gap = chordal_distance(orbit[1:], orbit[0])
-    close = (gap < tol) & (gap <= CLOSURE_TOL)
+    close = gap < CLOSURE_TOL
     periods = np.where(close.any(axis=0), close.argmax(axis=0) + 1, 0)
 
     attracting = {}
     for j in np.flatnonzero(periods).tolist():
-        # rows are the step's images and the period is the near-return, so the points close
+        # rows are the step's images and the period is the first return, so the points close
         try:
             cycle = _cycle_report(orbit[: periods[j], j].tolist(), maps[j % n][0])
         except ValueError:  # through infinity, beyond the escape radius or at a pole
@@ -296,7 +293,6 @@ def find_attractive_cycles(
     varphi: float,
     burn: int = 10_000,
     max_period: int = 64,
-    tol: float = 1e-8,
 ) -> list[tuple[tuple[complex, ...], complex]]:
     """All attractive cycles of the step on coeffs as (points, multiplier) pairs, from the two critical orbits.
 
@@ -304,7 +300,7 @@ def find_attractive_cycles(
     attracts a critical point; varphi orders the two.  Orbits that never
     settle (neutral or chaotic parameter values) contribute nothing.
     """
-    return attractive_cycle_batch([(coeffs, varphi)], burn=burn, max_period=max_period, tol=tol)[0]
+    return attractive_cycle_batch([(coeffs, varphi)], burn=burn, max_period=max_period)[0]
 
 
 def inverse_branches(w: complex, coeffs: tuple) -> tuple[complex, complex]:

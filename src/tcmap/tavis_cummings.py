@@ -36,17 +36,23 @@ def _log_factorials(n: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.lgamma, (n + 1).tolist()), dtype=float, count=n.size)
 
 
+def poisson_table_end(nbar: float) -> int:
+    """int(nbar + 15 sqrt(nbar) + 80): the last level of the Poisson tail table, so a bound on
+    default_truncation(nbar) in closed form."""
+    return int(nbar + 15.0 * math.sqrt(nbar) + 80.0)
+
+
 def _poisson_tails(nbar: float, first: int) -> np.ndarray:
     """Poisson tails T[j] = sum_{k >= first+j} e^{-nbar} nbar^k / k!, one table.
 
-    The terms run in log space up to k = end = int(nbar + 15 sqrt(nbar) + 80),
-    where by Bennett's inequality the mass left above is below 1e-48 for every
+    The terms run in log space up to k = end = poisson_table_end(nbar), where
+    by Bennett's inequality the mass left above is below 1e-48 for every
     nbar from 1e-12 to 1e12, so the table ends with a 0 for k > end.  Each
     tail is summed smallest term first.  For nbar = 0 the table is [0].
     """
     if nbar == 0.0:
         return np.zeros(1)
-    k = np.arange(first, int(nbar + 15.0 * math.sqrt(nbar) + 80.0) + 1)
+    k = np.arange(first, poisson_table_end(nbar) + 1)
     log_terms = -nbar + k * math.log(nbar) - _log_factorials(k)
     return np.append(np.cumsum(np.exp(log_terms)[::-1])[::-1], 0.0)
 

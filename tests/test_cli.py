@@ -288,6 +288,27 @@ def test_exact_op_dump_and_reuse(tmp_path):
     assert tables[0] == tables[1] == tables[2]
 
 
+def test_an_op_file_is_checked_against_nbar_and_gt(tmp_path, capsys):
+    # the nbar-100 operator differs from the nbar-10 one by up to 0.0273; exact-basin rendered with it
+    op_path = tmp_path / "op-100.csv"
+    assert main(["exact-op", "--nbar", "100", "--out", str(op_path)]) == 0
+    out, csv = tmp_path / "exact.ppm", tmp_path / "d.csv"
+    assert main(["exact-basin", "--varphi", "0.2375pi", "--nbar", "10", "--op-file", str(op_path),
+                 "--res", "20x20", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"tcmap exact-basin: {op_path}: step operator differs by 0.0273 "
+                                       "from the one --nbar 10.0 builds\n")
+    assert main(["discriminate", "--map-kind", "exact", "--nbar", "100", "--gt", "1", "--op-file", str(op_path),
+                 "--out", str(csv)]) == 1
+    assert "op-100.csv" in capsys.readouterr().err
+    assert not out.exists() and not csv.exists()
+    # --gt without --nbar has nothing to be checked against
+    with pytest.raises(SystemExit) as exc:
+        main(["discriminate", "--map-kind", "exact", "--gt", "1", "--op-file", str(op_path), "--out", str(csv)])
+    assert exc.value.code == 2
+    assert "--gt" in capsys.readouterr().err
+    assert not csv.exists()
+
+
 # the dark-state projector |Psi-><Psi-|, a valid step operator that sends every label to infinity
 DARK_OPERATOR = ["0,0,0,0,0,0,0,0", "0,0,0.5,0,-0.5,0,0,0", "0,0,-0.5,0,0.5,0,0,0", "0,0,0,0,0,0,0,0"]
 
@@ -332,13 +353,19 @@ def test_a_tol_that_lets_two_attractors_claim_one_cell_exits_1(tmp_path, capsys,
     assert not out.exists() and not csv.exists()
 
 
-def test_cycle_tol_above_the_closure_rule_finds_the_default_cycles(tmp_path):
-    # --cycle-tol 0.8 reported two points of the attracting 4-cycles as attractive fixed points
-    want, out = tmp_path / "want.csv", tmp_path / "out.csv"
-    assert main(["cycles", "--varphi", "0.251953125pi", "--out", str(want)]) == 0
-    for tol in ("0.5", "0.8", "2"):
-        assert main(["cycles", "--varphi", "0.251953125pi", "--cycle-tol", tol, "--out", str(out)]) == 0
-        assert out.read_bytes() == want.read_bytes()
+@pytest.mark.parametrize("varphi, tol", [
+    ("0.7807962210337913", "1e-14"),  # reported the attracting fixed points +-1 as two 4-cycles
+    ("0.9863496466104673", "1e-14"),  # lost the attracting 6-cycle and wrote an empty table
+    ("1.666pi", "1e-16"),  # reported a 6-cycle of points within 7e-17 of the fixed point 0
+])
+def test_cycle_tol_is_refused(tmp_path, capsys, varphi, tol):
+    # the period is the first return within rational_map.CLOSURE_TOL; no other tolerance is accepted
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["cycles", "--varphi", varphi, "--cycle-tol", tol, "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--cycle-tol" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("region", ["-1e-323,1e-323,-1,1", "1e16,1.0000000000000004e16,-1,1"])

@@ -283,14 +283,12 @@ def test_four_cycles_between_the_neutral_angles():
     assert d > 1e-3  # genuinely different orbits (they are mirror images)
 
 
-@pytest.mark.parametrize("tol", [1e-8, 0.5, 0.8, 1.5])
-def test_a_loose_closure_tolerance_finds_only_closed_cycles(tol):
-    # at 0.8 the first near-return of each 4-cycle came one step on, and the search reported two of
-    # their points as attracting fixed points with |multiplier| 0.245
+def test_the_search_finds_only_closed_cycles():
+    # with a near-return tolerance of 0.8 the search reported two points of these 4-cycles as
+    # attracting fixed points with |multiplier| 0.245
     varphi = 0.251953125 * math.pi
     coeffs = ideal_coefficients(varphi)
-    cycles = find_attractive_cycles(coeffs, varphi, tol=tol)
-    assert cycles == find_attractive_cycles(coeffs, varphi)
+    cycles = find_attractive_cycles(coeffs, varphi)
     assert [len(points) for points, _ in cycles] == [4, 4]
     for points, m in cycles:
         assert validated_cycle(points, coeffs) == (points, m)
