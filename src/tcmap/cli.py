@@ -5,8 +5,8 @@ All randomness is seeded by --seed, whose default is experiments.DEFAULT_SEED,
 so a re-run with the same flags writes byte-identical CSV/PPM files.
 
 Each flag is checked by its argparse type, defaults included, so a bad value
-is a usage error (exit 2) that names the flag. Runtime and I/O errors, a count
-too large for a C integer and running out of memory included, exit 1.
+is a usage error (exit 2) that names the flag; a count above sys.maxsize - 1
+is one too.  Runtime and I/O errors, running out of memory included, exit 1.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import cmath
 import ctypes
 import functools
 import math
+import os
 import sys
 
 import numpy as np
@@ -36,7 +37,7 @@ def _bounded(kind, low=-math.inf, strict=False, high=math.inf):
     """argparse type: a finite `kind` number >= low (> low when strict) and <= high."""
     rule = ("a finite float" if kind is float else "an int") + (
         "" if low == -math.inf else f" {'>' if strict else '>='} {low:g}") + (
-        "" if high == math.inf else f" and <= {high:g}")
+        "" if high == math.inf else f" and <= {high:g}" if kind is float else f" and <= {high}")
 
     def parse(text: str):
         value = kind(text)
@@ -48,8 +49,9 @@ def _bounded(kind, low=-math.inf, strict=False, high=math.inf):
     return parse
 
 
-_count = _bounded(int, 0)
-_positive_int = _bounded(int, 1)
+# a count fits a C integer, and max_period + 1 still fits the burn's history deque
+_count = _bounded(int, 0, high=sys.maxsize - 1)
+_positive_int = _bounded(int, 1, high=sys.maxsize - 1)
 _nonnegative = _bounded(float, 0.0)
 _positive = _bounded(float, 0.0, strict=True)
 _finite = _bounded(float)
@@ -122,11 +124,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="iterated cavity-postselection map: dynamics, fractals, discrimination",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    seed = dict(type=_count, default=ex.DEFAULT_SEED, help=f"random seed (default {ex.DEFAULT_SEED})")
+    seed = dict(type=_bounded(int, 0), default=ex.DEFAULT_SEED, help=f"random seed (default {ex.DEFAULT_SEED})")
 
     def command(name, run, help, varphi=True):
         p = sub.add_parser(name, help=help)
-        p.set_defaults(run=run)
+        p.set_defaults(run=run, parser=p)  # the subcommand's parser reports errors between its flags
         p.add_argument("--out", "-o", required=True, help="output file path")
         if varphi:
             p.add_argument("--varphi", required=True, type=parse_gate_angle,
@@ -222,22 +224,28 @@ def _merge_negative_values(argv):
 
 def parse_config(argv) -> argparse.Namespace:
     """Parse argv into the namespace its runner `run` reads (usage errors exit 2)."""
-    parser = _build_parser()
-    args = parser.parse_args(_merge_negative_values(list(argv)))
+    args, unknown = _build_parser().parse_known_args(_merge_negative_values(list(argv)))
+    error = args.parser.error
+    if unknown:
+        error(f"unrecognized arguments: {' '.join(unknown)}")
     if hasattr(args, "op_file"):
         if getattr(args, "map_kind", "exact") == "ideal":
             for dest in ("nbar", "gt", "op_file"):
                 if getattr(args, dest) is not None:
-                    parser.error(f"{args.subcommand}: --{dest.replace('_', '-')} needs --map-kind exact")
+                    error(f"--{dest.replace('_', '-')} needs --map-kind exact")
         elif args.nbar is None and args.op_file is None:
-            parser.error(f"{args.subcommand}: the exact step needs --nbar (or --op-file)")
+            error("the exact step needs --nbar (or --op-file)")
         elif args.nbar is None and args.gt is not None:
-            parser.error(f"{args.subcommand}: --gt with --op-file needs --nbar, to check the file against")
+            error("--gt with --op-file needs --nbar, to check the file against")
     if args.subcommand != "homodyne" and getattr(args, "gt", None) is not None and args.nbar is not None:
         limit = proto.max_interaction_time(args.nbar)
         if not abs(args.gt) <= limit:
-            parser.error(f"argument --gt: {args.gt!r} is beyond {limit:.6g}, where the phase of the highest "
-                         f"block at --nbar {args.nbar!r} rounds by more than {proto.MAX_PHASE_ROUNDING:g}")
+            error(f"argument --gt: {args.gt!r} is beyond {limit:.6g}, where the phase of the highest "
+                  f"block at --nbar {args.nbar!r} rounds by more than {proto.MAX_PHASE_ROUNDING:g}")
+    for dest in ("csv", "image"):
+        path = getattr(args, dest, None)
+        if path is not None and os.path.realpath(path) == os.path.realpath(args.out):
+            error(f"argument --{dest}: {path!r} is the --out file")
     return args
 
 
@@ -306,9 +314,10 @@ def run_sweep(args: argparse.Namespace) -> None:
 
 def run_julia(args: argparse.Namespace) -> None:
     pts = rm.julia_backward_sample(args.varphi, args.points, seed=args.seed)
+    image = None if args.image is None else output.point_cloud_image(pts, args.region, *args.res)
     output.write_csv([(p.real, p.imag) for p in pts], ("z_re", "z_im"), args.out)
-    if args.image is not None:
-        output.write_ppm(output.point_cloud_image(pts, args.region, *args.res), args.image)
+    if image is not None:
+        output.write_ppm(image, args.image)
 
 
 def run_basin(args: argparse.Namespace) -> None:

@@ -180,7 +180,7 @@ def resource_estimate(n: int, varphi: float) -> int:
     """Qubit pairs needed for n iterations, N = ceil((8/cos^2 varphi)^n)."""
     if n < 0:
         raise ValueError("iteration count must be >= 0")
-    rm.ideal_coefficients(varphi)  # the gate rule: raises DegenerateParameterError
+    rm.ideal_coefficients(varphi)  # the gate rule: raises ValueError
     base = 8.0 / math.cos(varphi) ** 2
     try:
         return math.ceil(base**n)

@@ -54,7 +54,7 @@ def step_coefficients(matrix: np.ndarray, varphi: float) -> tuple:
 
     The two-copy state of z is (z^2, z, z, 1) up to normalization, so the
     |1,0> and |0,0> rows of A = M diag(gate) give (a, b, c) and (d, e, f),
-    with the two uv columns summed.  A degenerate angle raises DegenerateParameterError.
+    with the two uv columns summed.  A degenerate angle raises ValueError.
     """
     ideal_coefficients(varphi)  # the gate rule
     a = (matrix * np.tile(np.diag(gate_unitary(varphi)), 2)).tolist()  # the gate on atom B

@@ -104,10 +104,6 @@ def step_point(z: complex, coeffs: tuple) -> tuple[complex, float]:
     return (w if abs(w) <= ESCAPE_RADIUS else INFINITY), float(p[0])
 
 
-class DegenerateParameterError(ValueError):
-    """Raised by ideal_coefficients at a degenerate gate angle (cos varphi ~ 0)."""
-
-
 def is_degenerate(varphi: float) -> bool:
     """The gate rule: at cos(varphi) ~ 0 (varphi = pi/2, 3pi/2) the map is identically zero."""
     return abs(math.cos(float(varphi) % (2.0 * math.pi))) < DEGENERACY_EPS
@@ -118,11 +114,11 @@ def ideal_coefficients(varphi: float) -> tuple:
     six complex numbers.
 
     They are the ideal projector's up to sign, so the step's p is the ideal
-    success probability.  A degenerate angle raises DegenerateParameterError.
+    success probability.  A degenerate angle raises ValueError.
     """
     v = float(varphi) % (2.0 * math.pi)
     if is_degenerate(v):
-        raise DegenerateParameterError(f"map is identically zero at varphi={v!r} (cos varphi ~ 0)")
+        raise ValueError(f"map is identically zero at varphi={v!r} (cos varphi ~ 0)")
     return (0j, complex(math.cos(v)), 0j, 0.5 * cmath.exp(1j * v), 0j, 0.5 * cmath.exp(-1j * v))
 
 
@@ -185,17 +181,6 @@ def classify_multiplier(multiplier: complex) -> str:
     if m < 1.0:
         return "attractive"
     return "repelling"
-
-
-def _cycle_report(pts: Sequence[complex], coeffs: tuple) -> tuple[tuple[complex, ...], complex]:
-    """(points, multiplier) of a closed cycle, f' multiplied along it; infinite points and poles raise ValueError."""
-    if any(is_infinite(p) for p in pts):
-        # f' is taken in the plane chart; the ideal map has no such cycle (inf -> 0 -> 0)
-        raise ValueError("cycle through infinity is not supported")
-    lam = 1.0 + 0j
-    for p in pts:
-        lam *= map_derivative(p, coeffs)
-    return tuple(pts), lam
 
 
 def attractive_cycle_batch(
@@ -263,29 +248,24 @@ def attractive_cycle_batch(
     close = gap < CLOSURE_TOL
     periods = np.where(close.any(axis=0), close.argmax(axis=0) + 1, 0)
 
-    attracting = {}
+    cycles = {}
     for j in np.flatnonzero(periods).tolist():
         # rows are the step's images and the period is the first return, so the points close
+        points = tuple(orbit[: periods[j], j].tolist())
         try:
-            cycle = _cycle_report(orbit[: periods[j], j].tolist(), maps[j % n][0])
+            m = math.prod(map_derivative(p, maps[j % n][0]) for p in points)
         except ValueError:  # through infinity, beyond the escape radius or at a pole
             continue
-        if classify_multiplier(cycle[1]) in ("attractive", "superattractive"):
-            attracting[j] = cycle
-    # the second critical orbit's cycle counts only where it is not the first one's: every
-    # point of it at chordal distance below match_tol from a point of the first cycle
-    match_tol = 1e-6
-    by_period: dict[int, list[int]] = {}
-    for i in range(n):
-        if i in attracting and i + n in attracting and periods[i] == periods[i + n]:
-            by_period.setdefault(int(periods[i]), []).append(i)
-    for period, group in by_period.items():
-        i = np.array(group)
-        second, first = orbit[:period, i + n].T, orbit[:period, i].T
-        same = (chordal_distance(second[:, :, None], first[:, None, :]).min(axis=2) < match_tol).all(axis=1)
-        for k in i[same].tolist():
-            del attracting[k + n]
-    return [[attracting[j] for j in (i, i + n) if j in attracting] for i in range(n)]
+        if classify_multiplier(m) in ("attractive", "superattractive"):
+            cycles[j] = (points, m)
+    # the second critical orbit's cycle is the first one's where both attract with one period
+    # and its first point lies within chordal 1e-6 of a point of the first cycle
+    near = chordal_distance(orbit[0, n:], orbit[:, :n]) < 1e-6
+    near &= np.arange(max_period + 1)[:, None] < periods[:n]
+    for i in np.flatnonzero((periods[:n] == periods[n:]) & near.any(axis=0)).tolist():
+        if i in cycles:
+            cycles.pop(i + n, None)
+    return [[cycles[j] for j in (i, i + n) if j in cycles] for i in range(n)]
 
 
 def find_attractive_cycles(

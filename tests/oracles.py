@@ -13,9 +13,10 @@ The tests compare the package against them.  `apply_map` is no second
 coding: it is `step_point` at the ideal map's coefficients, in scalar form,
 and `grid_points` is the basin grid's midpoints as one complex array.
 `validated_cycle` checks that points close under a step before it gives
-their (points, multiplier) pair through the package's `_cycle_report`, and
-`full_range_step_operator` is `exact_step_operator`'s sum taken over every
-Fock level from 0, the leading levels whose amplitude is 0 included.  The
+their (points, multiplier) pair, the multiplier the product of the package's
+`map_derivative` along them, and `full_range_step_operator` is
+`exact_step_operator`'s sum taken over every Fock level from 0, the leading
+levels whose amplitude is 0 included.  The
 rest is what only tests need: reading back the files `tcmap.output` writes,
 and the norms, product-basis vector and field projection of the package's
 Bell-basis arrays, ordered (|1,1>, |Psi+>, |0,0>, |Psi->) as the columns of
@@ -32,7 +33,7 @@ import numpy as np
 
 from tcmap.experiments import grid_axes
 from tcmap.protocol import default_interaction_time
-from tcmap.rational_map import _cycle_report, ideal_coefficients, step_point
+from tcmap.rational_map import ideal_coefficients, map_derivative, step_point
 from tcmap.sphere import INFINITY, as_point, chordal_distance, homogeneous, is_infinite
 from tcmap.tavis_cummings import (
     BELL_TO_PRODUCT,
@@ -109,7 +110,10 @@ def validated_cycle(points, coeffs, tol=1e-8):
         if gap > tol:
             raise ValueError(f"points do not close under the map at index {i} "
                                  f"(distance {gap:.3e} > {tol:.3e})")
-    return _cycle_report(pts, coeffs)
+    if any(is_infinite(p) for p in pts):
+        # f' is taken in the plane chart; the ideal map has no such cycle (inf -> 0 -> 0)
+        raise ValueError("cycle through infinity is not supported")
+    return tuple(pts), math.prod(map_derivative(p, coeffs) for p in pts)
 
 
 def full_range_step_operator(nbar, gt=None, phi=0.0):

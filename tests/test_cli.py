@@ -305,7 +305,8 @@ def test_an_op_file_is_checked_against_nbar_and_gt(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["discriminate", "--map-kind", "exact", "--gt", "1", "--op-file", str(op_path), "--out", str(csv)])
     assert exc.value.code == 2
-    assert "--gt" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tcmap discriminate ") and "--gt" in err
     assert not csv.exists()
 
 
@@ -462,12 +463,29 @@ def test_running_out_of_memory_is_a_runtime_error(tmp_path, capsys, monkeypatch,
     ["cycles", "--varphi", "0.2375pi", "--max-period", str(10**20)],  # the burn's history deque
     ["sweep", "--grid", "4", "--max-period", str(10**20)],
 ])
-def test_a_count_too_large_for_a_c_integer_is_a_runtime_error(tmp_path, capsys, argv):
+def test_a_count_too_large_for_a_c_integer_is_a_usage_error(tmp_path, capsys, argv):
     out = tmp_path / "out"
-    assert main(argv + ["--out", str(out)]) == 1
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"tcmap {argv[0]}: ") and "too large" in err and err.count("\n") == 1
+    assert err.startswith(f"usage: tcmap {argv[0]} ")
+    assert f"error: argument {argv[-2]}: '{argv[-1]}' is not an int >= " in err and str(sys.maxsize - 1) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["basin", "--varphi", "0", "--res", "4x4", "--out", "same", "--csv", "same"],
+    ["julia", "--varphi", "0", "--points", "5", "--res", "4x4", "--out", "j", "--image", "./j"],
+])
+def test_two_outputs_on_one_path_are_refused(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: tcmap {argv[0]} ") and f"error: argument {argv[-2]}: " in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_the_environment_sets_no_seed(tmp_path):
@@ -549,10 +567,12 @@ def test_the_allocator_is_set_up_once_per_process(tmp_path, monkeypatch, fresh_h
 def test_discriminate_exact_requires_nbar(capsys):
     with pytest.raises(SystemExit):
         parse_config(["discriminate", "--map-kind", "exact", "--out", "d.csv"])
-    assert "--nbar" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tcmap discriminate ") and "--nbar" in err
     with pytest.raises(SystemExit):
         parse_config(["exact-basin", "--varphi", "0", "--out", "e.ppm"])
-    assert "--nbar" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tcmap exact-basin ") and "--nbar" in err
 
 
 def test_resources_table(tmp_path, capsys):

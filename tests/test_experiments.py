@@ -335,9 +335,7 @@ def test_resource_powers_of_eight_are_exact():
 
 
 def test_resource_rejects_degenerate_angle():
-    from tcmap.rational_map import DegenerateParameterError
-
-    with pytest.raises(DegenerateParameterError):
+    with pytest.raises(ValueError, match="identically zero"):
         resource_estimate(2, math.pi / 2.0)
 
 

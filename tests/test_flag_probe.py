@@ -6,7 +6,7 @@ inside and just outside each bound) and checks the contract of the exit code it 
 * 0: every output parses, an image has the asked size, and every documented column is finite,
   apart from `map`'s row-0 `p_success` and the point at infinity written as `inf,0`;
 * 1: no file is written and stderr holds one line;
-* 2: a usage message that names the flag, and no file.
+* 2: the subcommand's usage message, naming the flag, and no file.
 
 Huge counts appear only where the work does not grow with them, so `--nbar 1e9`, the largest
 accepted value, is not run here: its operator takes seconds and hundreds of MB to build.
@@ -20,7 +20,7 @@ from oracles import read_csv, read_ppm
 from tcmap.cli import main
 from tcmap.protocol import MAX_NBAR, exact_step_operator, max_interaction_time, write_step_operator
 
-HUGE = str(10**20)  # more than a C integer holds
+HUGE = str(10**20)  # more than a C integer holds: a count refuses it, --seed takes it
 OUTSIDE_NBAR = repr(MAX_NBAR * (1 + 2**-52))
 GT_LIMIT = max_interaction_time(10.0)
 
@@ -61,33 +61,34 @@ CASES = (
     + [("map", "--z", v, c) for v, c in POINT]
     + [("map", "--steps", v, c) for v, c in [("0", 0), ("1", 0), ("-1", 2), ("x", 2)]]
     + [("cycles", "--varphi", v, c) for v, c in ANGLE]
-    + [("cycles", "--burn", v, c) for v, c in [("0", 0), ("1", 0), (HUGE, 1), ("-1", 2)]]
-    + [("cycles", "--max-period", v, c) for v, c in [("1", 0), ("0", 2), (HUGE, 1)]]
+    + [("cycles", "--burn", v, c) for v, c in [("0", 0), ("1", 0), (HUGE, 2), ("-1", 2)]]
+    + [("cycles", "--max-period", v, c) for v, c in [("1", 0), ("0", 2), (HUGE, 2)]]
     + [("cycles", "--cycle-tol", "1e-8", 2)]
     + [("sweep", "--grid", v, c) for v, c in [("1", 0), ("0", 2)]]
     + [("sweep", "--phi-min", v, c) for v, c in [("0", 0), ("-1e300", 0), ("-1e308", 1), ("0.5pi", 0), ("inf", 2)]]
     + [("sweep", "--phi-max", v, c) for v, c in [("0", 0), ("5e-324", 0), ("1e300", 0), ("nan", 2)]]
     + [("sweep", "--burn", v, c) for v, c in [("0", 0), ("-1", 2)]]
-    + [("sweep", "--max-period", v, c) for v, c in [("1", 0), ("0", 2), (HUGE, 1)]]
+    + [("sweep", "--max-period", v, c) for v, c in [("1", 0), ("0", 2), (HUGE, 2)]]
     + [("julia", "--varphi", v, c) for v, c in ANGLE]
-    + [("julia", "--points", v, c) for v, c in [("0", 0), ("1", 0), (HUGE, 1), ("-1", 2)]]
+    + [("julia", "--points", v, c) for v, c in [("0", 0), ("1", 0), (HUGE, 2), ("-1", 2)]]
     + [("julia", "--seed", v, c) for v, c in SEED]
     + [("julia", "--region", v, c) for v, c in REGION if c != 1]
-    + [("julia", "--res", v, c) for v, c in RES]
+    # an image far beyond the address space: its allocation fails before any file is written
+    + [("julia", "--res", v, c) for v, c in RES + [("100000000x100000000", 1)]]
     # exact-basin exits 1 where the exact step's attractors are not the ideal map's
     + [(cmd, flag, v, None if c == 0 and cmd == "exact-basin" else c) for cmd in ("basin", "exact-basin")
        for flag, values in [
         ("--varphi", ANGLE), ("--region", REGION), ("--res", RES),
         # half the distance between the attractors +-1.0000000000000004 is the largest tol refused
         ("--tol", [("5e-324", 0), ("1", 0), ("1.0000000000000004", 1), ("1e300", 1), ("0", 2), ("inf", 2)]),
-        ("--max-iter", [("1", 0), (HUGE, 1), ("0", 2)])] for v, c in values]
+        ("--max-iter", [("1", 0), (HUGE, 2), ("0", 2)])] for v, c in values]
     + [("exact-basin", "--nbar", v, None if c == 0 else c) for v, c in NBAR if v != "1e3"]  # a long burn
     + [("exact-basin", "--gt", v, None if c == 0 else c) for v, c in GT]
     + [("exact-basin", "--op-file", v, c) for v, c in OP_FILE]
     + [("discriminate", flag, v, c) for flag, values in [
         ("--varphi", ANGLE), ("--z1", POINT), ("--z2", POINT),
         ("--sigma", [("0", 0), ("5e-324", 0), ("1e308", 0), ("-5e-324", 2), ("inf", 2)]),
-        ("--samples", [("1", 0), ("0", 2), (HUGE, 1)]),
+        ("--samples", [("1", 0), ("0", 2), (HUGE, 2)]),
         ("--steps", [("0", 0), ("-1", 2)]),
         ("--seed", SEED),
         ("--map-kind", [("ideal", 0), ("dense", 2)]),
@@ -96,13 +97,13 @@ CASES = (
     + [("exact-discriminate", "--gt", v, c) for v, c in GT]
     + [("exact-discriminate", "--op-file", v, c) for v, c in OP_FILE]
     + [("resources", "--varphi", v, c) for v, c in ANGLE]
-    + [("resources", "--n", v, c) for v, c in [("0", 0), ("341", 0), ("342", 1), (HUGE, 1), ("-1", 2)]]
+    + [("resources", "--n", v, c) for v, c in [("0", 0), ("341", 0), ("342", 1), (HUGE, 2), ("-1", 2)]]
     + [("homodyne", "--nbar", v, c) for v, c in [("0", 0), ("5e-324", 0), ("1e308", 0), ("-1", 2), ("inf", 2)]]
     + [("homodyne", flag, v, c) for flag in ("--phi", "--theta") for v, c in PHASE]
     + [("homodyne", "--gt", v, c) for v, c in [("0", 0), ("-1e300", 0), ("1e308", 0), ("nan", 2)]]
     + [("homodyne", "--q-range", v, c) for v, c in [
         ("0,0,1", 0), ("6,-6,2", 0), ("-1e300,1e300,3", 0), ("-1e308,1e308,3", 2), ("-6,6,0", 2),
-        (f"-6,6,{HUGE}", 1), ("-6,6", 2), ("-6,nan,3", 2)]]
+        (f"-6,6,{HUGE}", 2), ("-6,6", 2), ("-6,nan,3", 2)]]
     + [("exact-op", "--nbar", v, c) for v, c in NBAR]
     + [("exact-op", "--gt", v, c) for v, c in GT]
     + [("exact-op", "--phi", v, c) for v, c in PHASE]
@@ -174,8 +175,8 @@ def _contract_breaks(tmp_path, ops, capsys, case):
     elif code == 2:
         if files:
             breaks.append(f"wrote {files}")
-        if not err.startswith("usage:") or flag not in err:
-            breaks.append(f"no usage message naming {flag}: {err!r}")
+        if not err.startswith(f"usage: tcmap {name} ") or flag not in err:
+            breaks.append(f"no {name} usage message naming {flag}: {err!r}")
     return breaks
 
 
