@@ -6,7 +6,8 @@ so a re-run with the same flags writes byte-identical CSV/PPM files.
 
 Each flag is checked by its argparse type, defaults included, so a bad value
 is a usage error (exit 2) that names the flag; a count above sys.maxsize - 1
-is one too.  Runtime and I/O errors, running out of memory included, exit 1.
+is one too.  Runtime and I/O errors, running out of memory included, exit 1
+and remove every output file the run created or rewrote.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import ctypes
 import functools
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -205,17 +207,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# flags whose values may start with a minus sign (argparse would read them as options)
-_NEGATIVE_VALUE_FLAGS = {
-    "--region", "--q-range", "--z", "--z1", "--z2",
-    "--phi-min", "--phi-max", "--theta", "--phi", "--gt", "--varphi",
-}
-
-
 def _merge_negative_values(argv):
+    """Join a token with one leading minus (-1e-3, -0.2,0) to the --flag before it as --flag=token,
+    which argparse would read as an option; -h and -o stay options."""
     out = []
     for tok in argv:
-        if out and out[-1] in _NEGATIVE_VALUE_FLAGS and tok.startswith("-") and len(tok) > 1:
+        if (out and out[-1].startswith("--") and out[-1] != "--help" and "=" not in out[-1]
+                and tok[:1] == "-" and tok[1:2] not in ("", "-") and tok not in ("-h", "-o")):
             out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
@@ -313,11 +311,10 @@ def run_sweep(args: argparse.Namespace) -> None:
 
 
 def run_julia(args: argparse.Namespace) -> None:
-    pts = rm.julia_backward_sample(args.varphi, args.points, seed=args.seed)
-    image = None if args.image is None else output.point_cloud_image(pts, args.region, *args.res)
+    pts = rm.julia_backward_sample(_step_coefficients(args), rm.two_cycle(args.varphi)[0], args.points, args.seed)
     output.write_csv([(p.real, p.imag) for p in pts], ("z_re", "z_im"), args.out)
-    if image is not None:
-        output.write_ppm(image, args.image)
+    if args.image is not None:
+        output.write_ppm(output.point_cloud_image(pts, args.region, *args.res), args.image)
 
 
 def run_basin(args: argparse.Namespace) -> None:
@@ -396,12 +393,26 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
 
 
+def _file_version(path):
+    """What changes when a regular file is created or written: None for no file or another kind."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns, st.st_ctime_ns) if stat.S_ISREG(st.st_mode) else None
+
+
 def main(argv=None) -> int:
     _keep_freed_heap()
     args = parse_config(sys.argv[1:] if argv is None else argv)
+    paths = [p for p in (args.out, getattr(args, "csv", None), getattr(args, "image", None)) if p is not None]
+    before = [_file_version(p) for p in paths]
     try:
         args.run(args)
     except (ValueError, OSError, OverflowError, MemoryError) as exc:
+        for path, version in zip(paths, before):
+            if _file_version(path) not in (None, version):  # a file this run wrote
+                os.remove(path)
         print(f"tcmap {args.subcommand}: {exc}", file=sys.stderr)
         return 1
     return 0

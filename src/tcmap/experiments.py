@@ -9,16 +9,16 @@ quadratic_step coefficients, the ideal map's or the exact step's alike.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import os
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import rational_map as rm
-from .sphere import HOMOGENEOUS_LIMIT, as_point, homogeneous, is_infinite
+from .sphere import HOMOGENEOUS_LIMIT, as_point, homogeneous
 
 DEFAULT_SEED = 12345
 
@@ -188,8 +188,7 @@ def resource_estimate(n: int, varphi: float) -> int:
         raise ValueError(f"pair count (8/cos^2 varphi)^n overflows a float at n={n}, varphi={varphi!r}") from None
 
 
-@dataclass(frozen=True)
-class BasinGrid:
+class BasinGrid(NamedTuple):
     """Row-major classification of a rectangle of initial labels.
 
     Row 0 is the top of the image (largest imaginary part); attractor_ids
@@ -224,7 +223,7 @@ def _attractor_cycles(attractors: Sequence[Sequence[complex]]) -> tuple[tuple[co
     cycles = tuple(tuple(as_point(p) for p in cycle) for cycle in attractors)
     if not (0 < len(cycles) <= 2 and all(cycles)):  # one attracting cycle at most per critical point
         raise ValueError("one or two attractors are needed (a quadratic map has at most two), each non-empty")
-    if any(is_infinite(p) for cycle in cycles for p in cycle):
+    if any(cmath.isinf(p) for cycle in cycles for p in cycle):
         raise ValueError("attractor points must be finite")
     return cycles
 

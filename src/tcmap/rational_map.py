@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sphere import INFINITY, as_point, chordal_distance, is_infinite
+from .sphere import INFINITY, as_point, chordal_distance
 
 # Degeneracy threshold on |cos(varphi)|: at varphi = pi/2, 3pi/2 the map is
 # identically zero and not a genuine complex map.
@@ -291,29 +291,25 @@ def inverse_branches(w: complex, coeffs: tuple) -> tuple[complex, complex]:
     """
     w = as_point(w)
     a, b, c, d, e, f = coeffs
-    if is_infinite(w):
+    if cmath.isinf(w):
         return _quadratic_roots(d, e, f)
     return _quadratic_roots(a - w * d, b - w * e, c - w * f)
 
 
-def julia_backward_sample(
-    varphi: float,
-    n_points: int,
-    seed: int,
-) -> np.ndarray:
-    """Backward-orbit sample of the ideal map's Julia set, seeded and deterministic.
+def julia_backward_sample(coeffs: tuple, start: complex, n_points: int, seed: int) -> np.ndarray:
+    """Backward-orbit sample of the Julia set of the step on coeffs, seeded and deterministic.
 
-    Starts from one point of the repelling two-cycle and at each step jumps
-    to a uniformly chosen inverse branch; the first JULIA_TRANSIENT points
-    are discarded.  Returns a complex array of n_points entries (a point at
-    infinity, never observed in practice, would be stored as INFINITY).
+    Starts from `start` (a repelling point, such as one of the ideal map's
+    two-cycle) and at each step jumps to a uniformly chosen inverse branch;
+    the first JULIA_TRANSIENT points are discarded.  Returns a complex array
+    of n_points entries (a point at infinity, never observed in practice,
+    would be stored as INFINITY).
     """
     if n_points < 0:
         raise ValueError("n_points must be >= 0")
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=JULIA_TRANSIENT + n_points)
-    coeffs = ideal_coefficients(varphi)
-    z = two_cycle(varphi)[0]
+    z = start
     out = np.empty(n_points, dtype=np.complex128)
     for i, bit in enumerate(bits):
         z = inverse_branches(z, coeffs)[bit]

@@ -17,10 +17,6 @@ import numpy as np
 INFINITY = complex(math.inf, 0.0)
 
 
-def is_infinite(z) -> bool:
-    return cmath.isinf(z)
-
-
 def as_point(z) -> complex:
     """Coerce a number to a sphere point.
 

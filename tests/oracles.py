@@ -16,9 +16,10 @@ and `grid_points` is the basin grid's midpoints as one complex array.
 their (points, multiplier) pair, the multiplier the product of the package's
 `map_derivative` along them, and `full_range_step_operator` is
 `exact_step_operator`'s sum taken over every Fock level from 0, the leading
-levels whose amplitude is 0 included.  The
-rest is what only tests need: reading back the files `tcmap.output` writes,
-and the norms, product-basis vector and field projection of the package's
+levels whose amplitude is 0 included.  `first_order_step_operator` is the
+closed form of the exact operator to first order in 1/nbar.  The rest is
+what only tests need: reading back the files `tcmap.output` writes, and the
+norms, product-basis vector and field projection of the package's
 Bell-basis arrays, ordered (|1,1>, |Psi+>, |0,0>, |Psi->) as the columns of
 BELL_TO_PRODUCT.
 """
@@ -34,7 +35,7 @@ import numpy as np
 from tcmap.experiments import grid_axes
 from tcmap.protocol import default_interaction_time
 from tcmap.rational_map import ideal_coefficients, map_derivative, step_point
-from tcmap.sphere import INFINITY, as_point, chordal_distance, homogeneous, is_infinite
+from tcmap.sphere import INFINITY, as_point, chordal_distance, homogeneous
 from tcmap.tavis_cummings import (
     BELL_TO_PRODUCT,
     block_inputs,
@@ -110,7 +111,7 @@ def validated_cycle(points, coeffs, tol=1e-8):
         if gap > tol:
             raise ValueError(f"points do not close under the map at index {i} "
                                  f"(distance {gap:.3e} > {tol:.3e})")
-    if any(is_infinite(p) for p in pts):
+    if any(cmath.isinf(p) for p in pts):
         # f' is taken in the plane chart; the ideal map has no such cycle (inf -> 0 -> 0)
         raise ValueError("cycle through infinity is not supported")
     return tuple(pts), math.prod(map_derivative(p, coeffs) for p in pts)
@@ -142,7 +143,7 @@ def grid_points(region, width, height):
 
 def plane_distance(z, w):
     """Euclidean distance |z - w|; inf when exactly one point is infinite."""
-    return 0.0 if is_infinite(z) and is_infinite(w) else abs(z - w)
+    return 0.0 if cmath.isinf(z) and cmath.isinf(w) else abs(z - w)
 
 
 def homogeneous_overlap(z1, z2):
@@ -166,7 +167,7 @@ def product_state_vector(z):
     branches differ only by a global phase.
     """
     z = as_point(z)
-    if is_infinite(z):
+    if cmath.isinf(z):
         return np.array([1.0, 0.0, 0.0, 0.0], dtype=np.complex128)
     if abs(z) <= 1.0:
         return np.array([z * z, z, z, 1.0], dtype=np.complex128) / (1.0 + abs(z) ** 2)
@@ -186,6 +187,19 @@ def ideal_postselection_operator(phi: float) -> np.ndarray:
     return np.outer(psi_minus, psi_minus.conj()) + np.outer(phi_minus, phi_minus.conj())
 
 
+def first_order_step_operator(nbar: float, phi: float) -> np.ndarray:
+    """The exact step operator to first order in 1/nbar: the ideal projector plus C1/nbar.
+
+    C1 = (|1,1><1,1| - |0,0><0,0| + e^{2i phi}|1,1><0,0| + e^{-2i phi}|0,0><1,1|)/4 in the
+    product basis (|1,1>, |1,0>, |0,1>, |0,0>).  The map it induces is the ideal map times
+    the gain lambda = 2 nbar/(2 nbar - 1).
+    """
+    c1 = np.zeros((4, 4), dtype=np.complex128)
+    c1[0, 0], c1[3, 3] = 0.25, -0.25
+    c1[0, 3], c1[3, 0] = cmath.exp(2j * phi) / 4.0, cmath.exp(-2j * phi) / 4.0
+    return ideal_postselection_operator(phi) + c1 / nbar
+
+
 def step_amplitudes(z, varphi, phi=0.0):
     """Bell-basis atomic amplitudes (|1,1>, |Psi+>, |0,0>, |Psi->) after the gate on atom B,
     before the field interaction.
@@ -196,7 +210,7 @@ def step_amplitudes(z, varphi, phi=0.0):
     """
     z = as_point(z)
     eg = cmath.exp(1j * varphi)
-    if is_infinite(z):
+    if cmath.isinf(z):
         return np.array([eg * cmath.exp(2j * phi), 0j, 0j, 0j])
     norm = 1.0 + abs(z) ** 2
     zph = z * cmath.exp(1j * phi)

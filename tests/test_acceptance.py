@@ -28,7 +28,6 @@ from tcmap.rational_map import (
     step_point,
     two_cycle,
 )
-from tcmap.sphere import is_infinite
 from tcmap.tavis_cummings import (
     evolve_exact,
     homodyne_density,
@@ -196,7 +195,7 @@ def test_criterion_07_julia_structure():
     ends_a = [iterate_map(s * cmath.exp(-1j * varphi_a), varphi_a, 3000)[-1] for s in (1, -1)]
     merged = find_attractive_cycles(ideal_coefficients(varphi_a), varphi_a)
     case_a = (
-        all((not is_infinite(e)) and abs(e) < 1e-3 for e in ends_a)
+        all((not cmath.isinf(e)) and abs(e) < 1e-3 for e in ends_a)
         and len(merged) == 1
         and abs(merged[0][0][0]) < 1e-6
     )
@@ -207,7 +206,7 @@ def test_criterion_07_julia_structure():
     end_minus = iterate_map(zc_minus, varphi_b, 3000)[-1]
     case_b = abs(end_plus - 1.0) < 1e-6 and abs(end_minus + 1.0) < 1e-6
     # the line case: backward samples at varphi=0 stay on the imaginary axis
-    pts = julia_backward_sample(0.0, 1000, seed=2024)
+    pts = julia_backward_sample(ideal_coefficients(0.0), two_cycle(0.0)[0], 1000, seed=2024)
     case_c = float(np.max(np.abs(pts.real))) < 1e-6
     _report(
         7,

@@ -488,6 +488,29 @@ def test_two_outputs_on_one_path_are_refused(tmp_path, monkeypatch, capsys, argv
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    # the PPM write fails, so the CSV is never opened
+    ["basin", "--varphi", "0", "--res", "4x4", "--out", "nodir/b.ppm", "--csv", "b.csv"],
+    # refused before any write
+    ["exact-basin", "--varphi", "0.2375pi", "--nbar", "2", "--res", "4x4", "--out", "b.ppm", "--csv", "b.csv"],
+], ids=["basin", "exact-basin"])
+def test_a_file_that_a_failed_run_never_opened_stays(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b.csv").write_text("kept\n")
+    assert main(argv) == 1
+    assert capsys.readouterr().err.count("\n") == 1
+    assert (tmp_path / "b.csv").read_text() == "kept\n"
+
+
+def test_a_file_that_a_failed_run_rewrote_is_removed(tmp_path, monkeypatch, capsys):
+    # the PPM is rewritten before the CSV write fails
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b.ppm").write_text("kept\n")
+    assert main(["basin", "--varphi", "0", "--res", "4x4", "--out", "b.ppm", "--csv", "nodir/b.csv"]) == 1
+    assert "cannot write CSV" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_the_environment_sets_no_seed(tmp_path):
     # TCMAP_SEED once set the default --seed; now every seeded command reads only its flags
     src = str(Path(tcmap.__file__).resolve().parents[1])

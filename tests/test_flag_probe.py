@@ -5,19 +5,22 @@ inside and just outside each bound) and checks the contract of the exit code it 
 
 * 0: every output parses, an image has the asked size, and every documented column is finite,
   apart from `map`'s row-0 `p_success` and the point at infinity written as `inf,0`;
-* 1: no file is written and stderr holds one line;
+* 1: no file is left behind, and stderr holds one line;
 * 2: the subcommand's usage message, naming the flag, and no file.
 
 Huge counts appear only where the work does not grow with them, so `--nbar 1e9`, the largest
 accepted value, is not run here: its operator takes seconds and hundreds of MB to build.
+
+A second test holds every value flag to one rule for a value with a leading minus.
 """
 
+import argparse
 import math
 
 import pytest
 
 from oracles import read_csv, read_ppm
-from tcmap.cli import main
+from tcmap.cli import _build_parser, main, parse_complex, parse_region
 from tcmap.protocol import MAX_NBAR, exact_step_operator, max_interaction_time, write_step_operator
 
 HUGE = str(10**20)  # more than a C integer holds: a count refuses it, --seed takes it
@@ -73,8 +76,11 @@ CASES = (
     + [("julia", "--points", v, c) for v, c in [("0", 0), ("1", 0), (HUGE, 2), ("-1", 2)]]
     + [("julia", "--seed", v, c) for v, c in SEED]
     + [("julia", "--region", v, c) for v, c in REGION if c != 1]
-    # an image far beyond the address space: its allocation fails before any file is written
+    # an image far beyond the address space: its allocation fails after the CSV is written
     + [("julia", "--res", v, c) for v, c in RES + [("100000000x100000000", 1)]]
+    # a second output that cannot be written: the first one, already written, is removed
+    + [("julia", "--image", "nodir/julia.ppm", 1)]
+    + [(cmd, "--csv", "nodir/basin.csv", 1) for cmd in ("basin", "exact-basin")]
     # exact-basin exits 1 where the exact step's attractors are not the ideal map's
     + [(cmd, flag, v, None if c == 0 and cmd == "exact-basin" else c) for cmd in ("basin", "exact-basin")
        for flag, values in [
@@ -191,3 +197,35 @@ def test_every_flag_value_gives_a_meaningful_result_or_a_refusal(tmp_path, capsy
         if breaks:
             found[" ".join(map(str, case[:3]))] = breaks
     assert not found
+
+
+# a value for each flag that starts with one minus; paths are left out, as such a value would name a file
+PATH_FLAGS = ("--out", "--csv", "--image", "--op-file")
+MINUS_VALUE = {parse_complex: "-0.2,0", parse_region: "-2,2,-2,2"}
+
+
+def _value_flags():
+    """(command, flag, value with a leading minus) for every flag of every subcommand that takes a value."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        for action in parser._actions:
+            flag = action.option_strings[0]
+            if action.nargs != 0 and not action.choices and flag not in PATH_FLAGS:
+                yield name, flag, MINUS_VALUE.get(action.type, "-1e-3")
+
+
+def test_a_value_with_a_leading_minus_reads_as_after_an_equals_sign(tmp_path, capsys):
+    # argparse would take -1e-3 for an option; every flag must name its range instead
+    differ = {}
+    for command, flag, value in _value_flags():
+        base = [str(tmp_path / a) if a.endswith((".ppm", ".csv")) else a for a in BASE[command]]
+        seen = []
+        for tail in ([flag, value], [f"{flag}={value}"]):
+            try:
+                code = main([command] + base + tail + ["--out", str(tmp_path / "out")])
+            except SystemExit as exc:
+                code = exc.code
+            seen.append((code, capsys.readouterr().err))
+        if seen[0] != seen[1]:
+            differ[f"{command} {flag} {value}"] = seen
+    assert not differ

@@ -9,6 +9,7 @@ from oracles import (
     amplitude_step,
     apply_map,
     atom_norm,
+    first_order_step_operator,
     full_range_step_operator,
     ideal_postselection_operator,
     product_state_vector,
@@ -26,12 +27,13 @@ from tcmap.protocol import (
 )
 from tcmap.rational_map import (
     NULL_OUTCOME_EPS,
+    attractive_cycle_batch,
     ideal_coefficients,
     is_degenerate,
     quadratic_step,
     step_point,
 )
-from tcmap.sphere import INFINITY, is_infinite
+from tcmap.sphere import INFINITY
 from tcmap.tavis_cummings import BELL_TO_PRODUCT, evolve_exact, poisson_amplitudes
 
 # the rank-two postselection projector as a step operator: the large-nbar limit of the exact step
@@ -153,8 +155,8 @@ def test_ideal_step_matches_the_rational_map():
         z = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         got, p = amplitude_step(z, varphi)
         want = apply_map(z, varphi)
-        if is_infinite(want):
-            assert is_infinite(got) or abs(got) > 1e10
+        if cmath.isinf(want):
+            assert cmath.isinf(got) or abs(got) > 1e10
         else:
             assert abs(got - want) < 1e-12 * max(1.0, abs(want))
         assert abs(p - closed_form_success_probability(z, varphi)) < 1e-12
@@ -174,7 +176,7 @@ def test_ideal_step_success_bound_and_minimizer():
     varphi = 0.6
     zmin = 1j * cmath.exp(-1j * varphi)
     znew, p = ideal_step(zmin, varphi)
-    assert is_infinite(znew)
+    assert cmath.isinf(znew)
     assert abs(p - math.cos(varphi) ** 2 / 4.0) < 1e-15
 
 
@@ -301,6 +303,50 @@ def test_the_operator_build_does_not_scale_with_the_cutoff():
     assert peak < 40e6
 
 
+# --------------------------------------------- the finite-nbar step to first order
+
+@pytest.mark.parametrize("phi", [0.0, 0.7])
+def test_the_exact_operator_is_the_first_order_one_up_to_nbar_squared(phi):
+    # nbar^2 ||M - P - C1/nbar||_2 read 0.437, 0.428, 0.426 and 0.306 at both phases
+    for nbar in (1e2, 1e3, 1e4, 1e5):
+        rest = exact_step_operator(nbar, phi=phi) - first_order_step_operator(nbar, phi)
+        assert nbar**2 * np.linalg.norm(rest, 2) < 0.5
+
+
+def test_the_exact_attractors_are_the_fixed_points_of_the_gain_map():
+    # the first-order step is lambda f, whose fixed points +-1 move to +-sqrt(1 + 2 (lambda - 1) cos v e^{-iv});
+    # the exact attracting points lie 0.552, 0.447, 0.416, 0.405 and 0.405 / nbar^2 from them
+    v = 0.2375 * math.pi
+    for nbar in (10.0, 30.0, 100.0, 1400.0, 1e4):
+        gain = 2.0 * nbar / (2.0 * nbar - 1.0)
+        first_order = step_coefficients(first_order_step_operator(nbar, 0.0), v)
+        for z in (0.3 + 0.2j, -1.5 + 0.7j, 2j):
+            assert abs(step_point(z, first_order)[0] - gain * apply_map(z, v)) < 1e-14 * abs(apply_map(z, v))
+        fixed = cmath.sqrt(1.0 + 2.0 * (gain - 1.0) * math.cos(v) * cmath.exp(-1j * v))
+        cycles = attractive_cycle_batch([(step_coefficients(exact_step_operator(nbar), v), v)])[0]
+        points = [p for cycle, _ in cycles for p in cycle]
+        assert len(points) == 2
+        assert all(min(abs(p - fixed), abs(p + fixed)) < 0.6 / nbar**2 for p in points)
+
+
+def test_the_first_order_step_has_the_exact_periods_where_the_ideal_map_has_them():
+    # periods on the sweep --grid 512 angles: the exact step against the first-order step and the ideal
+    # map; they agreed at 376/364, 460/432, 496/468, 504/492 and 512/508 angles
+    grid = [(k + 0.5) * 2.0 * math.pi / 512 for k in range(512)]
+    nbars = (2.0, 5.0, 10.0, 30.0, 100.0)
+    maps = [(ideal_coefficients(v), v) for v in grid]
+    for nbar in nbars:
+        for matrix in (exact_step_operator(nbar), first_order_step_operator(nbar, 0.0)):
+            maps += [(step_coefficients(matrix, v), v) for v in grid]
+    periods = [sorted(len(points) for points, _ in cycles) for cycles in attractive_cycle_batch(maps)]
+    ideal, rest = periods[:512], periods[512:]
+    for i, nbar in enumerate(nbars):
+        exact, first_order = rest[1024 * i: 1024 * i + 512], rest[1024 * i + 512: 1024 * (i + 1)]
+        with_first_order = sum(map(list.__eq__, exact, first_order))
+        assert with_first_order >= sum(map(list.__eq__, exact, ideal))
+        assert nbar < 100 or with_first_order == 512
+
+
 def test_both_coefficient_producers_give_six_python_complex_numbers():
     for coeffs in (ideal_coefficients(0.3), step_coefficients(exact_step_operator(10.0), 0.3),
                    step_coefficients(IDEAL, 0.3)):
@@ -324,8 +370,8 @@ def test_exact_step_with_the_ideal_projector_reproduces_the_ideal_step():
         z = complex(rng.uniform(-2.5, 2.5), rng.uniform(-2.5, 2.5))
         want_z, want_p = amplitude_step(z, varphi)
         for got_z, got_p in (step_point(z, step_coefficients(IDEAL, varphi)), ideal_step(z, varphi)):
-            if is_infinite(want_z):
-                assert is_infinite(got_z) or abs(got_z) > 1e10
+            if cmath.isinf(want_z):
+                assert cmath.isinf(got_z) or abs(got_z) > 1e10
             else:
                 assert abs(got_z - want_z) < 1e-12 * max(1.0, abs(want_z))
             assert abs(got_p - want_p) < 1e-12

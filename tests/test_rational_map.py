@@ -23,7 +23,7 @@ from tcmap.rational_map import (
     two_cycle,
 )
 from tcmap.protocol import exact_step_operator, step_coefficients
-from tcmap.sphere import INFINITY, chordal_distance, is_infinite
+from tcmap.sphere import INFINITY, chordal_distance
 
 
 def random_angles(rng, n):
@@ -67,7 +67,7 @@ def test_apply_map_infinity_goes_to_zero():
 def test_apply_map_huge_argument_no_nan():
     for z in (1e200 + 0j, 1e300 - 2e299j, -5e120j):
         w = apply_map(z, 0.7)
-        assert not is_infinite(w)
+        assert not cmath.isinf(w)
         assert abs(w) < 1e-100
 
 
@@ -101,7 +101,7 @@ def test_imaginary_axis_invariant_at_phi_zero():
     rng = np.random.default_rng(3)
     for y in rng.uniform(-5.0, 5.0, size=50):
         w = apply_map(1j * y, 0.0)
-        if not is_infinite(w):
+        if not cmath.isinf(w):
             assert w.real == 0.0  # exact, not approximate
 
 
@@ -409,7 +409,7 @@ def test_inverse_of_infinity_is_the_poles():
 
 def test_inverse_recovers_the_forward_image():
     branches = inverse_branches(0.3846153846153846, ideal_coefficients(0.0))
-    assert min(abs(z - 0.2) for z in branches if not is_infinite(z)) < 1e-12
+    assert min(abs(z - 0.2) for z in branches if not cmath.isinf(z)) < 1e-12
 
 
 def test_inverse_correctness_on_random_points():
@@ -423,17 +423,22 @@ def test_inverse_correctness_on_random_points():
 
 # ----------------------------------------------------------- Julia sampling
 
+def ideal_julia_sample(varphi, n_points, seed):
+    """What `tcmap julia` samples: the ideal map's backward orbit from its two-cycle."""
+    return julia_backward_sample(ideal_coefficients(varphi), two_cycle(varphi)[0], n_points, seed)
+
+
 def test_julia_sample_is_deterministic():
     varphi = 1.666 * math.pi
-    a = julia_backward_sample(varphi, 500, seed=99)
-    b = julia_backward_sample(varphi, 500, seed=99)
+    a = ideal_julia_sample(varphi, 500, seed=99)
+    b = ideal_julia_sample(varphi, 500, seed=99)
     assert np.array_equal(a, b)
-    c = julia_backward_sample(varphi, 500, seed=100)
+    c = ideal_julia_sample(varphi, 500, seed=100)
     assert not np.array_equal(a, c)
 
 
 def test_julia_sample_on_the_imaginary_axis_at_phi_zero():
-    pts = julia_backward_sample(0.0, 1000, seed=4)
+    pts = ideal_julia_sample(0.0, 1000, seed=4)
     assert np.max(np.abs(pts.real)) < 1e-6
 
 
@@ -441,12 +446,21 @@ def test_julia_sample_avoids_the_attractors():
     for v in (1.666 * math.pi, 0.95 * math.pi / 4.0):
         cycles = find_attractive_cycles(ideal_coefficients(v), v)
         attr = [p for points, _ in cycles for p in points]
-        pts = julia_backward_sample(v, 300, seed=12)
+        pts = ideal_julia_sample(v, 300, seed=12)
         for z in pts:
             orbit = iterate_map(complex(z), v, 5)
             for w in orbit:
-                if not is_infinite(w):
+                if not cmath.isinf(w):
                     assert all(abs(w - a) >= 0.1 for a in attr)
+
+
+def test_julia_sample_runs_backward_under_the_step_it_is_given():
+    # every point steps forward onto the one before it, under the exact step's coefficients
+    v = 0.2375 * math.pi
+    coeffs = step_coefficients(exact_step_operator(10.0), v)
+    pts = julia_backward_sample(coeffs, 0.5 + 0.5j, 300, seed=3)
+    gaps = [chordal_distance(step_point(complex(z), coeffs)[0], complex(w)) for z, w in zip(pts[1:], pts[:-1])]
+    assert max(gaps) < 1e-9
 
 
 # ------------------------------------------------------ basin classification
@@ -483,7 +497,7 @@ def test_grid_kernel_matches_scalar_map():
         out = apply_map_grid(z, v)
         for zi, oi in zip(z, out):
             expected = apply_map(complex(zi), v)
-            if is_infinite(expected):
+            if cmath.isinf(expected):
                 assert not np.isfinite(oi)
             else:
                 assert abs(oi - expected) < 1e-13
@@ -559,7 +573,7 @@ def test_exact_derivative_matches_finite_differences(exact_coefficients):
 
 def test_exact_critical_points_are_zeros_of_the_derivative(exact_coefficients):
     points = critical_points(exact_coefficients, EXACT_VARPHI)
-    assert not any(is_infinite(c) for c in points)
+    assert not any(cmath.isinf(c) for c in points)
     for c in points:
         assert abs(map_derivative(c, exact_coefficients)) < 1e-10
     # the one nearer e^{-i varphi} first
