@@ -240,33 +240,36 @@ def parse_config(argv) -> argparse.Namespace:
         if not abs(args.gt) <= limit:
             error(f"argument --gt: {args.gt!r} is beyond {limit:.6g}, where the phase of the highest "
                   f"block at --nbar {args.nbar!r} rounds by more than {proto.MAX_PHASE_ROUNDING:g}")
-    for dest in ("csv", "image"):
-        path = getattr(args, dest, None)
-        if path is not None and os.path.realpath(path) == os.path.realpath(args.out):
-            error(f"argument --{dest}: {path!r} is the --out file")
+    named = {}  # file -> its first path flag: no output may overwrite the operator read or another output
+    for flag in ("--op-file", "--out", "--csv", "--image"):
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if path is not None and named.setdefault(real := os.path.realpath(path), flag) != flag:
+            error(f"argument {flag}: {path!r} is the {named[real]} file")
     return args
 
 
-def _step_coefficients(args: argparse.Namespace) -> tuple:
-    """The six step coefficients at --varphi: the exact step's when parse_config let --op-file or
-    --nbar be set, otherwise the ideal map's.  The exact step is read from --op-file, which must
-    match the operator --nbar and --gt build when --nbar is given, else built from them."""
-    if getattr(args, "nbar", None) is None and getattr(args, "op_file", None) is None:
-        return rm.ideal_coefficients(args.varphi)
-    built = None if args.nbar is None else proto.exact_step_operator(args.nbar, gt=args.gt)
-    if args.op_file is None:
-        return proto.step_coefficients(built, args.varphi)
+def _step_operator(args: argparse.Namespace):
+    """The exact step's 4x4 operator, read from --op-file (which must match the one --nbar and --gt build
+    within 1e-12 when --nbar is given) or built from them; None, the ideal map, without either flag."""
+    built = None if getattr(args, "nbar", None) is None else proto.exact_step_operator(args.nbar, gt=args.gt)
+    if getattr(args, "op_file", None) is None:
+        return built
     matrix = proto.read_step_operator(args.op_file)
     gap = 0.0 if built is None else float(np.abs(matrix - built).max())
     if not gap <= 1e-12:
         gt = "" if args.gt is None else f" and --gt {args.gt!r}"
         raise ValueError(f"{args.op_file}: step operator differs by {gap:.3g} "
                          f"from the one --nbar {args.nbar!r}{gt} builds")
-    return proto.step_coefficients(matrix, args.varphi)
+    return matrix
+
+
+def _step_coefficients(matrix, varphi: float) -> tuple:
+    """The six step coefficients at varphi of the _step_operator matrix, the ideal map's for None."""
+    return rm.ideal_coefficients(varphi) if matrix is None else proto.step_coefficients(matrix, varphi)
 
 
 def run_map(args: argparse.Namespace) -> None:
-    z, coeffs = as_point(args.z), _step_coefficients(args)
+    z, coeffs = as_point(args.z), _step_coefficients(_step_operator(args), args.varphi)
     rows = [(0, z.real, z.imag, math.nan)]
     for k in range(1, args.steps + 1):
         z, p = rm.step_point(z, coeffs)
@@ -275,7 +278,8 @@ def run_map(args: argparse.Namespace) -> None:
 
 
 def run_cycles(args: argparse.Namespace) -> None:
-    cycles = rm.find_attractive_cycles(_step_coefficients(args), args.varphi, args.burn, args.max_period)
+    coeffs = _step_coefficients(_step_operator(args), args.varphi)
+    cycles = rm.find_attractive_cycles(coeffs, args.varphi, args.burn, args.max_period)
     rows = [
         (cid, len(points), pidx, pt.real, pt.imag, m.real, m.imag, abs(m), rm.classify_multiplier(m))
         for cid, (points, m) in enumerate(cycles) for pidx, pt in enumerate(points)
@@ -298,9 +302,12 @@ def run_sweep(args: argparse.Namespace) -> None:
     if not grid:
         raise ValueError(f"no usable angle: every grid angle in [{args.phi_min!r}, {args.phi_max!r}] "
                          "is degenerate (cos varphi ~ 0)")
+    matrix = _step_operator(args)
+    maps = [(_step_coefficients(matrix, v), v) for v in grid]
     rows_out = []
-    for v, cycles in zip(grid, ex.phi_sweep(grid, burn=args.burn, max_period=args.max_period)):
-        base = (v, *ex.fixed_point_multiplier_moduli(v))
+    for (coeffs, v), cycles in zip(maps, ex.phi_sweep(maps, burn=args.burn, max_period=args.max_period)):
+        fixed = rm.fixed_points(coeffs)  # each column is |f'| at the fixed point nearest 0, +1 or -1
+        base = (v, *(abs(rm.map_derivative(min(fixed, key=lambda z: abs(z - t)), coeffs)) for t in (0, 1, -1)))
         rows_out += [base + (len(points), abs(m)) for points, m in cycles] or [base + (0, 0.0)]
     output.write_csv(
         rows_out,
@@ -311,7 +318,8 @@ def run_sweep(args: argparse.Namespace) -> None:
 
 
 def run_julia(args: argparse.Namespace) -> None:
-    pts = rm.julia_backward_sample(_step_coefficients(args), rm.two_cycle(args.varphi)[0], args.points, args.seed)
+    coeffs = _step_coefficients(_step_operator(args), args.varphi)
+    pts = rm.julia_backward_sample(coeffs, rm.two_cycle(args.varphi)[0], args.points, args.seed)
     output.write_csv([(p.real, p.imag) for p in pts], ("z_re", "z_im"), args.out)
     if args.image is not None:
         output.write_ppm(output.point_cloud_image(pts, args.region, *args.res), args.image)
@@ -320,7 +328,7 @@ def run_julia(args: argparse.Namespace) -> None:
 def run_basin(args: argparse.Namespace) -> None:
     """basin and exact-basin: the chosen step moves the cells, classified toward the ideal attractors."""
     xs, ys = ex.grid_axes(args.region, *args.res)  # a bad window is refused before the step or the search
-    coeffs = _step_coefficients(args)
+    coeffs = _step_coefficients(_step_operator(args), args.varphi)
     maps = [(rm.ideal_coefficients(args.varphi), args.varphi)]
     if args.subcommand == "exact-basin":
         maps.append((coeffs, args.varphi))
@@ -343,7 +351,7 @@ def run_basin(args: argparse.Namespace) -> None:
 
 
 def run_discriminate(args: argparse.Namespace) -> None:
-    coeffs = _step_coefficients(args)
+    coeffs = _step_coefficients(_step_operator(args), args.varphi)
     mean, rms, counts = ex.discrimination_run(args.z1, args.z2, args.sigma, args.samples, args.steps, coeffs,
                                               seed=args.seed)
     rows = [(k, mean[k], rms[k], int(args.samples - counts[k])) for k in range(args.steps + 1)]

@@ -13,7 +13,7 @@ import cmath
 import itertools
 import math
 import os
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -83,22 +83,9 @@ def overlap(z1, z2):
     return float(out[0]) if scalar else out
 
 
-def fixed_point_multiplier_moduli(varphi: float) -> tuple[float, float, float]:
-    """(|lambda(0)|, |lambda(+1)|, |lambda(-1)|) = (|2 cos|, |tan|, |tan|)."""
-    t = abs(math.tan(varphi))
-    return (abs(2.0 * math.cos(varphi)), t, t)
-
-
-def phi_sweep(
-    varphis: Iterable[float],
-    burn: int = 10_000,
-    max_period: int = 64,
-) -> list[list[tuple[tuple[complex, ...], complex]]]:
-    """The ideal map's attractive cycles at each angle, in grid order; degenerate angles are rejected.
-
-    The critical orbits of all angles are searched as one batch; each cycle is a (points, multiplier) pair.
-    """
-    maps = [(rm.ideal_coefficients(v), v) for v in varphis]
+def phi_sweep(maps: Sequence[tuple[tuple, float]], burn: int = 10_000,
+              max_period: int = 64) -> list[list[tuple[tuple[complex, ...], complex]]]:
+    """The attractive (points, multiplier) cycles of each (coefficients, varphi) map, searched in one batch."""
     return rm.attractive_cycle_batch(maps, burn=burn, max_period=max_period)
 
 

@@ -135,6 +135,16 @@ def _quadratic_roots(a: complex, b: complex, c: complex) -> tuple[complex, compl
     return (0j, 0j) if q == 0 else (q / a, c / q)  # q == 0 only for b == c == 0
 
 
+def fixed_points(coeffs: tuple) -> tuple[complex, complex, complex]:
+    """The fixed points of the step on coeffs, roots of d z^3 + (e - a) z^2 + (f - b) z - c: INFINITY for
+    each degree the cubic drops, and a root 0 at c = 0 split off exactly (the ideal map's 0 and +-1)."""
+    a, b, c, d, e, f = coeffs
+    if c == 0:
+        return (0j, *_quadratic_roots(d, e - a, f - b))
+    roots = np.roots([d, e - a, f - b, -c]).tolist()  # np.roots drops the leading zeros
+    return (*roots, *[INFINITY] * (3 - len(roots)))
+
+
 def map_derivative(z: complex, coeffs: tuple) -> complex:
     """f'(z) = ((ae-bd) z^2 + 2(af-cd) z + (bf-ce)) / (d z^2 + e z + f)^2 for the six step coefficients."""
     z = as_point(z)

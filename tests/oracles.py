@@ -1,10 +1,12 @@
 """Second codings of the protocol and the map, kept as independent test oracles.
 
-The package computes each of these another way (or, for the ideal map's
-fixed points and the plane distance, not at all): the two-copy state and the
-postselection amplitudes are what `protocol.step_coefficients` and the step
-kernel encode, the rank-two postselection projector is the large-nbar limit
-of `exact_step_operator`, the orbit and the basin loop are what `basin_grid`
+The package computes each of these another way (or, for the plane distance,
+not at all): the ideal map's fixed points and their multipliers in closed
+form are what `rational_map.fixed_points` and `map_derivative` find for any
+step, the two-copy state and the postselection amplitudes are what
+`protocol.step_coefficients` and the step kernel encode, the rank-two
+postselection projector is the large-nbar limit of `exact_step_operator`,
+the orbit and the basin loop are what `basin_grid`
 runs, the homogeneous overlap is what `overlap` evaluates in the plane chart,
 and the block eigensystem is what `block_propagators` sums in closed form.
 The paper's coherent-state approximation of the evolved field channels is a
@@ -133,6 +135,12 @@ def fixed_points(varphi):
     """The ideal map's three fixed points -1, 0, +1, independent of the gate angle."""
     del varphi
     return (-1.0 + 0j, 0j, 1.0 + 0j)
+
+
+def fixed_point_multiplier_moduli(varphi):
+    """The ideal map's |multiplier| at its fixed points 0, +1 and -1 in closed form: (|2 cos|, |tan|, |tan|)."""
+    t = abs(math.tan(varphi))
+    return (abs(2.0 * math.cos(varphi)), t, t)
 
 
 def grid_points(region, width, height):

@@ -13,7 +13,14 @@ import numpy as np
 import pytest
 
 import tcmap
-from oracles import amplitude_step, apply_map, homogeneous_overlap, read_csv, read_ppm
+from oracles import (
+    amplitude_step,
+    apply_map,
+    fixed_point_multiplier_moduli,
+    homogeneous_overlap,
+    read_csv,
+    read_ppm,
+)
 from tcmap import tavis_cummings
 from tcmap.cli import _build_parser, main, parse_angle, parse_complex, parse_config, parse_region
 from tcmap.output import format_value
@@ -187,6 +194,19 @@ def test_sweep_row_pattern_for_phi_zero(tmp_path):
     assert lines[0] == "varphi,abs_lambda_0,abs_lambda_plus1,abs_lambda_minus1,detected_period,detected_abs_lambda"
     assert lines[1] == "0,2,0,0,1,0"
     assert lines[2] == "0,2,0,0,1,0"
+
+
+@pytest.mark.parametrize("grid", [512, 64])
+def test_sweep_writes_the_closed_form_multipliers_of_the_ideal_maps_fixed_points(tmp_path, grid):
+    # the columns do not depend on the critical-orbit search, so a burn of 0 is enough
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--grid", str(grid), "--burn", "0", "--max-period", "1", "--out", str(out)]) == 0
+    header, rows = read_csv(out)
+    assert header[1:4] == ["abs_lambda_0", "abs_lambda_plus1", "abs_lambda_minus1"]
+    assert len({row[0] for row in rows}) == grid
+    for row in rows:
+        expect = fixed_point_multiplier_moduli(row[0])
+        assert max(abs(m - e) / max(e, 1.0) for m, e in zip(row[1:4], expect)) < 1e-13, row
 
 
 def test_sweep_without_a_usable_angle_fails(tmp_path, capsys):
@@ -486,6 +506,25 @@ def test_two_outputs_on_one_path_are_refused(tmp_path, monkeypatch, capsys, argv
     err = capsys.readouterr().err
     assert err.startswith(f"usage: tcmap {argv[0]} ") and f"error: argument {argv[-2]}: " in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact-basin", "--varphi", "0.2375pi", "--nbar", "10", "--op-file", "op.csv", "--res", "4x4",
+     "--out", "b.ppm", "--csv", "op.csv"],
+    ["discriminate", "--map-kind", "exact", "--op-file", "op.csv", "--samples", "5", "--out", "./op.csv"],
+], ids=["exact-basin", "discriminate"])
+def test_an_output_on_the_op_file_is_refused_before_the_read(tmp_path, monkeypatch, capsys, argv):
+    # both runs once read their operator and then wrote their table over it
+    monkeypatch.chdir(tmp_path)
+    assert main(["exact-op", "--nbar", "10", "--out", "op.csv"]) == 0
+    dumped = (tmp_path / "op.csv").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: tcmap {argv[0]} ") and f"error: argument {argv[-2]}: " in err
+    assert "is the --op-file file" in err
+    assert (tmp_path / "op.csv").read_bytes() == dumped and sorted(os.listdir(tmp_path)) == ["op.csv"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -9,6 +9,7 @@ import pytest
 from oracles import (
     apply_map,
     classify_basin_point,
+    fixed_point_multiplier_moduli,
     grid_points,
     homogeneous_overlap,
     product_state_vector,
@@ -19,7 +20,6 @@ from tcmap import rational_map as rm
 from tcmap.experiments import (
     basin_grid,
     discrimination_run,
-    fixed_point_multiplier_moduli,
     grid_axes,
     overlap,
     phi_sweep,
@@ -156,9 +156,14 @@ def test_analytic_multiplier_moduli():
     assert abs(lp - 1.0) < 1e-12 and abs(l0 - math.sqrt(2.0)) < 1e-12
 
 
+def ideal_maps(varphis):
+    """phi_sweep's input: the ideal map at each angle."""
+    return [(ideal_coefficients(v), v) for v in varphis]
+
+
 def test_sweep_emits_rows_in_grid_order():
     grid = [0.0, 0.1, 0.2]
-    rows = phi_sweep(grid, burn=500)
+    rows = phi_sweep(ideal_maps(grid), burn=500)
     # the attracting fixed points +-1 have |multiplier| = |tan varphi|, which tells the angles apart
     assert [abs(r[0][1]) for r in rows] == pytest.approx([abs(math.tan(v)) for v in grid], abs=1e-9)
     assert fixed_point_multiplier_moduli(grid[0])[:2] == (2.0, 0.0)
@@ -167,14 +172,14 @@ def test_sweep_emits_rows_in_grid_order():
 
 
 def test_sweep_finds_a_four_cycle_between_the_neutral_angles():
-    rows = phi_sweep([1.01 * math.pi / 4.0])
+    rows = phi_sweep(ideal_maps([1.01 * math.pi / 4.0]))
     assert any(len(points) == 4 for points, _ in rows[0])
 
 
 def test_sweep_reports_match_cycle_multiplier():
     varphis = [(k + 0.5) * 2.0 * math.pi / 64 for k in range(64)]
     reports = 0
-    for v, cycles in zip(varphis, phi_sweep(varphis)):
+    for v, cycles in zip(varphis, phi_sweep(ideal_maps(varphis))):
         for cycle in cycles:
             assert cycle == validated_cycle(cycle[0], ideal_coefficients(v))
             reports += 1
@@ -183,7 +188,7 @@ def test_sweep_reports_match_cycle_multiplier():
 
 def test_batched_sweep_matches_one_angle_at_a_time():
     varphis = [(k + 0.5) * 2.0 * math.pi / 64 for k in range(64)]
-    rows = phi_sweep(varphis, burn=1000)
+    rows = phi_sweep(ideal_maps(varphis), burn=1000)
     detected = 0
     for v, cycles in zip(varphis, rows):
         alone = find_attractive_cycles(ideal_coefficients(v), v, burn=1000)

@@ -11,11 +11,14 @@ inside and just outside each bound) and checks the contract of the exit code it 
 Huge counts appear only where the work does not grow with them, so `--nbar 1e9`, the largest
 accepted value, is not run here: its operator takes seconds and hundreds of MB to build.
 
-A second test holds every value flag to one rule for a value with a leading minus.
+A second test holds every value flag to one rule for a value with a leading minus, and a third
+aims every pair of path flags that one subcommand accepts at one existing file.
 """
 
 import argparse
+import itertools
 import math
+import os
 
 import pytest
 
@@ -229,3 +232,42 @@ def test_a_value_with_a_leading_minus_reads_as_after_an_equals_sign(tmp_path, ca
         if seen[0] != seen[1]:
             differ[f"{command} {flag} {value}"] = seen
     assert not differ
+
+
+def _path_flag_pairs():
+    """(subcommand, base command line, two of its path flags) for every pair one subcommand's parser accepts."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        flags = {flag for action in parser._actions for flag in action.option_strings}
+        # discriminate reads an --op-file only on its exact command line
+        base = BASE["exact-discriminate" if name == "discriminate" else name]
+        for pair in itertools.combinations([flag for flag in PATH_FLAGS if flag in flags], 2):
+            yield name, base, pair
+
+
+def test_two_path_flags_on_one_file_are_a_usage_error_that_keeps_the_file(tmp_path, capsys):
+    # a valid operator, so that a run which reads it as --op-file fails only on the clash
+    kept = tmp_path / "kept.csv"
+    write_step_operator(exact_step_operator(10.0), kept)
+    before = kept.read_bytes()
+    pairs = list(_path_flag_pairs())
+    assert {(name, pair) for name, _, pair in pairs} == {
+        ("julia", ("--out", "--image")), ("basin", ("--out", "--csv")), ("discriminate", ("--out", "--op-file")),
+        ("exact-basin", ("--out", "--csv")), ("exact-basin", ("--out", "--op-file")),
+        ("exact-basin", ("--csv", "--op-file"))}
+    broken = {}
+    for name, base, pair in pairs:
+        argv = [str(tmp_path / a) if a.endswith((".ppm", ".csv")) else a for a in base]
+        for flag in pair:
+            argv = _with_flag(argv, flag, str(kept))
+        if "--out" not in pair:
+            argv += ["--out", str(tmp_path / "out")]
+        try:
+            code = main([name] + argv)
+        except SystemExit as exc:
+            code = exc.code
+        err = capsys.readouterr().err
+        left = sorted(os.listdir(tmp_path))
+        if code != 2 or not all(flag in err for flag in pair) or kept.read_bytes() != before or left != ["kept.csv"]:
+            broken[f"{name} {' '.join(pair)}"] = (code, err.strip().splitlines()[-1:], left)
+    assert not broken

@@ -4,7 +4,16 @@ import math
 import numpy as np
 import pytest
 
-from oracles import BasinCell, apply_map, classify_basin_point, fixed_points, iterate_map, validated_cycle
+from oracles import (
+    BasinCell,
+    apply_map,
+    classify_basin_point,
+    first_order_step_operator,
+    fixed_point_multiplier_moduli,
+    fixed_points,
+    iterate_map,
+    validated_cycle,
+)
 from tcmap import rational_map
 from tcmap.rational_map import (
     apply_map_grid,
@@ -171,6 +180,60 @@ def test_iterate_map_rejects_negative_count():
 def test_fixed_points_independent_of_angle():
     for v in (0.0, 1.2, 1.666 * math.pi):
         assert fixed_points(v) == (-1.0 + 0j, 0j, 1.0 + 0j)
+
+
+def nearest_fixed_points(coeffs):
+    """The step's fixed points nearest 0, +1 and -1, each with its |multiplier|, as sweep matches them."""
+    points = rational_map.fixed_points(coeffs)
+    nearest = [min(points, key=lambda z: abs(z - t)) for t in (0, 1, -1)]
+    return nearest, [abs(map_derivative(z, coeffs)) for z in nearest]
+
+
+def test_the_ideal_maps_fixed_points_are_0_and_plus_minus_1():
+    for v in [0.0, 0.2375 * math.pi, 1.666 * math.pi] + random_angles(np.random.default_rng(3), 20):
+        points, moduli = nearest_fixed_points(ideal_coefficients(v))
+        assert points[0] == 0j  # c = 0 splits the root 0 off exactly
+        assert sorted(rational_map.fixed_points(ideal_coefficients(v)), key=lambda z: z.real) == pytest.approx(
+            fixed_points(v), abs=1e-15)
+        expect = fixed_point_multiplier_moduli(v)
+        assert max(abs(m - e) / max(e, 1.0) for m, e in zip(moduli, expect)) < 1e-13
+
+
+def test_fixed_points_of_a_general_step_are_fixed():
+    coeffs = (0.3 + 0.1j, -0.7 + 0.2j, 0.05 - 0.02j, -0.2 - 0.4j, 0.1 + 0j, -0.3 + 0.6j)
+    points = rational_map.fixed_points(coeffs)
+    assert len(points) == 3 and len(set(points)) == 3
+    for z in points:
+        assert abs(step_point(z, coeffs)[0] - z) < 1e-13 * max(1.0, abs(z))
+
+
+def test_fixed_points_at_infinity_for_each_degree_the_cubic_drops():
+    # d = 0: f(infinity) = infinity, once; d = 0 and e = a: the map z + c/(a z + b) fixes only infinity
+    a, b, c = 0.5 + 0j, 1j, 0.25 + 0j
+    coeffs = (a, b, c, 0j, 1 + 0j, 2 + 0j)
+    points = rational_map.fixed_points(coeffs)
+    assert points.count(INFINITY) == 1 and step_point(INFINITY, coeffs)[0] is INFINITY
+    assert all(abs(step_point(z, coeffs)[0] - z) < 1e-14 * max(1.0, abs(z)) for z in points if z is not INFINITY)
+    assert rational_map.fixed_points((a, b, c, 0j, a, b)) == (INFINITY,) * 3
+    # c = 0 and d = 0: 0, infinity and the root of (e - a) z + (f - b)
+    assert rational_map.fixed_points((a, b, 0j, 0j, 1 + 0j, 2 + 0j)) == (0j, (b - 2) / (1 - a), INFINITY)
+    with pytest.raises(ValueError, match="not a degree-2 map"):  # the identity fixes every point
+        rational_map.fixed_points((a, b, 0j, 0j, a, b))
+
+
+@pytest.mark.parametrize("nbar", [10.0, 30.0, 100.0, 1e3, 1e4])
+def test_the_exact_steps_fixed_points_follow_the_first_order_step(nbar):
+    # measured: the points within 0.55/nbar^2 at nbar 10 and 0.41/nbar^2 at 1e4, the moduli 1.6 and 1.1
+    v = 0.2375 * math.pi
+    exact = nearest_fixed_points(step_coefficients(exact_step_operator(nbar), v))
+    first = nearest_fixed_points(step_coefficients(first_order_step_operator(nbar, 0.0), v))
+    assert max(abs(z - w) for z, w in zip(exact[0], first[0])) < 0.6 / nbar**2
+    assert max(abs(m - n) for m, n in zip(exact[1], first[1])) < 2.0 / nbar**2
+
+
+def test_the_exact_steps_multipliers_at_nbar_2():
+    _, moduli = nearest_fixed_points(step_coefficients(exact_step_operator(2.0), 0.2375 * math.pi))
+    assert sorted(moduli) == pytest.approx([0.598, 0.709, 3.002], abs=1e-3)
 
 
 def test_two_cycle_at_phi_zero():

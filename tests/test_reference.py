@@ -97,7 +97,7 @@ def test_exact_basin_refusal_line(tmp_path, capsys):
 
 
 def assert_sweep_matches_reference(path):
-    """The sweep gate: angles to 1e-12, the analytic moduli to 1e-12 relative, periods
+    """The sweep gate: angles to 1e-12, the fixed-point moduli to 1e-12 relative, periods
     exactly and the detected |multiplier| to 1e-9; raw orbit bits are not compared."""
     header, rows = read_csv(path)
     want_header, want_rows = read_csv(SWEEP_64)
